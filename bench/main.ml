@@ -573,9 +573,9 @@ let ablation () =
     let fp, ex, t, bugs = run config in
     Fmt.pr "%-46s %8d %6d %8.2fs %6d@." label fp ex t bugs
   in
-  show "persistency-instruction FPs, snapshot" Mumak.Config.default;
+  show "persistency-instruction FPs, replay" Mumak.Config.default;
   show "persistency-instruction FPs, re-execute" Mumak.Config.faithful;
-  show "store-level FPs, snapshot (XFDetector-like)"
+  show "store-level FPs, replay (XFDetector-like)"
     { Mumak.Config.default with Mumak.Config.granularity = Mumak.Config.Store_level };
   show "store-level FPs, re-execute"
     { Mumak.Config.faithful with Mumak.Config.granularity = Mumak.Config.Store_level };
@@ -742,73 +742,6 @@ let micro () =
 
 (* ------------------------------------------------------------------ *)
 
-(* Time-to-first-bug of the invariant-guided injection order vs the
-   discovery (ordinal) order, over the seeded-bug matrix. Both runs use the
-   re-execute strategy, so every failure point is eventually injected and
-   the bug sets are identical; only the schedule differs. The hard claim —
-   asserted again by the differential test — is that prioritization is
-   never worse: equal when the static evidence is silent, earlier when a
-   hot window covers the buggy failure point. *)
-let prioritized () =
-  section
-    "Invariant-guided failure-point prioritization: injections until the first \
-     true-positive fault";
-  bench_telemetry_begin ();
-  let bugs = Pmapps.Registry.all_bugs @ Pmalloc.Bugs.all @ Montage.Mt_alloc.bugs in
-  let bugs = if smoke then List.filteri (fun i _ -> i < 4) bugs else bugs in
-  let show = function Some n -> string_of_int n | None -> "-" in
-  Fmt.pr "%-30s %-14s %-12s %9s %12s@." "bug id" "component" "class" "baseline"
-    "prioritized";
-  let worse = ref [] in
-  let rows = ref [] and signature = ref [] in
-  List.iter
-    (fun (b : Bugreg.t) ->
-      let target = coverage_target_for b in
-      let analyze config =
-        Bugreg.with_enabled [ b.Bugreg.id ] (fun () ->
-            Mumak.Engine.analyze ~config target)
-      in
-      let base_r = analyze Mumak.Config.faithful in
-      let pri_r = analyze Mumak.Config.static_analysis in
-      let base = base_r.Mumak.Engine.first_bug_injection in
-      let pri = pri_r.Mumak.Engine.first_bug_injection in
-      signature := Mumak.Report.signature pri_r.Mumak.Engine.report;
-      (match (base, pri) with
-      | Some bn, Some pn when pn > bn -> worse := b.Bugreg.id :: !worse
-      | Some _, None -> worse := b.Bugreg.id :: !worse
-      | _ -> ());
-      let opt = function
-        | Some n -> Telemetry.Json.Int n
-        | None -> Telemetry.Json.Null
-      in
-      rows :=
-        Telemetry.Json.Assoc
-          [
-            ("bug_id", Telemetry.Json.String b.Bugreg.id);
-            ("component", Telemetry.Json.String b.Bugreg.component);
-            ( "class",
-              Telemetry.Json.String (Bugreg.taxonomy_to_string b.Bugreg.taxonomy) );
-            ("baseline_first_bug", opt base);
-            ("prioritized_first_bug", opt pri);
-            ("metrics", phase_metrics pri_r);
-          ]
-        :: !rows;
-      Fmt.pr "%-30s %-14s %-12s %9s %12s@." b.Bugreg.id b.Bugreg.component
-        (Bugreg.taxonomy_to_string b.Bugreg.taxonomy)
-        (show base) (show pri))
-    bugs;
-  write_bench ~experiment:"prioritized" ~target:"seeded-bug-matrix"
-    ~config:Mumak.Config.static_analysis ~rows:(List.rev !rows)
-    ~signature:!signature;
-  (match !worse with
-  | [] ->
-      Fmt.pr
-        "@.prioritized order is never worse than discovery order on this matrix@."
-  | ids ->
-      Fmt.pr "@.REGRESSION: prioritization reached the bug later for: %a@."
-        Fmt.(list ~sep:comma string)
-        (List.rev ids))
-
 (* Lint + verified fixes: the planted performance-bug matrix analyzed under
    Config.linting. Per target: redundancy counts and estimated savings from
    the lint pass, the fix-verdict tally from the verifier, and the
@@ -912,181 +845,6 @@ let lint_bench () =
      (100%% detection of the planted redundancies); no clean row has a harmful fix; \
      replaying a recorded trace is faster than re-executing the target under \
      instrumentation -- the case for verifying fixes by trace rewrite.@."
-
-(* Absint prune: clean-target skip rates plus the seeded soundness
-   differential. Per clean target: failure points, nominated/confirmed/
-   rejected/skipped counts and the pruned-vs-unpruned injection and wall
-   time deltas. Then the seeded-bug matrix (a representative subset in
-   smoke mode): the pruned report signature must equal the unpruned one on
-   every row — a mismatch is a soundness regression and is printed as
-   such. *)
-let absint_bench () =
-  section "Absint prune: proven-safe skip rates and soundness differential";
-  bench_telemetry_begin ();
-  let ops = if smoke then 60 else 200 in
-  let key_range = if smoke then 25 else 80 in
-  let wl = Workload.standard ~ops ~key_range ~seed:42L in
-  let version_for app =
-    if String.equal app "hashmap_atomic" then Pmalloc.Version.V1_6
-    else Pmalloc.Version.V1_12
-  in
-  let target_of component () =
-    match component with
-    | "pmalloc" ->
-        Targets.of_app
-          (Option.get (Pmapps.Registry.find "btree"))
-          ~tx_mode:(Targets.Grouped 64)
-          ~workload:(Workload.standard ~ops:(max ops 120) ~key_range ~seed:42L)
-          ()
-    | "montage" -> Targets.of_montage ~variant:`Buffered ~workload:wl ()
-    | app ->
-        Targets.of_app
-          (Option.get (Pmapps.Registry.find app))
-          ~version:(version_for app) ~workload:wl ()
-  in
-  (* the unpruned baseline keeps the abstract interpreter on — its findings
-     are part of the report — and only turns the skipping off *)
-  let unpruned =
-    { Mumak.Config.default with strategy = Mumak.Config.Reexecute; absint = true }
-  in
-  let pruned = { unpruned with Mumak.Config.prune = true } in
-  let time f =
-    (* collect the previous measurement's garbage before timing this one
-       (on OCaml 5.1 this cannot shrink the major heap — see the warmup
-       runs below, which equalize heap state instead) *)
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    let x = f () in
-    (x, Unix.gettimeofday () -. t0)
-  in
-  let plan_of (r : Mumak.Engine.result) =
-    match r.Mumak.Engine.absint with
-    | Some { Mumak.Engine.prune = Some plan; _ } -> plan
-    | _ -> failwith "pruned run carries no prune plan"
-  in
-  let rows = ref [] and signature = ref [] in
-  (* --- clean targets: how much injection work does the proof retire? --- *)
-  let clean = [ "wort"; "btree"; "level_hash"; "cceh"; "art" ] in
-  let clean = if smoke then [ "wort"; "btree" ] else clean in
-  Fmt.pr "%-12s %6s %6s %6s %6s %6s %7s %9s %9s@." "target" "points" "proven"
-    "confd" "rejd" "skip" "skip%" "t.full(s)" "t.prune(s)";
-  let best_fraction = ref 0. in
-  List.iter
-    (fun app ->
-      (* Untimed warmup. The abstract-interpretation phase on the larger
-         targets allocates gigabytes with over a GiB live at peak; on
-         OCaml 5.1 the major heap never shrinks back, so whichever run
-         comes right after pays extra sweep work for the ballooned heap
-         (up to 2x CPU for identical allocation, measured on level_hash).
-         A throwaway run per target puts both timed runs behind the same
-         balloon — and absorbs the one left by the previous target. *)
-      ignore (Mumak.Engine.analyze ~config:unpruned (target_of app ()));
-      let base, t_full =
-        time (fun () -> Mumak.Engine.analyze ~config:unpruned (target_of app ()))
-      in
-      (* Keep only what the comparison needs from the baseline result and
-         let the rest die before the pruned run is timed: the absint
-         result retains the merged CFG and the whole fixpoint state map,
-         and holding that live across the pruned measurement charges it
-         for re-marking ~a GiB on every major cycle (measured +7s on
-         level_hash — more than the run itself). *)
-      let base_signature = Mumak.Report.signature base.Mumak.Engine.report in
-      let base_injections = base.Mumak.Engine.injections in
-      let r, t_prune =
-        time (fun () -> Mumak.Engine.analyze ~config:pruned (target_of app ()))
-      in
-      let plan = plan_of r in
-      let skipped = List.length plan.Analysis.Prune.skip in
-      let fraction = Analysis.Prune.skip_fraction plan in
-      if fraction > !best_fraction then best_fraction := fraction;
-      let sound = base_signature = Mumak.Report.signature r.Mumak.Engine.report in
-      if not sound then Fmt.pr "REGRESSION: %s pruned report differs@." app;
-      (* batched confirmation promises pruning is never slower; 25% slack
-         absorbs timer noise (the old per-nominee regression was ~3x) *)
-      if t_prune > (t_full *. 1.25) +. 0.05 then
-        Fmt.pr "REGRESSION: %s pruned slower than unpruned (%.2fs > %.2fs)@." app
-          t_prune t_full;
-      signature := Mumak.Report.signature r.Mumak.Engine.report;
-      Fmt.pr "%-12s %6d %6d %6d %6d %6d %6.1f%% %9.2f %9.2f@." app
-        plan.Analysis.Prune.total plan.Analysis.Prune.proven
-        plan.Analysis.Prune.confirmed plan.Analysis.Prune.rejected skipped
-        (100. *. fraction) t_full t_prune;
-      rows :=
-        Telemetry.Json.Assoc
-          [
-            ("kind", Telemetry.Json.String "clean");
-            ("target", Telemetry.Json.String app);
-            ("failure_points", Telemetry.Json.Int plan.Analysis.Prune.total);
-            ("proven", Telemetry.Json.Int plan.Analysis.Prune.proven);
-            ("confirmed", Telemetry.Json.Int plan.Analysis.Prune.confirmed);
-            ("rejected", Telemetry.Json.Int plan.Analysis.Prune.rejected);
-            ("skipped", Telemetry.Json.Int skipped);
-            ("skip_fraction", Telemetry.Json.Float fraction);
-            ("injections_unpruned", Telemetry.Json.Int base_injections);
-            ("injections_pruned", Telemetry.Json.Int r.Mumak.Engine.injections);
-            ("signatures_equal", Telemetry.Json.Bool sound);
-            ("unpruned_wall_seconds", Telemetry.Json.Float t_full);
-            ("pruned_wall_seconds", Telemetry.Json.Float t_prune);
-            ("metrics", phase_metrics r);
-          ]
-        :: !rows)
-    clean;
-  (* --- seeded matrix: prune must never change what is found --- *)
-  let bugs = Pmapps.Registry.all_bugs @ Pmalloc.Bugs.all @ Montage.Mt_alloc.bugs in
-  let bugs =
-    if smoke then
-      List.filter
-        (fun b ->
-          List.mem b.Bugreg.id
-            [
-              "wort_link_uninitialized_node"; "btree_insert_no_tx";
-              "hm_atomic_count_never_flushed"; "montage_alloc_head_unpersisted";
-            ])
-        bugs
-    else bugs
-  in
-  Fmt.pr "@.%-32s %-14s %6s %6s %6s %9s@." "seeded bug" "component" "skip"
-    "rejd" "bugs" "sound";
-  let unsound = ref [] in
-  List.iter
-    (fun b ->
-      Bugreg.with_enabled [ b.Bugreg.id ] (fun () ->
-          let base = Mumak.Engine.analyze ~config:unpruned (target_of b.Bugreg.component ()) in
-          let r = Mumak.Engine.analyze ~config:pruned (target_of b.Bugreg.component ()) in
-          let plan = plan_of r in
-          let sound =
-            Mumak.Report.signature base.Mumak.Engine.report
-            = Mumak.Report.signature r.Mumak.Engine.report
-          in
-          if not sound then unsound := b.Bugreg.id :: !unsound;
-          signature := Mumak.Report.signature r.Mumak.Engine.report;
-          Fmt.pr "%-32s %-14s %6d %6d %6d %9s@." b.Bugreg.id b.Bugreg.component
-            (List.length plan.Analysis.Prune.skip)
-            plan.Analysis.Prune.rejected
-            (List.length (Mumak.Report.correctness_bugs r.Mumak.Engine.report))
-            (if sound then "yes" else "NO");
-          rows :=
-            Telemetry.Json.Assoc
-              [
-                ("kind", Telemetry.Json.String "seeded");
-                ("bug", Telemetry.Json.String b.Bugreg.id);
-                ("component", Telemetry.Json.String b.Bugreg.component);
-                ("skipped", Telemetry.Json.Int (List.length plan.Analysis.Prune.skip));
-                ("rejected", Telemetry.Json.Int plan.Analysis.Prune.rejected);
-                ("signatures_equal", Telemetry.Json.Bool sound);
-              ]
-            :: !rows))
-    bugs;
-  write_bench ~experiment:"absint" ~target:"clean-and-seeded-matrix"
-    ~config:pruned ~rows:(List.rev !rows) ~signature:!signature;
-  Fmt.pr "@.best clean-target skip fraction: %.1f%% (acceptance bar: 20%%)@."
-    (100. *. !best_fraction);
-  match !unsound with
-  | [] -> Fmt.pr "pruned and unpruned reports agree on every row@."
-  | ids ->
-      Fmt.pr "REGRESSION: pruning changed the report for: %a@."
-        Fmt.(list ~sep:comma string)
-        (List.rev ids)
 
 (* Replay-first vs re-execution: the case for the default strategy. Per
    clean target: end-to-end wall and allocated bytes under the live
@@ -1390,9 +1148,7 @@ let experiments =
     ("table3", table3);
     ("ablation", ablation);
     ("scaling", scaling);
-    ("prioritized", prioritized);
     ("lint", lint_bench);
-    ("absint", absint_bench);
     ("replay", replay_bench);
     ("optimize", optimize_bench);
     ("micro", micro);

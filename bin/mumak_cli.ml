@@ -34,7 +34,7 @@ let write_file path contents =
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
 
 let run name ops key_range seed version_str grouped strategy_str bugs no_warnings
-    store_level jobs static lint verify_fixes absint prune trace_out metrics_out progress
+    store_level jobs static lint verify_fixes absint trace_out metrics_out progress
     store_dir =
   let version =
     match version_str with
@@ -52,22 +52,11 @@ let run name ops key_range seed version_str grouped strategy_str bugs no_warning
         registry_names
   | Some target ->
       let jobs = max 1 jobs in
-      (* --prune skips injections, which only exist under re-execution, and
-         needs the abstract fixpoint to nominate them *)
-      let absint = absint || prune in
       let strategy =
-        (* --static needs invariant-guided prioritization, which targets the
-           live re-execution loop; --absint/--prune and --jobs work under
-           replay (the default) or reexecute, so a snapshot request is
-           upgraded to replay when they are on *)
-        if static then Mumak.Config.Reexecute
-        else
-          match strategy_str with
-          | "replay" -> Mumak.Config.Replay
-          | "snapshot" ->
-              if absint || jobs > 1 then Mumak.Config.Replay else Mumak.Config.Snapshot
-          | "reexecute" -> Mumak.Config.Reexecute
-          | s -> usage_error "unknown strategy %s (replay | snapshot | reexecute)" s
+        match strategy_str with
+        | "replay" -> Mumak.Config.Replay
+        | "reexecute" -> Mumak.Config.Reexecute
+        | s -> usage_error "unknown strategy %s (replay | reexecute)" s
       in
       let config =
         {
@@ -78,7 +67,6 @@ let run name ops key_range seed version_str grouped strategy_str bugs no_warning
             (if store_level then Mumak.Config.Store_level
              else Mumak.Config.Persistency_instruction);
           static;
-          prioritize = static;
           jobs;
           (* --verify-fixes without --lint would verify static fixes only;
              implying lint keeps the CLI contract simple: verification always
@@ -86,7 +74,6 @@ let run name ops key_range seed version_str grouped strategy_str bugs no_warning
           lint = lint || verify_fixes;
           verify_fixes;
           absint;
-          prune;
         }
       in
       if trace_out <> None || metrics_out <> None then Telemetry.Collector.enable ();
@@ -109,9 +96,8 @@ let run name ops key_range seed version_str grouped strategy_str bugs no_warning
       Fmt.pr "%a@." Mumak.Engine.pp_result result;
       (match result.Mumak.Engine.static with
       | Some s ->
-          Fmt.pr "static analysis: %d raw findings, %d hot windows over %d recordings@."
+          Fmt.pr "static analysis: %d raw findings over %d recordings@."
             (List.length s.Analysis.Static.findings)
-            (List.length s.Analysis.Static.hot_windows)
             s.Analysis.Static.runs
       | None -> ());
       Fmt.pr "first bug at injection: %s@."
@@ -156,9 +142,10 @@ let strategy_arg =
     value & opt string "replay"
     & info [ "strategy" ]
         ~doc:
-          "replay | snapshot | reexecute. The default, replay, records the \
-           workload once and materializes every failure point's crash image \
-           offline from that recording.")
+          "replay | reexecute. The default, replay, records the workload once \
+           and materializes every failure point's crash image offline from \
+           that recording; reexecute re-runs the workload once per failure \
+           point, as the original Mumak does.")
 let bugs_arg =
   Arg.(value & opt_all string [] & info [ "enable-bug" ] ~doc:"Enable a seeded bug id.")
 let no_warnings_arg = Arg.(value & flag & info [ "no-warnings" ] ~doc:"Suppress warnings.")
@@ -179,9 +166,9 @@ let static_arg =
         ~doc:
           "Run the offline persistency dependency-graph analyzer before fault \
            injection: records whole traces, mines likely ordering/atomicity \
-           invariants, attaches fix suggestions to findings, and reorders the \
-           injection loop so statically-suspicious failure points are tried \
-           first. Implies --strategy reexecute.")
+           invariants and attaches fix suggestions to findings. Costs four \
+           extra instrumented executions: two workload runs, each recorded \
+           with and without load tracing.")
 
 let lint_arg =
   Arg.(
@@ -191,7 +178,8 @@ let lint_arg =
           "Run the epoch-based anti-pattern detectors over a recorded trace: \
            duplicate/unnecessary flushes, redundant fences and missing-flush \
            hot spots, each with a code path, a concrete fix and an estimated \
-           cycles/events saving. Costs one extra instrumented execution.")
+           cycles/events saving. Reads the run's shared recording, so it costs \
+           no extra execution.")
 
 let absint_arg =
   Arg.(
@@ -203,16 +191,6 @@ let absint_arg =
            reports missing-flush / missing-fence / ordering findings on \
            merged paths no single recording exercised, each with a concrete \
            path witness.")
-
-let prune_arg =
-  Arg.(
-    value & flag
-    & info [ "prune" ]
-        ~doc:
-          "Skip fault injections the abstract fixpoint proves safe on every \
-           merged path, after confirming each skipped point's replayed crash \
-           image against the recovery oracle offline — the report is \
-           byte-identical to the unpruned run. Implies --absint.")
 
 let verify_fixes_arg =
   Arg.(
@@ -267,7 +245,7 @@ let analyze_term =
   Term.(
     const run $ name_arg $ ops_arg $ key_range_arg $ seed_arg $ version_arg
     $ grouped_arg $ strategy_arg $ bugs_arg $ no_warnings_arg $ store_level_arg
-    $ jobs_arg $ static_arg $ lint_arg $ verify_fixes_arg $ absint_arg $ prune_arg
+    $ jobs_arg $ static_arg $ lint_arg $ verify_fixes_arg $ absint_arg
     $ trace_out_arg $ metrics_out_arg $ progress_arg $ store_arg)
 
 let analyze_cmd =

@@ -29,9 +29,8 @@
       that overtake an un-fenced flush, each reported with a concrete
       merged-path witness;
     - {e proofs}: a site is proven safe when on {e every} merged path into
-      it all lines dirtied before the current epoch are persisted —
-      {!Prune} uses this as the necessary condition for skipping the
-      failure point. *)
+      it all lines dirtied before the current epoch are persisted — the
+      optimizer ranks its plans by these proofs. *)
 
 module Lattice = struct
   (** The chain the analysis abstracts per cache line. *)
@@ -174,11 +173,9 @@ let apply ~key st (instr : Cfg.instr) =
       let v = find_line st line in
       let outstanding = v.mask land (dirty_bits lor pending_bits) <> 0 in
       let kept = v.mask land (clean lor persisted) in
-      let mask =
-        if outstanding then kept lor pending_epoch
-        else if kept <> 0 then kept
-        else clean (* flush of an untouched line: content already durable *)
-      in
+      (* flushing a line that carries no fact adds none: deriving [clean]
+         from bottom would break monotonicity in the input state *)
+      let mask = if outstanding then kept lor pending_epoch else kept in
       let old_pending = if v.mask land pending_bits <> 0 then v.wit_pending else None in
       let wit_pending = if outstanding then omin old_pending (Some key) else None in
       Lines.add line { mask; wit_dirty = None; wit_pending } st |> epoch_close

@@ -8,8 +8,7 @@
     transfer functions mirroring {!Pmem.Device} semantics. Produces
     missing-flush / missing-fence / ordering findings on merged paths no
     single recording exercised, each with a concrete path witness, and
-    per-site safety proofs that {!Prune} uses to nominate failure points
-    for skipping. *)
+    per-site safety proofs the optimizer ranks its plans by. *)
 
 module Lattice : sig
   (** The per-cache-line chain. *)

@@ -2,8 +2,8 @@
     transformation plans by projected savings.
 
     Two sources of weights. {!static_weights} are fixed numbers in line
-    with published CLWB/CLFLUSH/SFENCE microbenchmark figures (and with
-    the lint phase's flush/fence estimates) — fully deterministic, so plan
+    with published CLWB/CLFLUSH/SFENCE microbenchmark figures (the lint
+    phase prices its savings with them too) — fully deterministic, so plan
     rankings never drift between runs; they are the default. {!fit}
     derives weights from measured latency histograms — either recorded
     live by {!measure} (one timed replay of the recording, one histogram
@@ -24,9 +24,9 @@ type weights = {
   w_source : string;  (** "static" or "fitted" — stamped into bench rows *)
 }
 
-(* The flush/fence anchors (250/30) deliberately match the lint phase's
-   savings estimates, so lint cycle counts and optimizer projections read
-   on one scale. *)
+(* The flush/fence anchors (250/30) also price the lint phase's savings
+   estimates, so lint cycle counts and optimizer projections read on one
+   scale. *)
 let static_weights =
   {
     w_store = 12;

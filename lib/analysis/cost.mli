@@ -3,9 +3,9 @@
     projected savings.
 
     Weights come from two sources. {!static_weights} (the default) are
-    fixed, deterministic numbers whose flush/fence anchors match the lint
-    phase's estimates, so lint cycle counts and optimizer projections read
-    on one scale. {!fit} rescales weights from measured latency
+    fixed, deterministic numbers whose flush/fence anchors also price the
+    lint phase's estimates, so lint cycle counts and optimizer projections
+    read on one scale. {!fit} rescales weights from measured latency
     histograms — recorded live by {!measure} or re-imported from a
     telemetry JSONL export — anchored on the clwb mean. Fitting only
     reorders plan rankings; verdicts stay the verifier's business. *)

@@ -34,10 +34,11 @@ let kind_to_string = function
   | Redundant_fence -> "redundant fence"
   | Missing_flush -> "missing flush"
 
-(* Rough per-instruction costs (cycles) for the savings estimate, in line
-   with published CLWB/SFENCE microbenchmark numbers. *)
-let flush_cycles = 250
-let fence_cycles = 30
+(* Per-instruction costs (cycles) for the savings estimate: the cost
+   model's static clwb/sfence weights, so lint cycle counts and optimizer
+   projections read on one scale. *)
+let flush_cycles = Cost.static_weights.Cost.w_clwb
+let fence_cycles = Cost.static_weights.Cost.w_sfence
 
 type finding = {
   l_kind : kind;

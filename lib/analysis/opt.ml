@@ -565,7 +565,10 @@ let persist_count events =
       match e.Pmtrace.Event.op with Pmem.Op.Load _ -> a | _ -> a + 1)
     0 events
 
-let optimize ?invariants ?absint ?(max_plans = 12) ~weights ~support ~confidence ~eadr
+(* Plans verified per run, best projection first. *)
+let max_plans = 12
+
+let optimize ?invariants ?absint ~weights ~support ~confidence ~eadr
     ~(oracle : Pmem.Image.t -> (string * string) option)
     ~(points : Pmtrace.Event.t list -> (int * int * Pmtrace.Callstack.capture) list)
     (noload : Pmtrace.Replay.t) =

@@ -36,7 +36,7 @@ type t = {
   baseline_events : int;
   baseline_cycles : int;
   synthesized : int;
-  verified : int;  (** the top [max_plans] by projection *)
+  verified : int;  (** the top 12 by projection *)
   bundles : bundle list;  (** proven first, best measured savings first *)
   proven : int;
   ineffective : int;
@@ -56,7 +56,6 @@ val synthesize : ?absint:Absint.t -> weights:Cost.weights -> Pmtrace.Event.t lis
 val optimize :
   ?invariants:Invariants.t ->
   ?absint:Absint.t ->
-  ?max_plans:int ->
   weights:Cost.weights ->
   support:int ->
   confidence:float ->
@@ -66,11 +65,10 @@ val optimize :
   Pmtrace.Replay.t ->
   t
 (** [optimize ~weights ~oracle ~points noload] — synthesize, then verify
-    the top [max_plans] (default 12) candidates against the load-free
-    recording: rewrite, normalize, re-run the static and lint detectors,
-    and fault-inject every failure point of the rewritten trace under both
-    crash views; any fresh attributable finding, or a changed final image,
-    is Harmful. [invariants] (normally the baseline static phase's) are
+    the top 12 candidates against the load-free recording: rewrite,
+    normalize, re-run the static and lint detectors, and fault-inject
+    every failure point of the rewritten trace under both crash views; any
+    fresh attributable finding, or a changed final image, is Harmful. [invariants] (normally the baseline static phase's) are
     reused rather than re-mined. *)
 
 val pp_bundle : bundle Fmt.t

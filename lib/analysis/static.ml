@@ -46,15 +46,6 @@ type t = {
   findings : finding list;
   invariants : Invariants.t;
   graph : Dep_graph.t;  (** the subject run's graph *)
-  hot_windows : (int * int * int) list;
-      (** (lo, hi, weight) persistency-index windows implicated by a
-          violation or a dangling store — the input to {!Prioritize} *)
-  hot_frames : string list;
-      (** innermost call-stack frame labels of the violation anchors that
-          emitted windows; windows are per-activation, so a violation that
-          repeats across activations (tree splits at different depths) is
-          only witnessed in one window — the frame label generalizes the
-          evidence to every failure point of the same operation *)
   runs : int;
   events : int;  (** total events folded into graphs across recordings *)
 }
@@ -108,51 +99,8 @@ let analyze ?invariants ~support ~confidence ~eadr
   let g = List.hd graphs in
   let stack_tbl = List.hd stacks in
   let stack_of p = Hashtbl.find_opt stack_tbl p in
-  (* Widen a hot window by one persist epoch on each side: the suspicious
-     publish point is typically a fence {e adjacent} to the witnessed
-     window — the one that closed the preceding epoch, or the next
-     persisting fence after the window's own (e.g. the pointer swap whose
-     pointee was copied inside the window) — and [Prioritize]'s coverage
-     test is [lo < s <= hi]. *)
-  let fence_ps =
-    Array.of_list
-      (List.sort_uniq compare
-         (Array.to_list
-            (Array.map (fun (n : Dep_graph.node) -> n.Dep_graph.fence_p) g.Dep_graph.nodes)))
-  in
-  let widen lo hi =
-    let n = Array.length fence_ps in
-    let rec prev l h acc =
-      if l > h then acc
-      else
-        let mid = (l + h) / 2 in
-        if fence_ps.(mid) < lo then prev (mid + 1) h (Some fence_ps.(mid))
-        else prev l (mid - 1) acc
-    in
-    let rec next l h acc =
-      if l > h then acc
-      else
-        let mid = (l + h) / 2 in
-        if fence_ps.(mid) > hi then next l (mid - 1) (Some fence_ps.(mid))
-        else next (mid + 1) h acc
-    in
-    let lo' = match prev 0 (n - 1) None with None -> lo | Some f -> min lo (f - 1) in
-    let hi' = match next 0 (n - 1) None with None -> hi | Some f -> max hi f in
-    (lo', hi')
-  in
-  let findings = ref [] and hot = ref [] and frames = ref [] in
-  let add ?fix ?window ?ident kind seq detail =
-    (match window with
-    | Some (lo, hi, w) -> (
-        let lo, hi = widen lo hi in
-        hot := (lo, hi, w) :: !hot;
-        match stack_of seq with
-        | Some c -> (
-            match List.rev c.Pmtrace.Callstack.path with
-            | innermost :: _ -> frames := innermost :: !frames
-            | [] -> ())
-        | None -> ())
-    | None -> ());
+  let findings = ref [] in
+  let add ?fix ?ident kind seq detail =
     findings := { kind; seq; stack = stack_of seq; detail; fix; ident } :: !findings
   in
   let fix action seq rationale = { Fix.action; seq; stack = stack_of seq; rationale } in
@@ -163,7 +111,6 @@ let analyze ?invariants ~support ~confidence ~eadr
         match d.Dep_graph.d_flush_p with
         | Some fp ->
             add ~fix:(fix Fix.Insert_fence fp "the flush is issued but never drained")
-              ~window:(d.Dep_graph.d_first_store_p, fp, 10)
               Durability fp
               (Printf.sprintf "line %d flushed at #%d but never fenced" d.Dep_graph.d_line fp)
         | None ->
@@ -174,7 +121,6 @@ let analyze ?invariants ~support ~confidence ~eadr
                      (Fix.Insert_flush { line = d.Dep_graph.d_line })
                      d.Dep_graph.d_last_store_p
                      "the stores are left in the cache; flush the line and fence")
-                ~window:(d.Dep_graph.d_first_store_p, d.Dep_graph.d_last_store_p, 10)
                 Durability d.Dep_graph.d_last_store_p
                 (Printf.sprintf "stores to line %d never persisted (line is flushed elsewhere)"
                    d.Dep_graph.d_line)
@@ -231,14 +177,10 @@ let analyze ?invariants ~support ~confidence ~eadr
                       | Some a, None | None, Some a -> a
                       | None, None -> src.Dep_graph.fence_p
                     in
-                    let lo =
-                      min dst.Dep_graph.first_store_p src.Dep_graph.first_store_p
-                    in
                     add
                       ~fix:
                         (fix Fix.Insert_fence anchor
                            "drain the pointee's flush before flushing the pointer")
-                      ~window:(lo, src.Dep_graph.fence_p, 100)
                       ~ident:(chase_ident c.Dep_graph.c_paths) Ordering anchor
                       (describe
                          (Printf.sprintf
@@ -256,7 +198,6 @@ let analyze ?invariants ~support ~confidence ~eadr
                         (fix
                            (Fix.Insert_flush { line = dst.Dep_graph.line })
                            anchor "persist the pointee before publishing the pointer")
-                      ~window:(src.Dep_graph.first_store_p, dst.Dep_graph.fence_p, 100)
                       ~ident:(chase_ident c.Dep_graph.c_paths) Ordering anchor
                       (describe
                          (Printf.sprintf
@@ -283,7 +224,6 @@ let analyze ?invariants ~support ~confidence ~eadr
                           (fix
                              (Fix.Insert_flush { line = d.Dep_graph.d_line })
                              anchor "the pointer is persisted but its target never is")
-                        ~window:(d.Dep_graph.d_first_store_p, d.Dep_graph.d_last_store_p, 100)
                         ~ident:(chase_ident c.Dep_graph.c_paths) Ordering anchor
                         (describe
                            (Printf.sprintf
@@ -324,8 +264,6 @@ let analyze ?invariants ~support ~confidence ~eadr
               ~fix:
                 (fix Fix.Insert_fence anchor
                    "order the dependence: fence between the two flushes")
-              ~window:
-                (min a.Dep_graph.first_store_p b.Dep_graph.first_store_p, a.Dep_graph.fence_p, 100)
               ~ident:
                 (Printf.sprintf "dep:%s->%s" dep.Invariants.dep_src dep.Invariants.dep_dst)
               Ordering anchor
@@ -345,9 +283,7 @@ let analyze ?invariants ~support ~confidence ~eadr
         | None -> ()
         | Some (_, ida, idb) ->
             let a = Dep_graph.node g ida and b = Dep_graph.node g idb in
-            let lo = min a.Dep_graph.first_store_p b.Dep_graph.first_store_p
-            and hi = max a.Dep_graph.fence_p b.Dep_graph.fence_p in
-            add ~window:(lo, hi, 50)
+            add
               ~ident:(Printf.sprintf "atomic:%s&%s" ap.Invariants.a_loc1 ap.Invariants.a_loc2)
               Atomicity
               (min a.Dep_graph.fence_p b.Dep_graph.fence_p)
@@ -394,8 +330,6 @@ let analyze ?invariants ~support ~confidence ~eadr
     findings;
     invariants;
     graph = g;
-    hot_windows = List.rev !hot;
-    hot_frames = List.sort_uniq compare !frames;
     runs = List.length runs;
     events = List.fold_left (fun acc gr -> acc + gr.Dep_graph.events) 0 graphs;
   }

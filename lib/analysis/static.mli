@@ -29,13 +29,6 @@ type t = {
   findings : finding list;
   invariants : Invariants.t;
   graph : Dep_graph.t;  (** the subject run's graph *)
-  hot_windows : (int * int * int) list;
-      (** (lo, hi, weight) persistency-index windows implicated by a
-          violation or a dangling store — the input to {!Prioritize} *)
-  hot_frames : string list;
-      (** innermost call-stack frame labels of the violation anchors that
-          emitted windows — generalizes per-activation window evidence to
-          every failure point of the same operation *)
   runs : int;
   events : int;  (** total events folded into graphs across recordings *)
 }

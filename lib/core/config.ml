@@ -13,12 +13,10 @@ type strategy =
           prefix-incremental replay pass, and stream the oracle over the
           images; live re-execution remains only as a per-point fallback
           for points the recording cannot reach (the default) *)
-  | Snapshot
-      (** capture the crash image at first visit during a single execution
-          (simulator-only optimisation) *)
   | Reexecute
       (** re-run the workload once per failure point, as the original Mumak
-          does (cost-faithful; used by the benchmarks) *)
+          does (cost-faithful: the reference the differentials compare
+          [Replay] against, and the benchmarks' cost model) *)
 
 type t = {
   granularity : granularity;
@@ -35,18 +33,12 @@ type t = {
           CPU caches, paper sections 2 and 4.3): fault injection is
           unchanged — atomicity/ordering bugs survive eADR — but the trace
           analysis stops reporting unflushed stores as durability bugs *)
-  max_failure_points : int option;  (** cap for very large targets *)
   static : bool;
       (** run the offline persistency dependency-graph analyzer over
           recorded traces before the dynamic phases: builds per-cacheline
           store→flush→fence lineages, mines likely ordering/atomicity
           invariants across [invariant_runs] executions, and attaches fix
           suggestions to its findings *)
-  prioritize : bool;
-      (** reorder the [Reexecute] injection loop so failure points whose
-          first occurrence falls inside a statically-suspicious window are
-          injected first (invariant-guided prioritization). Requires
-          [static]; ignored under [Snapshot]. *)
   invariant_runs : int;
       (** executions (with distinct workload seeds) the invariant miner
           observes; more runs raise support counts and kill noise *)
@@ -62,8 +54,7 @@ type t = {
           device — so the loop is embarrassingly parallel; [jobs > 1]
           partitions the failure-point leaves round-robin over that many
           domains and merges the records deterministically (sorted by
-          discovery ordinal). [1] (the default) is the sequential loop;
-          the [Snapshot] strategy ignores this field (single execution). *)
+          discovery ordinal). [1] (the default) is the sequential loop. *)
   lint : bool;
       (** run the epoch-based anti-pattern detectors (redundant/duplicate
           flushes, redundant fences, missing-flush hot spots) over a
@@ -71,26 +62,16 @@ type t = {
   verify_fixes : bool;
       (** verify every fix suggestion (static and lint) by rewriting the
           recorded trace, replaying it, and re-running the oracle and the
-          detectors: verdicts proven / ineffective / harmful. Costs two
-          extra instrumented executions (replay recordings) and replays —
-          never target re-executions. *)
+          detectors: verdicts proven / ineffective / harmful. Costs one
+          extra instrumented execution (the load-traced recording) and
+          replays — never target re-executions. *)
   absint : bool;
       (** abstract-interpret a control-flow automaton merged from
           [invariant_runs] recordings with a per-cache-line persistency
           lattice: reports missing-flush/missing-fence/ordering findings on
           merged paths no single recording exercised (each with a concrete
-          path witness) and proves failure-point sites safe for [prune] *)
-  prune : bool;
-      (** skip a fault injection when the abstract fixpoint proves the
-          failure point safe on every merged path AND the point's replayed
-          crash image passes the recovery oracle offline — sound by
-          construction: only injections whose records are known to be
-          consistent (contributing no finding) are elided. Under [Replay]
-          the confirmation folds into the injection pass itself (each
-          point's oracle outcome is computed anyway); under [Reexecute] all
-          nominees are confirmed in one batched materialization pass over
-          the shared recording. Requires [absint]; ignored under
-          [Snapshot]. *)
+          path witness) and proves failure-point sites safe, which the
+          optimizer uses to rank plans *)
   optimize : bool;
       (** synthesize persist-transformation plans (fence batching, flush
           coalescing/hoisting, non-temporal and clwb conversions) over the
@@ -113,9 +94,7 @@ let default =
     resolve_stacks = true;
     detect_dirty_overwrites = false;
     eadr = false;
-    max_failure_points = None;
     static = false;
-    prioritize = false;
     invariant_runs = 2;
     invariant_support = 3;
     invariant_confidence = 0.9;
@@ -123,7 +102,6 @@ let default =
     lint = false;
     verify_fixes = false;
     absint = false;
-    prune = false;
     optimize = false;
     fit_cost = false;
   }
@@ -134,7 +112,6 @@ let granularity_name = function
 
 let strategy_name = function
   | Replay -> "replay"
-  | Snapshot -> "snapshot"
   | Reexecute -> "reexecute"
 
 (** Machine encoding of a configuration, embedded in bench results and
@@ -150,10 +127,7 @@ let to_json t =
       ("resolve_stacks", Bool t.resolve_stacks);
       ("detect_dirty_overwrites", Bool t.detect_dirty_overwrites);
       ("eadr", Bool t.eadr);
-      ( "max_failure_points",
-        match t.max_failure_points with None -> Null | Some n -> Int n );
       ("static", Bool t.static);
-      ("prioritize", Bool t.prioritize);
       ("invariant_runs", Int t.invariant_runs);
       ("invariant_support", Int t.invariant_support);
       ("invariant_confidence", Float t.invariant_confidence);
@@ -161,23 +135,17 @@ let to_json t =
       ("lint", Bool t.lint);
       ("verify_fixes", Bool t.verify_fixes);
       ("absint", Bool t.absint);
-      ("prune", Bool t.prune);
       ("optimize", Bool t.optimize);
       ("fit_cost", Bool t.fit_cost);
     ]
 
 (** [default] plus the full static pipeline: dependency-graph analysis,
-    invariant mining, fix suggestions and invariant-guided prioritization
-    of the re-execution injection loop. *)
-let static_analysis = { default with strategy = Reexecute; static = true; prioritize = true }
+    invariant mining and fix suggestions. *)
+let static_analysis = { default with static = true }
 
 (** The lint pipeline: anti-pattern detectors plus verified fix
     suggestions, alongside the default dynamic phases. *)
 let linting = { default with lint = true; verify_fixes = true }
-
-(** The merged-trace abstract interpreter plus confirmed failure-point
-    pruning over the re-execution injection loop. *)
-let path_sensitive = { default with strategy = Reexecute; absint = true; prune = true }
 
 (** The optimizer pipeline: the lint detectors and the merged-trace
     abstract interpreter feed plan synthesis, and every plan is
@@ -188,7 +156,3 @@ let optimizing = { default with lint = true; absint = true; optimize = true }
 (** The configuration the benchmarks use to mirror the original system's
     cost model. *)
 let faithful = { default with strategy = Reexecute }
-
-(** [faithful] with the injection loop spread over [jobs] worker domains —
-    the paper's parallel deployment of the re-execution strategy. *)
-let parallel jobs = { faithful with jobs = max 1 jobs }

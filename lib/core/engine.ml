@@ -2,14 +2,6 @@
     the recovery oracle, analyse the trace, and emit one combined report of
     unique bugs and warnings. *)
 
-(** Output of the abstract-interpretation phase: the fixpoint analysis
-    itself plus, when [Config.prune] was on, the failure-point prune plan
-    the injection loop honoured. *)
-type absint = {
-  analysis : Analysis.Absint.t;
-  prune : Analysis.Prune.plan option;
-}
-
 type result = {
   report : Report.t;
   failure_points : int;
@@ -26,12 +18,12 @@ type result = {
   static : Analysis.Static.t option;
       (** the static analyzer's output (graphs, invariants, raw findings)
           when [Config.static] was on *)
-  absint : absint option;
-      (** merged-CFG abstract interpreter output (and prune plan) when
-          [Config.absint] or [Config.prune] was on *)
+  absint : Analysis.Absint.t option;
+      (** merged-CFG abstract interpreter output when [Config.absint] was
+          on *)
   ai_metrics : Metrics.t;
-      (** abstract-interpretation phase (recordings + fixpoint + prune
-          confirmation); [Metrics.zero] when the phase is off *)
+      (** abstract-interpretation phase (recordings + fixpoint);
+          [Metrics.zero] when the phase is off *)
   lint : Analysis.Lint.t option;
       (** anti-pattern detector output when [Config.lint] or
           [Config.verify_fixes] was on (verification replays lint too) *)
@@ -45,9 +37,9 @@ type result = {
       (** optimize phase (synthesis + replay verification);
           [Metrics.zero] when the phase is off *)
   first_bug_injection : int option;
-      (** 1-based position in the injection schedule of the first fault
-          whose oracle flagged a bug; [None] when fault injection found
-          nothing — the time-to-first-bug metric of [bench prioritized] *)
+      (** 1-based position in the injection schedule (failure-point
+          ordinal order) of the first fault whose oracle flagged a bug;
+          [None] when fault injection found nothing *)
   worker_metrics : Metrics.t list;
       (** per-domain breakdown of the parallel injection phase; empty when
           the injection ran sequentially *)
@@ -170,10 +162,9 @@ let analyze ?(config = Config.default) (target : Target.t) =
         r
   in
   (* Phase 0 (optional): offline static analysis over recorded traces —
-     dependency graphs, invariant mining, fix suggestions, and the
-     invariant-guided priority over failure points. *)
-  let static_result, static_noload, priority, sa_metrics, static_executions =
-    if not config.Config.static then (None, None, None, Metrics.zero, 0)
+     dependency graphs, invariant mining and fix suggestions. *)
+  let static_result, static_noload, sa_metrics, static_executions =
+    if not config.Config.static then (None, None, Metrics.zero, 0)
     else begin
       Telemetry.Progress.phase "static";
       let runs = max 1 config.Config.invariant_runs in
@@ -193,18 +184,7 @@ let analyze ?(config = Config.default) (target : Target.t) =
             in
             (recordings, s))
       in
-      let priority =
-        if config.Config.prioritize && config.Config.strategy = Config.Reexecute then
-          let points =
-            Fault_injection.offline_points config (fst (List.hd recordings))
-          in
-          Some
-            (Analysis.Prioritize.order
-               ~hot_frames:static_r.Analysis.Static.hot_frames
-               static_r.Analysis.Static.hot_windows points)
-        else None
-      in
-      (Some static_r, Some (List.map fst recordings), priority, sa_metrics, 2 * runs)
+      (Some static_r, Some (List.map fst recordings), sa_metrics, 2 * runs)
     end
   in
   (* Phase 0b (optional): merge [invariant_runs] recordings into one
@@ -212,12 +192,12 @@ let analyze ?(config = Config.default) (target : Target.t) =
      persistency lattice — merged-path findings plus per-site safety
      proofs. Reuses the static phase's load-free recordings when both
      phases are on. *)
-  let absint_analysis, ai_executions, ai_phase_metrics =
-    if not (config.Config.absint || config.Config.prune) then (None, 0, Metrics.zero)
+  let absint_result, ai_metrics =
+    if not config.Config.absint then (None, Metrics.zero)
     else begin
       Telemetry.Progress.phase "absint";
       let runs = max 1 config.Config.invariant_runs in
-      let a, ai_phase_metrics =
+      let a, ai_metrics =
         Metrics.measure (fun () ->
             Telemetry.Collector.span ~cat:"phase" "absint" @@ fun () ->
             let recordings =
@@ -238,73 +218,9 @@ let analyze ?(config = Config.default) (target : Target.t) =
         (Analysis.Cfg.node_count a.Analysis.Absint.cfg);
       Telemetry.Collector.count "absint.findings" (List.length a.Analysis.Absint.findings);
       Telemetry.Collector.count "absint.proven_sites" (Analysis.Absint.proven_count a);
-      (Some a, 0, ai_phase_metrics)
+      (Some a, ai_metrics)
     end
   in
-  (* Phase 0b': conservative failure-point pruning. The abstract fixpoint
-     nominates points whose site is safe on every merged path; each
-     nominee's crash image is then materialized offline from a deterministic
-     trace replay and judged by the recovery oracle, and only
-     confirmed-consistent points are skipped. A skipped injection's record
-     is known to be [Consistent] — contributing no finding — so the pruned
-     report signature equals the unpruned one by construction; everything
-     unproven or unconfirmed falls back to live injection. *)
-  let prune_plan_pre, prune_nominations, prune_metrics =
-    match absint_analysis with
-    | Some a when config.Config.prune && config.Config.strategy <> Config.Snapshot ->
-        Telemetry.Progress.phase "prune";
-        let outcome, prune_metrics =
-          Metrics.measure (fun () ->
-              Telemetry.Collector.span ~cat:"phase" "prune" @@ fun () ->
-              let recording = recording () in
-              let points =
-                Fault_injection.offline_points config (Pmtrace.Replay.events recording)
-              in
-              let nominations =
-                Analysis.Prune.nominate
-                  ~proven_safe:(Analysis.Absint.proven_safe_at a)
-                  points
-              in
-              match config.Config.strategy with
-              | Config.Replay ->
-                  (* confirmation folds into the replay injection pass, where
-                     every point's oracle outcome is computed anyway *)
-                  `Deferred nominations
-              | Config.Reexecute | Config.Snapshot ->
-                  (* Batched confirmation: every nominee's crash image comes
-                     out of one prefix-incremental materialization pass over
-                     the shared recording, and the oracle streams over the
-                     images — no extra execution, no image retained. Live
-                     injection crashes at the point's first dynamic
-                     occurrence, i.e. just before the event at its
-                     persistency index applies, which is exactly where the
-                     materializer captures. *)
-                  let wanted =
-                    List.filter_map
-                      (fun (n : Analysis.Prune.nomination) ->
-                        if n.Analysis.Prune.n_proven then
-                          Some (n.Analysis.Prune.n_ordinal, n.Analysis.Prune.n_pseq)
-                        else None)
-                      nominations
-                  in
-                  let confirmed = Hashtbl.create (max 16 (List.length wanted)) in
-                  ignore
-                    (Pmtrace.Replay.materialize recording ~points:wanted
-                       ~f:(fun ~key image ->
-                         match
-                           Oracle.classify target.Target.recover
-                             (Pmem.Device.adopt ~eadr:config.Config.eadr image)
-                         with
-                         | Oracle.Consistent -> Hashtbl.replace confirmed key ()
-                         | Oracle.Unrecoverable _ | Oracle.Crashed _ -> ()));
-                  `Plan (Analysis.Prune.decide ~confirmed:(Hashtbl.mem confirmed) nominations))
-        in
-        (match outcome with
-        | `Plan plan -> (Some plan, None, prune_metrics)
-        | `Deferred nominations -> (None, Some nominations, prune_metrics))
-    | Some _ | None -> (None, None, Metrics.zero)
-  in
-  let ai_metrics = Metrics.add ai_phase_metrics prune_metrics in
   (* Phase 0c (optional): anti-pattern lint over the shared recording, plus
      replay-backed verification of every fix suggestion (static and lint).
      Lint reuses the shared recording; verification costs one extra
@@ -402,7 +318,7 @@ let analyze ?(config = Config.default) (target : Target.t) =
             Option.map (fun s -> s.Analysis.Static.invariants) static_result
           in
           Some
-            (Analysis.Opt.optimize ?invariants ?absint:absint_analysis ~weights
+            (Analysis.Opt.optimize ?invariants ?absint:absint_result ~weights
                ~support:config.Config.invariant_support
                ~confidence:config.Config.invariant_confidence ~eadr:config.Config.eadr
                ~oracle:(image_oracle config target)
@@ -411,17 +327,9 @@ let analyze ?(config = Config.default) (target : Target.t) =
     end
   in
   (* Phase 1+2: instrumented execution(s), failure-point tree, injection. *)
-  let ((fi_result, pm_stats), replay_confirmed), fi_phase =
+  let (fi_result, pm_stats), fi_phase =
     Metrics.measure (fun () ->
         match config.Config.strategy with
-        | Config.Snapshot ->
-            (* the snapshot strategy's single execution also produced the
-               trace; its device counters are the real store/flush/fence
-               totals of the instrumented run *)
-            Telemetry.Progress.phase "inject";
-            ( Telemetry.Collector.span ~cat:"phase" "fault_injection" (fun () ->
-                  Fault_injection.inject_snapshot ~extra_listener:ta_feed config target),
-              [] )
         | Config.Reexecute ->
             Telemetry.Progress.phase "build-tree";
             let tree, stats =
@@ -430,59 +338,21 @@ let analyze ?(config = Config.default) (target : Target.t) =
             in
             Telemetry.Progress.set_total (Fp_tree.size tree);
             Telemetry.Progress.phase "inject";
-            let skip =
-              Option.map (fun p -> p.Analysis.Prune.skip) prune_plan_pre
-            in
-            ( ( Telemetry.Collector.span ~cat:"phase" "injection" (fun () ->
-                    Fault_injection.inject_reexecute ?priority ?skip config target tree),
-                stats ),
-              [] )
+            ( Telemetry.Collector.span ~cat:"phase" "injection" (fun () ->
+                  Fault_injection.inject_reexecute config target tree),
+              stats )
         | Config.Replay ->
             (* Replay-first: the shared recording stands in for every live
                execution — the trace analysis reads the recorded events (the
-               same stream the live strategies feed it), the failure-point
+               same stream the live strategy feeds it), the failure-point
                tree is rebuilt offline, and crash images stream out of one
                batched materialization pass per worker. *)
             let r = recording () in
             List.iter (fun e -> Trace_analysis.feed ta e) (Pmtrace.Replay.events r);
             Telemetry.Progress.phase "inject";
-            let nominees =
-              match prune_nominations with
-              | None -> []
-              | Some ns ->
-                  List.filter_map
-                    (fun (n : Analysis.Prune.nomination) ->
-                      if n.Analysis.Prune.n_proven then Some n.Analysis.Prune.n_ordinal
-                      else None)
-                    ns
-            in
-            let fi, confirmed =
-              Telemetry.Collector.span ~cat:"phase" "injection" (fun () ->
-                  Fault_injection.inject_replay ~nominees config target ~recording:r)
-            in
-            ((fi, Pmtrace.Replay.stats r), confirmed))
-  in
-  (* Under [Replay] the prune plan is decided by the injection pass itself:
-     a proven nominee is confirmed iff its streamed oracle outcome was
-     consistent (and its record was elided there). *)
-  let prune_plan =
-    match (prune_plan_pre, prune_nominations) with
-    | (Some _ as p), _ -> p
-    | None, Some nominations ->
-        Some
-          (Analysis.Prune.decide
-             ~confirmed:(fun ordinal -> List.mem ordinal replay_confirmed)
-             nominations)
-    | None, None -> None
-  in
-  (match prune_plan with
-  | Some plan ->
-      Telemetry.Collector.count "absint.proven_safe" plan.Analysis.Prune.proven;
-      Telemetry.Collector.count "absint.skipped" (List.length plan.Analysis.Prune.skip);
-      Telemetry.Collector.count "absint.confirm_rejected" plan.Analysis.Prune.rejected
-  | None -> ());
-  let absint_result =
-    Option.map (fun a -> { analysis = a; prune = prune_plan }) absint_analysis
+            ( Telemetry.Collector.span ~cat:"phase" "injection" (fun () ->
+                  Fault_injection.inject_replay config target ~recording:r),
+              Pmtrace.Replay.stats r ))
   in
   (* GC counters are domain-local: fold what the injection workers
      allocated into the phase total measured on this domain. *)
@@ -498,7 +368,7 @@ let analyze ?(config = Config.default) (target : Target.t) =
   in
   (* Attach stacks to trace findings. Under [Replay] the recording already
      carries a stack on every event, so the resolution table is read off it
-     for free; the live strategies pay one extra minimal execution. *)
+     for free; re-execution pays one extra minimal execution. *)
   let resolved =
     if config.Config.resolve_stacks then begin
       Telemetry.Progress.phase "resolve-stacks";
@@ -576,7 +446,7 @@ let analyze ?(config = Config.default) (target : Target.t) =
                    detail = f.Analysis.Absint.f_detail;
                    fix = None;
                  }))
-        a.analysis.Analysis.Absint.findings);
+        a.Analysis.Absint.findings);
   (match lint_result with
   | Some l when config.Config.lint ->
       List.iter
@@ -797,7 +667,7 @@ let analyze ?(config = Config.default) (target : Target.t) =
         fi_result.Fault_injection.executions
         + (if config.Config.resolve_stacks && config.Config.strategy <> Config.Replay then 1
            else 0)
-        + static_executions + lv_executions + ai_executions + !rec_executions;
+        + static_executions + lv_executions + !rec_executions;
       trace_events = Trace_analysis.event_count ta;
       pm_stats;
       metrics =
@@ -840,13 +710,7 @@ let pp_result ppf r =
   Fmt.pf ppf "%a@.failure points: %d, injections: %d, executions: %d, trace events: %d@.%a@."
     Report.pp r.report r.failure_points r.injections r.executions r.trace_events Metrics.pp
     r.metrics;
-  (match r.absint with
-  | Some a -> (
-      Fmt.pf ppf "%a@." Analysis.Absint.pp a.analysis;
-      match a.prune with
-      | Some plan -> Fmt.pf ppf "%a@." Analysis.Prune.pp plan
-      | None -> ())
-  | None -> ());
+  (match r.absint with Some a -> Fmt.pf ppf "%a@." Analysis.Absint.pp a | None -> ());
   (match r.lint with
   | Some l ->
       Fmt.pf ppf

@@ -2,14 +2,6 @@
     with the recovery oracle, analyse the trace, and emit one combined
     report of unique bugs and warnings. *)
 
-(** Output of the abstract-interpretation phase: the merged-CFG fixpoint
-    analysis plus, when [Config.prune] was on under [Reexecute], the
-    failure-point prune plan the injection loop honoured. *)
-type absint = {
-  analysis : Analysis.Absint.t;
-  prune : Analysis.Prune.plan option;
-}
-
 type result = {
   report : Report.t;
   failure_points : int;  (** unique leaves of the failure-point tree *)
@@ -29,12 +21,12 @@ type result = {
   static : Analysis.Static.t option;
       (** the static analyzer's output (graphs, invariants, raw findings)
           when [Config.static] was on *)
-  absint : absint option;
-      (** merged-CFG abstract interpreter output (and prune plan) when
-          [Config.absint] or [Config.prune] was on *)
+  absint : Analysis.Absint.t option;
+      (** merged-CFG abstract interpreter output when [Config.absint] was
+          on *)
   ai_metrics : Metrics.t;
-      (** abstract-interpretation phase (recordings + fixpoint + prune
-          confirmation); [Metrics.zero] when the phase is off *)
+      (** abstract-interpretation phase (recordings + fixpoint);
+          [Metrics.zero] when the phase is off *)
   lint : Analysis.Lint.t option;
       (** anti-pattern detector output when [Config.lint] or
           [Config.verify_fixes] was on (verification replays lint too) *)
@@ -49,9 +41,9 @@ type result = {
       (** optimize phase (synthesis + replay verification);
           [Metrics.zero] when the phase is off *)
   first_bug_injection : int option;
-      (** 1-based position in the injection schedule of the first fault
-          whose oracle flagged a bug; [None] when fault injection found
-          nothing — the time-to-first-bug metric of [bench prioritized] *)
+      (** 1-based position in the injection schedule (failure-point
+          ordinal order) of the first fault whose oracle flagged a bug;
+          [None] when fault injection found nothing *)
   worker_metrics : Metrics.t list;
       (** per-domain breakdown of the parallel injection phase
           ([Config.jobs] entries); empty when injection ran sequentially *)

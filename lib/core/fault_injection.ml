@@ -19,12 +19,9 @@ type result = {
   tree : Fp_tree.t;
   records : record list; (* sorted by failure-point ordinal *)
   executions : int; (* workload executions performed *)
-  injection_order : int list;
-      (* failure-point ordinals in the order faults were actually injected;
-         equals ordinal order for the unprioritized loop *)
   worker_metrics : Metrics.t list;
       (* per-worker-domain resource usage of the parallel injection phase;
-         empty for the sequential loop and the snapshot strategy *)
+         empty for the sequential loop *)
 }
 
 exception Crash_now
@@ -50,11 +47,6 @@ let fp_listener ~granularity ~on_fp =
             end
         | Config.Store_level -> ())
 
-let under_cap config tree =
-  match config.Config.max_failure_points with
-  | None -> true
-  | Some cap -> Fp_tree.size tree < cap
-
 (** Offline replay of the failure-point detector over a recorded trace
     (events must carry stacks, i.e. come from a [with_stacks] tracer).
     Returns [(ordinal, pseq, capture)] triples: the discovery ordinal of
@@ -63,8 +55,7 @@ let under_cap config tree =
     fires under. Because this mirrors [fp_listener] and
     [Fp_tree.insert] exactly, the ordinals coincide with the ones
     {!build_tree} assigns on a live execution of the same workload — which
-    is what lets {!Prioritize} scores computed offline address the live
-    tree. *)
+    is what lets the replay strategy address the live tree offline. *)
 let offline_points config (events : Pmtrace.Event.t list) =
   let tree = Fp_tree.create () in
   let points = ref [] in
@@ -76,11 +67,10 @@ let offline_points config (events : Pmtrace.Event.t list) =
       let fp () =
         match e.Pmtrace.Event.stack with
         | None -> ()
-        | Some capture ->
-            if under_cap config tree then (
-              match Fp_tree.insert tree capture with
-              | `Added p -> points := (p.Fp_tree.ordinal, !pseq, capture) :: !points
-              | `Existing _ -> ())
+        | Some capture -> (
+            match Fp_tree.insert tree capture with
+            | `Added p -> points := (p.Fp_tree.ordinal, !pseq, capture) :: !points
+            | `Existing _ -> ())
       in
       match e.Pmtrace.Event.op with
       | Pmem.Op.Load _ -> ()
@@ -109,11 +99,7 @@ let build_tree ?(extra_listener = fun _ _ -> ()) config (target : Target.t) =
   let tracer = Pmtrace.Tracer.create ~collect:false device in
   let detect =
     fp_listener ~granularity:config.Config.granularity ~on_fp:(fun capture ->
-        if under_cap config tree then ignore (Fp_tree.insert tree capture)
-        else
-          (* dynamic failure-point occurrences suppressed by
-             [max_failure_points] — nonzero means coverage was capped *)
-          Telemetry.Collector.count "fp.pruned_by_cap" 1)
+        ignore (Fp_tree.insert tree capture))
   in
   Pmtrace.Tracer.add_listener tracer (fun event stack ->
       extra_listener event stack;
@@ -185,8 +171,8 @@ let reexecute_loop config (target : Target.t) tree =
 (* Targeted injection: crash at the first dynamic occurrence of the failure
    point with [ordinal]. Because ordinals are assigned in discovery order,
    this is the same occurrence — hence the same program-prefix image — the
-   unprioritized loop crashes at when that point's turn comes, which is why
-   prioritization can only reorder findings, never change them. *)
+   standard loop crashes at when that point's turn comes; the replay
+   strategy uses it for points its recording does not reach. *)
 let reexecute_at config (target : Target.t) tree ~ordinal =
   Telemetry.Collector.span ~cat:"inject" ~hist:"injection_exec_ns"
     ~args:[ ("ordinal", Telemetry.Json.Int ordinal) ]
@@ -220,43 +206,6 @@ let reexecute_at config (target : Target.t) tree ~ordinal =
   Pmtrace.Tracer.detach tracer;
   !injected
 
-(* Inject in the order given by [order] (failure-point ordinals), then sweep
-   any leaves the priority list missed (or that were not reached by their
-   targeted execution) with the standard loop. Returns records in injection
-   order. *)
-let reexecute_priority config (target : Target.t) tree order =
-  let points = Fp_tree.points tree in
-  let records = ref [] and executions = ref 0 in
-  List.iter
-    (fun ordinal ->
-      match
-        List.find_opt
-          (fun (p : Fp_tree.point) -> p.Fp_tree.ordinal = ordinal && not p.Fp_tree.visited)
-          points
-      with
-      | None -> ()
-      | Some _ -> (
-          incr executions;
-          match reexecute_at config target tree ~ordinal with
-          | None ->
-              (* nondeterminism: the point was not reached this run *)
-              Telemetry.Collector.count "fp.unreached" 1
-          | Some (point, image) ->
-              let oracle =
-                Telemetry.Collector.span ~cat:"inject" ~hist:"oracle_ns" "oracle"
-                  ~args:[ ("ordinal", Telemetry.Json.Int point.Fp_tree.ordinal) ]
-                  (fun () ->
-                    Oracle.classify target.Target.recover
-                      (Pmem.Device.of_image ~eadr:config.Config.eadr image))
-              in
-              Telemetry.Progress.tick ~bug:(Oracle.is_bug oracle) ();
-              records := { point; oracle } :: !records))
-    order;
-  let stragglers, extra = reexecute_loop config target tree in
-  (List.rev !records @ stragglers, !executions + extra)
-
-let ordinals_of records = List.map (fun r -> r.point.Fp_tree.ordinal) records
-
 (* The deterministic-merge rule: reports are ordered by failure-point
    discovery ordinal, so the result is identical regardless of how the
    leaves were scheduled over workers. *)
@@ -269,36 +218,14 @@ let sort_records =
    assignment. Workers share no mutable state: each execution creates its
    own device and tracer, and the ambient framer/transaction state is
    domain-local. *)
-let inject_parallel ?priority ?(skip = []) config (target : Target.t) tree ~jobs =
+let inject_parallel config (target : Target.t) tree ~jobs =
   let serialized = Fp_tree.serialize tree in
-  (* Without a priority, leaves are partitioned round-robin by ordinal.
-     With one, they are partitioned round-robin by *rank* in the priority
-     order, so every worker starts on high-priority points. *)
-  let shares =
-    match priority with
-    | None -> None
-    | Some order ->
-        Some
-          (List.init jobs (fun w ->
-               List.filteri (fun rank _ -> rank mod jobs = w) order))
-  in
   let worker w () =
     Metrics.measure (fun () ->
         let local = Fp_tree.deserialize serialized in
-        (* Serialization does not carry visit state: pruned leaves must be
-           re-marked on each worker's private tree. *)
         Fp_tree.iter local (fun p ->
-            if List.mem p.Fp_tree.ordinal skip then p.Fp_tree.visited <- true);
-        match shares with
-        | None ->
-            Fp_tree.iter local (fun p ->
-                if p.Fp_tree.ordinal mod jobs <> w then p.Fp_tree.visited <- true);
-            reexecute_loop config target local
-        | Some shares ->
-            let mine = List.nth shares w in
-            Fp_tree.iter local (fun p ->
-                if not (List.mem p.Fp_tree.ordinal mine) then p.Fp_tree.visited <- true);
-            reexecute_priority config target local mine)
+            if p.Fp_tree.ordinal mod jobs <> w then p.Fp_tree.visited <- true);
+        reexecute_loop config target local)
   in
   let domains = List.init jobs (fun w -> Domain.spawn (worker w)) in
   let results = List.map Domain.join domains in
@@ -319,16 +246,7 @@ let inject_parallel ?priority ?(skip = []) config (target : Target.t) tree ~jobs
       results
   in
   let executions = List.fold_left (fun acc ((_, e), _) -> acc + e) 0 results in
-  (* The logical injection order of the merged schedule: priority rank when
-     prioritized (each worker drains its share in rank order), discovery
-     ordinal otherwise. *)
-  let injected = List.map (fun r -> r.point.Fp_tree.ordinal) records in
-  let injection_order =
-    match priority with
-    | Some order -> List.filter (fun o -> List.mem o injected) order
-    | None -> List.sort compare injected
-  in
-  { tree; records = sort_records records; executions; injection_order; worker_metrics }
+  { tree; records = sort_records records; executions; worker_metrics }
 
 (** The paper's injection loop: re-execute the workload until every leaf of
     the tree is visited, injecting one fault per execution (steps 6-9 of
@@ -336,45 +254,25 @@ let inject_parallel ?priority ?(skip = []) config (target : Target.t) tree ~jobs
     that many worker domains — each fault injection is an independent
     re-execution, so the leaves are partitioned round-robin by ordinal and
     the per-worker records merged back in ordinal order, making the result
-    byte-for-byte identical to the sequential schedule. [skip] lists the
-    ordinals of failure points proven safe offline ({!Analysis.Prune}):
-    they are marked visited up front and never injected. *)
-let inject_reexecute ?priority ?(skip = []) config (target : Target.t) tree =
-  Fp_tree.iter tree (fun p ->
-      if List.mem p.Fp_tree.ordinal skip then p.Fp_tree.visited <- true);
+    byte-for-byte identical to the sequential schedule. *)
+let inject_reexecute config (target : Target.t) tree =
   (* never spawn more domains than there are leaves to inject *)
   let jobs = max 1 (min config.Config.jobs (max 1 (Fp_tree.size tree))) in
   if jobs = 1 then begin
-    let records, executions =
-      match priority with
-      | None -> reexecute_loop config target tree
-      | Some order -> reexecute_priority config target tree order
-    in
-    {
-      tree;
-      records = sort_records records;
-      executions;
-      injection_order = ordinals_of records;
-      worker_metrics = [];
-    }
+    let records, executions = reexecute_loop config target tree in
+    { tree; records = sort_records records; executions; worker_metrics = [] }
   end
-  else inject_parallel ?priority ~skip config target tree ~jobs
+  else inject_parallel config target tree ~jobs
 
 (** Replay-first injection ([Config.Replay], the default): rebuild the
     failure-point tree offline from the shared recording, materialize every
     point's crash image in one batched prefix-incremental replay pass per
     worker ({!Pmtrace.Replay.materialize}), and stream the recovery oracle
     over the images — no image is ever retained and the target is never
-    re-executed on the replayed path. [nominees] lists the ordinals the
-    abstract fixpoint proved safe ({!Analysis.Prune}): a nominee whose
-    oracle outcome is [Consistent] is {e confirmed} — its record, known to
-    contribute no finding, is elided. This is the prune confirmation under
-    this strategy: every point's oracle outcome is computed anyway, so
-    pruning costs nothing extra. Points the replay pass cannot reach
+    re-executed on the replayed path. Points the replay pass cannot reach
     (nondeterminism with respect to the recording) fall back to one live
-    targeted re-execution each. Returns the injection result plus the
-    confirmed ordinals (sorted). *)
-let inject_replay ?(nominees = []) config (target : Target.t) ~recording =
+    targeted re-execution each. *)
+let inject_replay config (target : Target.t) ~recording =
   let points = offline_points config (Pmtrace.Replay.events recording) in
   (* Re-inserting the captures in discovery order reproduces the ordinals
      [offline_points] reported — the same ordinals a live [build_tree]
@@ -451,92 +349,21 @@ let inject_replay ?(nominees = []) config (target : Target.t) ~recording =
           Telemetry.Progress.tick ~bug:(Oracle.is_bug oracle) ();
           fallback_records := { point; oracle } :: !fallback_records)
     (List.sort compare unreached);
-  let all = replayed @ List.rev !fallback_records in
-  let confirmed =
-    List.filter_map
-      (fun r ->
-        match r.oracle with
-        | Oracle.Consistent when List.mem r.point.Fp_tree.ordinal nominees ->
-            Some r.point.Fp_tree.ordinal
-        | _ -> None)
-      all
-    |> List.sort compare
-  in
-  let records =
-    sort_records
-      (List.filter (fun r -> not (List.mem r.point.Fp_tree.ordinal confirmed)) all)
-  in
-  ( {
-      tree;
-      records;
-      executions = !fallback_execs;
-      injection_order = ordinals_of records;
-      worker_metrics;
-    },
-    confirmed )
-
-(** Simulator-only optimisation ([Config.Snapshot]): a single execution in
-    which each new failure point immediately snapshots its crash image and
-    runs recovery on a copy. Detects exactly the same bugs. Also returns
-    the device counters of that execution — the real store/flush/fence
-    totals of the instrumented run. *)
-let inject_snapshot ?(extra_listener = fun _ _ -> ()) config (target : Target.t) =
-  let tree = Fp_tree.create () in
-  let records = ref [] in
-  let device = Pmem.Device.create ~eadr:config.Config.eadr ~size:target.Target.pool_size () in
-  let tracer = Pmtrace.Tracer.create ~collect:false device in
-  let detect =
-    fp_listener ~granularity:config.Config.granularity ~on_fp:(fun capture ->
-        if not (under_cap config tree) then
-          Telemetry.Collector.count "fp.pruned_by_cap" 1
-        else
-          match Fp_tree.insert tree capture with
-          | `Existing _ -> ()
-          | `Added point ->
-              point.Fp_tree.visited <- true;
-              let image =
-                Telemetry.Collector.span ~cat:"inject" ~hist:"crash_image_ns"
-                  ~args:[ ("ordinal", Telemetry.Json.Int point.Fp_tree.ordinal) ]
-                  "crash_image" (fun () ->
-                    Pmem.Device.crash device ~policy:Pmem.Device.Program_prefix)
-              in
-              let oracle =
-                Telemetry.Collector.span ~cat:"inject" ~hist:"oracle_ns" "oracle"
-                  ~args:[ ("ordinal", Telemetry.Json.Int point.Fp_tree.ordinal) ]
-                  (fun () ->
-                    Oracle.classify target.Target.recover
-                      (Pmem.Device.of_image ~eadr:config.Config.eadr image))
-              in
-              Telemetry.Progress.tick ~bug:(Oracle.is_bug oracle) ();
-              records := { point; oracle } :: !records)
-  in
-  Pmtrace.Tracer.add_listener tracer (fun event stack ->
-      extra_listener event stack;
-      detect event stack);
-  target.Target.run ~device ~framer:(Pmtrace.Framer.of_callstack (Pmtrace.Tracer.stack tracer));
-  Pmtrace.Tracer.detach tracer;
-  ( {
-      tree;
-      records = sort_records (List.rev !records);
-      executions = 1;
-      injection_order = ordinals_of (List.rev !records);
-      worker_metrics = [];
-    },
-    Pmem.Device.stats device )
+  {
+    tree;
+    records = sort_records (replayed @ List.rev !fallback_records);
+    executions = !fallback_execs;
+    worker_metrics;
+  }
 
 let bug_records result = List.filter (fun r -> Oracle.is_bug r.oracle) result.records
 
-(** 1-based position in {!result.injection_order} of the first injection
-    whose oracle flagged a bug, or [None] when no injection found one — the
-    time-to-first-bug metric of the [bench prioritized] experiment. *)
+(** 1-based position of the first injection whose oracle flagged a bug, or
+    [None] when no injection found one. Records are in ordinal order, which
+    is the order faults are injected in. *)
 let injections_to_first_bug result =
-  let bug_ordinals =
-    List.filter_map
-      (fun r -> if Oracle.is_bug r.oracle then Some r.point.Fp_tree.ordinal else None)
-      result.records
-  in
   let rec scan i = function
     | [] -> None
-    | o :: rest -> if List.mem o bug_ordinals then Some i else scan (i + 1) rest
+    | r :: rest -> if Oracle.is_bug r.oracle then Some i else scan (i + 1) rest
   in
-  scan 1 result.injection_order
+  scan 1 result.records

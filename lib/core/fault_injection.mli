@@ -18,14 +18,9 @@ type result = {
           deterministic-merge rule that makes reports identical no matter
           how injections were scheduled over worker domains *)
   executions : int;  (** workload executions performed *)
-  injection_order : int list;
-      (** failure-point ordinals in the order faults were actually
-          injected; discovery-ordinal order for the unprioritized loop,
-          priority-rank order when a [priority] was supplied *)
   worker_metrics : Metrics.t list;
       (** per-worker-domain resource usage of the parallel injection phase
-          ([Config.jobs] entries); empty for the sequential loop and the
-          snapshot strategy *)
+          ([Config.jobs] entries); empty for the sequential loop *)
 }
 
 exception Crash_now
@@ -58,36 +53,18 @@ val offline_points :
     its first dynamic occurrence, and the call stack it fires under. The
     ordinals coincide with the ones
     {!build_tree} assigns on a live execution of the same deterministic
-    workload, so scores computed offline address the live tree. *)
+    workload, so points enumerated offline address the live tree. *)
 
-val inject_reexecute :
-  ?priority:int list -> ?skip:int list -> Config.t -> Target.t -> Fp_tree.t -> result
+val inject_reexecute : Config.t -> Target.t -> Fp_tree.t -> result
 (** The paper's injection loop: re-execute the workload until every leaf is
     visited, one fault per execution (steps 6–9 of Figure 1). With
     [Config.jobs > 1] the leaves are partitioned round-robin by ordinal
     over that many worker domains, each re-executing against its own
     private device/tracer/tree, and the records merged back in ordinal
     order — byte-for-byte the sequential result (asserted by the
-    differential tests).
+    differential tests). *)
 
-    [priority] (failure-point ordinals, most suspicious first) reorders the
-    loop: each listed point is injected by a targeted execution that
-    crashes at its {e first} dynamic occurrence — the same occurrence, and
-    therefore the same program-prefix image, the unprioritized loop crashes
-    at — so the set of records is unchanged and only
-    [result.injection_order] differs. Leaves the priority misses are swept
-    by the standard loop afterwards.
-
-    [skip] (failure-point ordinals) marks points proven safe offline
-    ({!Analysis.Prune}) as visited before the loop starts, sequentially and
-    on every worker's private tree alike, so they are never injected. *)
-
-val inject_replay :
-  ?nominees:int list ->
-  Config.t ->
-  Target.t ->
-  recording:Pmtrace.Replay.t ->
-  result * int list
+val inject_replay : Config.t -> Target.t -> recording:Pmtrace.Replay.t -> result
 (** Replay-first injection ([Config.Replay], the default): rebuild the
     failure-point tree offline from the shared recording (same ordinals a
     live {!build_tree} assigns on the deterministic workload), materialize
@@ -99,29 +76,14 @@ val inject_replay :
     its own materialization pass over the shared immutable recording, and
     the records merged back in ordinal order.
 
-    [nominees] lists the ordinals the abstract fixpoint proved safe
-    ({!Analysis.Prune}); a nominee whose oracle outcome is [Consistent] is
-    {e confirmed} and its record — known to contribute no finding — is
-    elided, which is the prune confirmation under this strategy (free:
-    every point's outcome is computed anyway). Points the replay pass
-    cannot reach (nondeterminism with respect to the recording,
-    recovery-side faults) fall back to one live targeted re-execution each,
-    counted in [result.executions] and the ["fp.replay_fallback"] telemetry
-    counter. Returns the result plus the confirmed ordinals, sorted. *)
-
-val inject_snapshot :
-  ?extra_listener:(Pmtrace.Event.t -> Pmtrace.Callstack.t -> unit) ->
-  Config.t ->
-  Target.t ->
-  result * Pmem.Stats.t
-(** Simulator-only optimisation: a single execution in which each new
-    failure point immediately snapshots its crash image and recovers on a
-    copy. Detects exactly the same bugs (asserted by tests). The second
-    component is the device counters of the instrumented execution. *)
+    Points the replay pass cannot reach (nondeterminism with respect to the
+    recording, recovery-side faults) fall back to one live targeted
+    re-execution each, counted in [result.executions] and the
+    ["fp.replay_fallback"] telemetry counter. *)
 
 val bug_records : result -> record list
 
 val injections_to_first_bug : result -> int option
-(** 1-based position in [result.injection_order] of the first injection
-    whose oracle flagged a bug ([None] if no injection found one) — the
-    time-to-first-bug metric of the [bench prioritized] experiment. *)
+(** 1-based position in [result.records] — ordinal order, which is the
+    order faults are injected in — of the first injection whose oracle
+    flagged a bug ([None] if no injection found one). *)

@@ -100,12 +100,7 @@ let of_result ~target ~workload ~(config : Mumak.Config.t)
     List.concat
       [
         (match result.Mumak.Engine.absint with
-        | Some a ->
-            ("absint", Analysis.Absint.to_json a.Mumak.Engine.analysis)
-            ::
-            (match a.Mumak.Engine.prune with
-            | Some p -> [ ("prune", Analysis.Prune.plan_to_json p) ]
-            | None -> [])
+        | Some a -> [ ("absint", Analysis.Absint.to_json a) ]
         | None -> []);
         (match result.Mumak.Engine.lint with
         | Some l -> [ ("lint", Analysis.Lint.to_json l) ]

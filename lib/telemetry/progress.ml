@@ -78,7 +78,7 @@ let phase name =
   end
 
 (** Total injections expected (the failure-point count), for percentage
-    and ETA; unknown (snapshot strategy) shows a plain counter. *)
+    and ETA; unknown (replay strategy) shows a plain counter. *)
 let set_total n = if Atomic.get active then Atomic.set total n
 
 (** One injection completed; [bug] marks oracle-flagged faults so the

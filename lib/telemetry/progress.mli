@@ -18,7 +18,7 @@ val phase : string -> unit
 
 val set_total : int -> unit
 (** Total injections expected (the failure-point count), for percentage
-    and ETA; unknown (snapshot strategy) shows a plain counter. *)
+    and ETA; unknown (replay strategy) shows a plain counter. *)
 
 val tick : ?bug:bool -> unit -> unit
 (** One injection completed; [bug] marks oracle-flagged faults so the

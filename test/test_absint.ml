@@ -1,16 +1,15 @@
-(* Property and differential tests for the merged-CFG abstract interpreter
-   and its failure-point pruning.
+(* Property tests for the merged-CFG abstract interpreter.
 
    Three layers: (1) qcheck laws for the per-cache-line lattice (join is
    associative, commutative, idempotent, monotone — on both the public
    chain and the powerset masks the fixpoint actually runs on) and for the
    transfer functions (mask-monotone); (2) qcheck structural laws for the
    multi-trace automaton merge (idempotent under duplicated recordings,
-   insensitive to recording order); (3) the soundness differential the
-   prune design rests on — for every seeded bug in the application,
-   pmalloc and Montage registries, [--prune] at jobs=1 and jobs=4 must
-   produce the byte-identical report signature of the unpruned engine,
-   while skipping exactly the confirmed nominations. *)
+   insensitive to recording order); (3) the per-site safety proofs the
+   optimizer ranks its plans by (found on a clean target, consistent with
+   [proven_safe_at], unchanged under eADR). The engine-level differential — absint
+   under replay at jobs=1 and jobs=4 against re-execution — lives in
+   test_replay_engine. *)
 
 module L = Analysis.Absint.Lattice
 
@@ -182,109 +181,43 @@ let test_cfg_merges_paths () =
                n.Analysis.Cfg.key
                (List.nth path (List.length path - 1)))
 
-(* --- (3) the prune soundness differential --- *)
+(* --- (3) per-site safety proofs --- *)
 
-let version_for name =
-  if String.equal name "hashmap_atomic" then Pmalloc.Version.V1_6
-  else Pmalloc.Version.V1_12
+let proven_keys (a : Analysis.Absint.t) =
+  List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) a.Analysis.Absint.proven [])
 
-let wl ?(ops = 60) ?(key_range = 25) ?(seed = 42L) () =
-  Workload.standard ~ops ~key_range ~seed
-
-(* One target per seeded-bug component, mirroring test_parallel: the
-   pmalloc library bugs need large grouped transactions to fire. *)
-let target_for component () =
-  match component with
-  | "pmalloc" ->
-      Targets.of_app (app "btree") ~tx_mode:(Targets.Grouped 64)
-        ~workload:(wl ~ops:120 ()) ()
-  | "montage" -> Targets.of_montage ~variant:`Buffered ~workload:(wl ()) ()
-  | name ->
-      Targets.of_app (app name) ~version:(version_for name) ~workload:(wl ()) ()
-
-let reexec jobs =
-  { Mumak.Config.default with Mumak.Config.strategy = Mumak.Config.Reexecute; jobs }
-
-(* the unpruned baseline keeps the abstract interpreter on — its findings
-   are part of the report — and only turns the skipping off *)
-let unpruned jobs = { (reexec jobs) with Mumak.Config.absint = true }
-let pruned jobs = { (unpruned jobs) with Mumak.Config.prune = true }
-
-let plan_of (r : Mumak.Engine.result) =
-  match r.Mumak.Engine.absint with
-  | Some { Mumak.Engine.prune = Some plan; _ } -> plan
-  | _ -> Alcotest.fail "pruned run carries no prune plan"
-
-let prune_differential name make_target =
-  let base = Mumak.Engine.analyze ~config:(unpruned 1) (make_target ()) in
-  List.iter
-    (fun jobs ->
-      let r = Mumak.Engine.analyze ~config:(pruned jobs) (make_target ()) in
-      let plan = plan_of r in
-      Alcotest.(check (list string))
-        (Printf.sprintf "%s: pruned j=%d report signature" name jobs)
-        (Mumak.Report.signature base.Mumak.Engine.report)
-        (Mumak.Report.signature r.Mumak.Engine.report);
-      Alcotest.(check int)
-        (Printf.sprintf "%s: pruned j=%d failure points" name jobs)
-        base.Mumak.Engine.failure_points r.Mumak.Engine.failure_points;
-      Alcotest.(check int)
-        (Printf.sprintf "%s: pruned j=%d skips exactly the plan" name jobs)
-        (base.Mumak.Engine.injections - List.length plan.Analysis.Prune.skip)
-        r.Mumak.Engine.injections;
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: pruned j=%d plan is consistent" name jobs)
-        true
-        (plan.Analysis.Prune.confirmed + plan.Analysis.Prune.rejected
-         = plan.Analysis.Prune.proven
-        && List.length plan.Analysis.Prune.skip = plan.Analysis.Prune.confirmed
-        && plan.Analysis.Prune.total = base.Mumak.Engine.failure_points))
-    [ 1; 4 ]
-
-let all_seeded_bugs () =
-  Pmapps.Registry.all_bugs @ Pmalloc.Bugs.all @ Montage.Mt_alloc.bugs
-
-let test_prune_differential_seeded () =
-  List.iter
-    (fun b ->
-      Bugreg.with_enabled [ b.Bugreg.id ] (fun () ->
-          prune_differential b.Bugreg.id (target_for b.Bugreg.component)))
-    (all_seeded_bugs ())
-
-let test_prune_differential_clean () =
-  List.iter
-    (fun name -> prune_differential name (target_for name))
-    [ "wort"; "btree"; "level_hash" ]
-
-let test_pruned_never_slower () =
-  (* the regression this PR fixes: per-nominee confirmation replays used to
-     make pruned runs slower than unpruned ones (btree: 14.0 s pruned vs
-     4.8 s unpruned in BENCH_absint). Confirmation is now one batched
-     materialization pass over the shared recording, so a pruned run does
-     strictly less injection work than an unpruned one. Wall clock is
-     noisy in CI, so allow 25% slack — the old regression was ~3x. *)
-  let make_target = target_for "btree" in
-  let wall config =
-    let r = Mumak.Engine.analyze ~config (make_target ()) in
-    r.Mumak.Engine.metrics.Mumak.Metrics.wall_seconds
-  in
-  ignore (wall (unpruned 1)) (* warmup: touch every code path once *);
-  let base = wall (unpruned 1) in
-  let fast = wall (pruned 1) in
-  Alcotest.(check bool)
-    (Printf.sprintf "pruned (%.3fs) <= unpruned (%.3fs) x 1.25" fast base)
-    true
-    (fast <= (base *. 1.25) +. 0.05)
-
-let test_prune_skips_on_clean_targets () =
-  (* the acceptance bar: a clean target must get a substantial fraction of
-     its failure points proven safe and skipped *)
-  let r = Mumak.Engine.analyze ~config:(pruned 1) (target_for "wort" ()) in
-  let plan = plan_of r in
+let test_proofs_on_clean_target () =
+  let runs = Lazy.force sample_runs in
+  let a = Analysis.Absint.analyze ~eadr:false runs in
   Alcotest.(check bool) "clean wort: proven-safe sites found" true
-    (plan.Analysis.Prune.proven > 0);
-  Alcotest.(check bool) "clean wort: >= 20% of failure points skipped" true
-    (Analysis.Prune.skip_fraction plan >= 0.2)
+    (Analysis.Absint.proven_count a > 0);
+  (* the optimizer asks by capture; it must see exactly the proven nodes *)
+  Analysis.Cfg.sorted_nodes a.Analysis.Absint.cfg
+  |> List.iter (fun (n : Analysis.Cfg.node) ->
+         Alcotest.(check bool)
+           (Printf.sprintf "proven_safe_at %s agrees with the proof table" n.Analysis.Cfg.key)
+           (Hashtbl.mem a.Analysis.Absint.proven n.Analysis.Cfg.key)
+           (Analysis.Absint.proven_safe_at a n.Analysis.Cfg.capture))
+
+let test_proofs_ignore_eadr () =
+  (* crash images are program-prefix cuts under ADR and eADR alike, so the
+     proofs must not move; only the durability findings go *)
+  let runs = Lazy.force sample_runs in
+  let adr = Analysis.Absint.analyze ~eadr:false runs in
+  let eadr = Analysis.Absint.analyze ~eadr:true runs in
+  Alcotest.(check (list string)) "same proven sites under eADR" (proven_keys adr)
+    (proven_keys eadr);
+  let ordering (a : Analysis.Absint.t) =
+    List.filter_map
+      (fun (f : Analysis.Absint.finding) ->
+        if f.Analysis.Absint.f_kind = Analysis.Absint.Ordering then
+          Some f.Analysis.Absint.f_detail
+        else None)
+      a.Analysis.Absint.findings
+  in
+  Alcotest.(check (list string)) "eADR keeps only ordering findings" (ordering adr)
+    (List.map (fun (f : Analysis.Absint.finding) -> f.Analysis.Absint.f_detail)
+       eadr.Analysis.Absint.findings)
 
 let () =
   Alcotest.run "absint"
@@ -294,15 +227,10 @@ let () =
       qsuite "cfg-merge" cfg_tests;
       ( "cfg-structure",
         [ Alcotest.test_case "merged paths and witnesses" `Quick test_cfg_merges_paths ] );
-      ( "prune-differential",
+      ( "absint-proven-safe",
         [
-          Alcotest.test_case "all seeded bugs, j=1 and j=4" `Slow
-            test_prune_differential_seeded;
-          Alcotest.test_case "clean targets, j=1 and j=4" `Slow
-            test_prune_differential_clean;
-          Alcotest.test_case "clean target skip fraction" `Slow
-            test_prune_skips_on_clean_targets;
-          Alcotest.test_case "pruned never slower than unpruned" `Slow
-            test_pruned_never_slower;
+          Alcotest.test_case "clean target: proofs and lookups agree" `Quick
+            test_proofs_on_clean_target;
+          Alcotest.test_case "proofs unaffected by eADR" `Quick test_proofs_ignore_eadr;
         ] );
     ]

@@ -1,8 +1,7 @@
 (* Tests for the offline static analyzer (lib/analysis): dependency-graph
    structural properties over generated and recorded traces, trace
-   serialization round-trips, the prioritizer's ordering guarantees, the
-   static-findings-vs-ground-truth differential, and the never-worse
-   prioritization differential against the unprioritized injection loop. *)
+   serialization round-trips, the static-findings-vs-ground-truth
+   differential and the analyzer's eADR contract. *)
 
 let wl ?(ops = 250) ?(key_range = 60) () = Targets.standard_workload ~ops ~key_range ()
 
@@ -122,67 +121,6 @@ let prop_ta_findings_unique =
       in
       List.length keys = List.length (List.sort_uniq compare keys))
 
-(* --- prioritizer ordering guarantees --- *)
-
-let cap path op_index = { Pmtrace.Callstack.path; op_index }
-
-let points_gen =
-  (* ordinals 0..n-1 with strictly increasing first_seqs and tiny stacks *)
-  QCheck.Gen.(
-    list_size (int_range 1 40) (pair (int_range 1 5) (list_size (int_range 0 3) (string_size ~gen:(char_range 'a' 'e') (return 2))))
-    >|= fun raw ->
-    List.mapi
-      (fun i (gap, path) -> (i, (i * 7) + gap, cap path (i mod 5)))
-      raw)
-
-let windows_gen =
-  QCheck.Gen.(
-    list_size (int_range 0 10)
-      (triple (int_range 0 300) (int_range 0 50) (oneofl [ 0; 10; 50; 100 ]))
-    >|= List.map (fun (lo, len, w) -> (lo, lo + len, w)))
-
-let arb_priority_input =
-  QCheck.make
-    QCheck.Gen.(
-      triple points_gen windows_gen
-        (list_size (int_range 0 3) (string_size ~gen:(char_range 'a' 'e') (return 2))))
-
-let prop_order_is_permutation =
-  QCheck.Test.make ~name:"priority order is a permutation of the ordinals" ~count:300
-    arb_priority_input
-    (fun (points, windows, hot_frames) ->
-      let order = Analysis.Prioritize.order ~hot_frames windows points in
-      List.sort compare order = List.sort compare (List.map (fun (o, _, _) -> o) points))
-
-let prop_order_identity_without_evidence =
-  QCheck.Test.make ~name:"no static evidence degrades to discovery order" ~count:300
-    (QCheck.make points_gen)
-    (fun points ->
-      Analysis.Prioritize.order [] points
-      = List.sort compare (List.map (fun (o, _, _) -> o) points))
-
-let prop_order_never_demotes_prioritized =
-  QCheck.Test.make
-    ~name:"a prioritized point is never later than in discovery order" ~count:300
-    arb_priority_input
-    (fun (points, windows, hot_frames) ->
-      let order = Analysis.Prioritize.order ~hot_frames windows points in
-      let scored = Analysis.Prioritize.score ~hot_frames windows points in
-      let position o l =
-        let rec go i = function
-          | [] -> assert false
-          | x :: tl -> if x = o then i else go (i + 1) tl
-        in
-        go 0 l
-      in
-      let baseline = List.sort compare (List.map (fun (o, _, _) -> o) points) in
-      List.for_all
-        (fun (s : Analysis.Prioritize.scored) ->
-          s.Analysis.Prioritize.score = 0
-          || position s.Analysis.Prioritize.ordinal order
-             <= position s.Analysis.Prioritize.ordinal baseline)
-        scored)
-
 (* --- static findings vs ground truth --- *)
 
 let static_config =
@@ -252,29 +190,35 @@ let test_static_same_correctness_bugs () =
             (kinds base) (kinds stat)))
     [ "btree_insert_no_tx"; "btree_count_outside_tx" ]
 
-(* --- invariant-guided prioritization differential --- *)
+(* --- eADR: only the durability family is suppressed --- *)
 
-let test_prioritized_never_worse () =
-  (* the bench-scale version of this differential runs the full seeded-bug
-     matrix; here a representative subset keeps the suite fast *)
-  List.iter
-    (fun (app, bug) ->
-      Bugreg.with_enabled [ bug ] (fun () ->
-          let target = target_for app in
-          let base = Mumak.Engine.analyze ~config:Mumak.Config.faithful target in
-          let pri = Mumak.Engine.analyze ~config:static_config target in
-          match (base.Mumak.Engine.first_bug_injection, pri.Mumak.Engine.first_bug_injection) with
-          | Some b, Some p ->
-              if p > b then
-                Alcotest.failf "%s: prioritized order reached the bug later (%d > %d)" bug p b
-          | None, Some p -> Alcotest.failf "%s: only the prioritized run found a bug (%d)" bug p
-          | Some b, None -> Alcotest.failf "%s: prioritized run lost the bug (baseline %d)" bug b
-          | None, None -> ()))
-    [
-      ("btree", "btree_insert_no_tx");
-      ("wort", "wort_link_uninitialized_node");
-      ("hashmap_tx", "hm_tx_head_no_snapshot");
-    ]
+let test_static_eadr_drops_durability () =
+  (* one durability and one ordering bug, so both halves of the contract
+     have something to check; the same recordings feed both analyses *)
+  Bugreg.with_enabled [ "hm_atomic_count_never_flushed"; "hm_atomic_link_before_persist" ]
+    (fun () ->
+      let runs =
+        List.init static_config.Mumak.Config.invariant_runs (fun _ ->
+            ( Pmtrace.Trace.to_list (record (target_for "hashmap_atomic")),
+              Pmtrace.Trace.to_list (record ~loads:true (target_for "hashmap_atomic")) ))
+      in
+      let findings eadr =
+        (Analysis.Static.analyze ~support:static_config.Mumak.Config.invariant_support
+           ~confidence:static_config.Mumak.Config.invariant_confidence ~eadr runs)
+          .Analysis.Static.findings
+      in
+      let durability (f : Analysis.Static.finding) =
+        match f.Analysis.Static.kind with
+        | Analysis.Static.Durability | Analysis.Static.Transient -> true
+        | _ -> false
+      in
+      let show = List.map (Fmt.to_to_string Analysis.Static.pp_finding) in
+      let adr, rest = List.partition durability (findings false) in
+      let eadr = findings true in
+      Alcotest.(check bool) "ADR: durability findings present" true (adr <> []);
+      Alcotest.(check bool) "ADR: other findings present" true (rest <> []);
+      Alcotest.(check (list string)) "eADR: exactly the non-durability findings" (show rest)
+        (show eadr))
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -293,12 +237,6 @@ let () =
           qt prop_trace_roundtrip_synthetic;
         ] );
       ("trace_analysis", [ qt prop_ta_findings_unique ]);
-      ( "prioritize",
-        [
-          qt prop_order_is_permutation;
-          qt prop_order_identity_without_evidence;
-          qt prop_order_never_demotes_prioritized;
-        ] );
       ( "static_differential",
         [
           Alcotest.test_case "clean builds: no static durability findings" `Quick
@@ -310,9 +248,9 @@ let () =
           Alcotest.test_case "correctness bugs unchanged by the static phase" `Quick
             test_static_same_correctness_bugs;
         ] );
-      ( "prioritized_injection",
+      ( "static_eadr_semantics",
         [
-          Alcotest.test_case "never worse than discovery order" `Quick
-            test_prioritized_never_worse;
+          Alcotest.test_case "durability family suppressed, nothing else moves" `Quick
+            test_static_eadr_drops_durability;
         ] );
     ]

@@ -1,6 +1,6 @@
 (* Integration tests for the Mumak engine: failure-point tree mechanics,
    no-false-correctness-positives on clean builds, seeded-bug detection
-   through both phases, and the snapshot/re-execute strategy equivalence. *)
+   through both phases, and the replay/re-execute strategy equivalence. *)
 
 let wl ?(ops = 250) ?(key_range = 60) () = Targets.standard_workload ~ops ~key_range ()
 
@@ -221,7 +221,7 @@ let test_ta_warns_unordered_flushes () =
 
 (* --- strategy equivalence and ablation --- *)
 
-let test_snapshot_reexecute_equivalence () =
+let test_replay_reexecute_equivalence () =
   let bug = "btree_insert_no_tx" in
   let run strategy =
     Bugreg.with_enabled [ bug ] (fun () ->
@@ -229,7 +229,7 @@ let test_snapshot_reexecute_equivalence () =
           ~config:{ Mumak.Config.default with strategy }
           (target_for "btree"))
   in
-  let s = run Mumak.Config.Snapshot and r = run Mumak.Config.Reexecute in
+  let s = run Mumak.Config.Replay and r = run Mumak.Config.Reexecute in
   Alcotest.(check int) "same failure points" s.Mumak.Engine.failure_points
     r.Mumak.Engine.failure_points;
   Alcotest.(check int) "same injections" s.Mumak.Engine.injections
@@ -243,6 +243,27 @@ let test_snapshot_reexecute_equivalence () =
   Alcotest.(check bool) "same correctness findings" true (sigs s = sigs r);
   Alcotest.(check bool) "reexecute runs many executions" true
     (r.Mumak.Engine.executions > s.Mumak.Engine.executions)
+
+(* What each preset costs in target executions: replay records the
+   workload once and every offline phase reads that recording; fix
+   verification adds one load-traced recording, and the static analyzer
+   records each invariant run with and without load tracing. *)
+let test_executions_per_preset () =
+  let static = Mumak.Config.static_analysis in
+  List.iter
+    (fun (label, config, expected) ->
+      let target =
+        Targets.of_montage ~variant:`Lockfree ~workload:(wl ~ops:20 ~key_range:10 ()) ()
+      in
+      let r = Mumak.Engine.analyze ~config target in
+      Alcotest.(check int) (label ^ ": executions") expected r.Mumak.Engine.executions)
+    [
+      ("default", Mumak.Config.default, 1);
+      ("lint only", { Mumak.Config.default with Mumak.Config.lint = true }, 1);
+      ("linting", Mumak.Config.linting, 2);
+      ("optimizing", Mumak.Config.optimizing, 1);
+      ("static_analysis", static, 1 + (2 * static.Mumak.Config.invariant_runs));
+    ]
 
 let test_store_granularity_blowup () =
   let run granularity =
@@ -335,7 +356,8 @@ let () =
         ] );
       ( "strategies",
         [
-          Alcotest.test_case "snapshot = reexecute" `Slow test_snapshot_reexecute_equivalence;
+          Alcotest.test_case "replay = reexecute" `Slow test_replay_reexecute_equivalence;
+          Alcotest.test_case "executions per preset" `Slow test_executions_per_preset;
           Alcotest.test_case "store-level blowup" `Slow test_store_granularity_blowup;
           Alcotest.test_case "dedup + stacks" `Slow test_report_dedup_and_stacks;
           Alcotest.test_case "eADR semantics" `Slow test_eadr_semantics;

@@ -1,12 +1,12 @@
 (* The differential harness for the parallel fault-injection engine.
 
-   The paper's [Snapshot] optimisation promises to detect exactly the same
-   bugs as the cost-faithful [Reexecute] loop, and the domain-parallel
+   The default [Replay] strategy promises to detect exactly the same bugs
+   as the cost-faithful [Reexecute] loop, and the domain-parallel
    scheduler ([Config.jobs > 1]) promises to be indistinguishable from the
    sequential one. This harness enforces both mechanically: for every
    registered target — the full application suite, the Montage variants,
    the larger KV stores, and the seeded-bug variants from the application
-   registry, pmalloc, and Montage — [Snapshot], [Reexecute jobs=1] and
+   registry, pmalloc, and Montage — [Replay], [Reexecute jobs=1] and
    [Reexecute jobs=4] must produce byte-for-byte identical deduplicated
    reports, identical failure-point counts, and identical injection counts.
 
@@ -26,7 +26,7 @@ let version_for name =
 
 let strategies =
   [
-    ("snapshot", Mumak.Config.Snapshot, 1);
+    ("replay", Mumak.Config.Replay, 1);
     ("reexecute j=1", Mumak.Config.Reexecute, 1);
     ("reexecute j=4", Mumak.Config.Reexecute, 4);
   ]

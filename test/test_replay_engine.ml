@@ -2,19 +2,21 @@
    trace storage behind it.
 
    Layer 1 — the strategy differential: [Replay] (the default) promises to
-   detect exactly what the cost-faithful [Reexecute] loop and the
-   [Snapshot] optimisation detect, from a single recorded execution. For
-   every seeded bug in the application, pmalloc and Montage registries
-   (the full 33-bug matrix) and for the clean suite, [Replay jobs=1],
-   [Replay jobs=4], [Reexecute] and [Snapshot] must produce byte-identical
-   report signatures, identical failure-point and injection counts — and
-   the replay runs must cost exactly one target execution (any live
-   fallback would show up in the count).
+   detect exactly what the cost-faithful [Reexecute] reference detects,
+   from a single recorded execution. For every seeded bug in the
+   application, pmalloc and Montage registries (the full 33-bug matrix)
+   and for the clean suite, [Replay jobs=1], [Replay jobs=4] and
+   [Reexecute] must produce byte-identical report signatures, identical
+   failure-point and injection counts — and the replay runs must cost
+   exactly one target execution (any live fallback would show up in the
+   count). [Reexecute] at jobs=4 is test_parallel's business.
 
-   Layer 2 — the prune interaction: with [--absint --prune], the pruned
-   replay engine at jobs=1 and jobs=4 must reproduce the unpruned replay
-   signature, the re-execution signature, and skip exactly the confirmed
-   nominations.
+   Layer 2 — the same differential under configuration overlays: the
+   merged-trace abstract interpreter ([absint]) on two clean targets and
+   three seeded bugs, and the static analyzer ([static]) over the whole
+   seeded matrix. Their findings join the report, so the signatures
+   compare them too; under [static] each run also pays the analyzer's own
+   recordings.
 
    Layer 3 — qcheck properties for the arena representation: pack/unpack
    round-trip, interning stability (decoded equal paths are physically
@@ -36,7 +38,7 @@ let wl ?(ops = 60) ?(key_range = 25) ?(seed = 42L) () =
   Workload.standard ~ops ~key_range ~seed
 
 (* One target per seeded-bug component (the pmalloc library bugs need large
-   grouped transactions to fire), mirroring test_parallel/test_absint. *)
+   grouped transactions to fire), mirroring test_parallel. *)
 let target_for component () =
   match component with
   | "pmalloc" ->
@@ -56,15 +58,16 @@ let strategies =
     ("replay j=1", Mumak.Config.Replay, 1);
     ("replay j=4", Mumak.Config.Replay, 4);
     ("reexecute", Mumak.Config.Reexecute, 1);
-    ("snapshot", Mumak.Config.Snapshot, 1);
   ]
 
-let differential ~bugs name make_target =
+(* [overlay] is the configuration every engine runs under, with only the
+   strategy and the worker count replaced. *)
+let differential ?(overlay = Mumak.Config.default) ~bugs name make_target =
   Bugreg.with_enabled bugs (fun () ->
       let results =
         List.map
           (fun (label, strategy, jobs) ->
-            let config = { Mumak.Config.default with Mumak.Config.strategy; jobs } in
+            let config = { overlay with Mumak.Config.strategy; jobs } in
             (label, Mumak.Engine.analyze ~config (make_target ())))
           strategies
       in
@@ -83,15 +86,19 @@ let differential ~bugs name make_target =
             (Mumak.Report.signature r.Mumak.Engine.report))
         rest;
       (* replay never re-executes: one recording, no fallback, and the free
-         stack resolution rides on it *)
+         stack resolution rides on it; only the static analyzer records the
+         target again, twice per invariant run *)
+      let executions =
+        1 + if overlay.Mumak.Config.static then 2 * max 1 overlay.Mumak.Config.invariant_runs else 0
+      in
       Alcotest.(check int)
-        (name ^ ": replay j=1 costs exactly one execution")
-        1 base.Mumak.Engine.executions;
+        (name ^ ": replay j=1 executions")
+        executions base.Mumak.Engine.executions;
       (match results with
       | _ :: (_, par) :: _ ->
           Alcotest.(check int)
-            (name ^ ": replay j=4 costs exactly one execution")
-            1 par.Mumak.Engine.executions;
+            (name ^ ": replay j=4 executions")
+            executions par.Mumak.Engine.executions;
           if par.Mumak.Engine.failure_points >= 4 then
             Alcotest.(check int)
               (name ^ ": replay j=4 used four worker domains")
@@ -130,72 +137,33 @@ let test_clean_targets () =
     (differential ~bugs:[] "pmemkv.cmap" (fun () ->
          Targets.of_pmemkv ~engine:Kvstores.Pmemkv.Cmap ~workload:(wl ~ops:40 ()) ()))
 
-(* --- layer 2: absint + prune on the replay substrate --- *)
+(* --- layer 2: the differential under configuration overlays --- *)
 
-let replay_cfg jobs = { Mumak.Config.default with Mumak.Config.jobs }
-let unpruned jobs = { (replay_cfg jobs) with Mumak.Config.absint = true }
-let pruned jobs = { (unpruned jobs) with Mumak.Config.prune = true }
+let absint_overlay = { Mumak.Config.default with Mumak.Config.absint = true }
 
-let reexec_unpruned =
-  {
-    Mumak.Config.default with
-    Mumak.Config.strategy = Mumak.Config.Reexecute;
-    absint = true;
-  }
-
-let plan_of (r : Mumak.Engine.result) =
-  match r.Mumak.Engine.absint with
-  | Some { Mumak.Engine.prune = Some plan; _ } -> plan
-  | _ -> Alcotest.fail "pruned run carries no prune plan"
-
-let prune_differential name make_target =
-  let base = Mumak.Engine.analyze ~config:(unpruned 1) (make_target ()) in
-  (* the same analysis on the live substrate: replay changes nothing *)
-  let live = Mumak.Engine.analyze ~config:reexec_unpruned (make_target ()) in
-  Alcotest.(check (list string))
-    (name ^ ": replay and re-execution absint signatures")
-    (Mumak.Report.signature live.Mumak.Engine.report)
-    (Mumak.Report.signature base.Mumak.Engine.report);
+let test_absint_clean () =
   List.iter
-    (fun jobs ->
-      let r = Mumak.Engine.analyze ~config:(pruned jobs) (make_target ()) in
-      let plan = plan_of r in
-      Alcotest.(check (list string))
-        (Printf.sprintf "%s: pruned replay j=%d report signature" name jobs)
-        (Mumak.Report.signature base.Mumak.Engine.report)
-        (Mumak.Report.signature r.Mumak.Engine.report);
-      Alcotest.(check int)
-        (Printf.sprintf "%s: pruned replay j=%d failure points" name jobs)
-        base.Mumak.Engine.failure_points r.Mumak.Engine.failure_points;
-      (* under replay the confirmation is folded into injection: confirmed
-         nominees' records are elided, so the injection count drops by
-         exactly the skip set *)
-      Alcotest.(check int)
-        (Printf.sprintf "%s: pruned replay j=%d skips exactly the plan" name jobs)
-        (base.Mumak.Engine.injections - List.length plan.Analysis.Prune.skip)
-        r.Mumak.Engine.injections;
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: pruned replay j=%d plan is consistent" name jobs)
-        true
-        (plan.Analysis.Prune.confirmed + plan.Analysis.Prune.rejected
-         = plan.Analysis.Prune.proven
-        && List.length plan.Analysis.Prune.skip = plan.Analysis.Prune.confirmed))
-    [ 1; 4 ]
+    (fun name -> ignore (differential ~overlay:absint_overlay ~bugs:[] name (target_for name)))
+    [ "wort"; "btree" ]
 
-let test_prune_clean () =
-  List.iter (fun name -> prune_differential name (target_for name)) [ "wort"; "btree" ]
-
-let test_prune_seeded () =
+let test_absint_seeded () =
   List.iter
     (fun id ->
-      Bugreg.with_enabled [ id ] (fun () ->
-          let component =
-            match Bugreg.find id with
-            | Some b -> b.Bugreg.component
-            | None -> Alcotest.failf "unknown bug %s" id
-          in
-          prune_differential id (target_for component)))
+      let component =
+        match Bugreg.find id with
+        | Some b -> b.Bugreg.component
+        | None -> Alcotest.failf "unknown bug %s" id
+      in
+      ignore (differential ~overlay:absint_overlay ~bugs:[ id ] id (target_for component)))
     [ "btree_insert_no_tx"; "level_hash_token_before_kv"; "hm_atomic_count_never_flushed" ]
+
+let test_static_seeded () =
+  List.iter
+    (fun (b : Bugreg.t) ->
+      ignore
+        (differential ~overlay:Mumak.Config.static_analysis ~bugs:[ b.Bugreg.id ] b.Bugreg.id
+           (target_for b.Bugreg.component)))
+    (all_seeded_bugs ())
 
 (* --- layer 3: arena properties --- *)
 
@@ -385,16 +353,19 @@ let () =
     [
       ( "strategy-differential",
         [
-          Alcotest.test_case "all 33 seeded bugs, four engines" `Slow
+          Alcotest.test_case "seeded bugs, three engines" `Slow
             test_full_seeded_matrix;
           Alcotest.test_case "seeded bug detected under replay" `Slow
             test_seeded_bugs_detected;
-          Alcotest.test_case "clean targets, four engines" `Slow test_clean_targets;
+          Alcotest.test_case "clean suite, three engines" `Slow test_clean_targets;
         ] );
-      ( "absint-prune",
+      (* the absint runs last: the abstract interpreter's peak heap on
+         level_hash dwarfs everything else this suite allocates *)
+      ( "overlay-differential",
         [
-          Alcotest.test_case "clean targets" `Slow test_prune_clean;
-          Alcotest.test_case "seeded bugs" `Slow test_prune_seeded;
+          Alcotest.test_case "static: seeded bugs" `Slow test_static_seeded;
+          Alcotest.test_case "absint: clean targets" `Slow test_absint_clean;
+          Alcotest.test_case "absint: seeded bugs" `Slow test_absint_seeded;
         ] );
       qsuite "arena" arena_tests;
     ]

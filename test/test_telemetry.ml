@@ -422,7 +422,7 @@ let test_telemetry_inert () =
           Targets.of_app (app "hashmap_atomic") ~version:Pmalloc.Version.V1_6
             ~workload:(wl ()) ()))
     [
-      ("snapshot", Mumak.Config.Snapshot, 1);
+      ("replay", Mumak.Config.Replay, 1);
       ("reexecute j=1", Mumak.Config.Reexecute, 1);
       ("reexecute j=4", Mumak.Config.Reexecute, 4);
     ]
