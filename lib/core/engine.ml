@@ -326,8 +326,9 @@ let analyze ?(config = Config.default) (target : Target.t) =
                noload))
     end
   in
-  (* Phase 1+2: instrumented execution(s), failure-point tree, injection. *)
-  let (fi_result, pm_stats), fi_phase =
+  (* Phase 1+2: instrumented execution(s), failure-point tree, injection.
+     Under [Replay] the recording's failure points come out too. *)
+  let (fi_result, pm_stats, replay_points), fi_phase =
     Metrics.measure (fun () ->
         match config.Config.strategy with
         | Config.Reexecute ->
@@ -340,19 +341,26 @@ let analyze ?(config = Config.default) (target : Target.t) =
             Telemetry.Progress.phase "inject";
             ( Telemetry.Collector.span ~cat:"phase" "injection" (fun () ->
                   Fault_injection.inject_reexecute config target tree),
-              stats )
+              stats,
+              None )
         | Config.Replay ->
             (* Replay-first: the shared recording stands in for every live
-               execution — the trace analysis reads the recorded events (the
-               same stream the live strategy feeds it), the failure-point
-               tree is rebuilt offline, and crash images stream out of one
-               batched materialization pass per worker. *)
+               execution. One walk over it feeds the trace analysis (the
+               same stream the live strategy feeds it) and the failure-point
+               enumeration; the tree is rebuilt from the points, and crash
+               images stream out of one batched materialization pass per
+               worker. *)
             let r = recording () in
-            List.iter (fun e -> Trace_analysis.feed ta e) (Pmtrace.Replay.events r);
+            let en = Fault_injection.enumeration config in
+            Pmtrace.Replay.iter r (fun e ->
+                Trace_analysis.feed ta e;
+                Fault_injection.enumerate_step en e);
+            let points = Fault_injection.enumerated en in
             Telemetry.Progress.phase "inject";
             ( Telemetry.Collector.span ~cat:"phase" "injection" (fun () ->
-                  Fault_injection.inject_replay config target ~recording:r),
-              Pmtrace.Replay.stats r ))
+                  Fault_injection.inject_replay config target ~recording:r ~points),
+              Pmtrace.Replay.stats r,
+              Some points ))
   in
   (* GC counters are domain-local: fold what the injection workers
      allocated into the phase total measured on this domain. *)
@@ -367,8 +375,9 @@ let analyze ?(config = Config.default) (target : Target.t) =
             Trace_analysis.finish ta))
   in
   (* Attach stacks to trace findings. Under [Replay] the recording already
-     carries a stack on every event, so the resolution table is read off it
-     for free; re-execution pays one extra minimal execution. *)
+     carries a stack on every event and a finding's seq is its event's
+     1-based position, so each stack is read off by index for free;
+     re-execution pays one extra minimal execution. *)
   let resolved =
     if config.Config.resolve_stacks then begin
       Telemetry.Progress.phase "resolve-stacks";
@@ -376,17 +385,14 @@ let analyze ?(config = Config.default) (target : Target.t) =
           let wanted = List.map (fun r -> r.Trace_analysis.seq) raw_findings in
           match (config.Config.strategy, !recording_ref) with
           | Config.Replay, Some r ->
-              let want = Hashtbl.create (List.length wanted) in
-              List.iter (fun s -> Hashtbl.replace want s ()) wanted;
               let resolved = Hashtbl.create (List.length wanted) in
-              if Hashtbl.length want > 0 then
-                List.iter
-                  (fun (e : Pmtrace.Event.t) ->
-                    if Hashtbl.mem want e.Pmtrace.Event.seq then
-                      match e.Pmtrace.Event.stack with
-                      | Some c -> Hashtbl.replace resolved e.Pmtrace.Event.seq c
-                      | None -> ())
-                  (Pmtrace.Replay.events r);
+              List.iter
+                (fun seq ->
+                  if seq >= 1 && seq <= Pmtrace.Replay.length r then
+                    match (Pmtrace.Replay.event r (seq - 1)).Pmtrace.Event.stack with
+                    | Some c -> Hashtbl.replace resolved seq c
+                    | None -> ())
+                wanted;
               resolved
           | _ -> resolve_stacks target ~wanted)
     end
@@ -497,23 +503,15 @@ let analyze ?(config = Config.default) (target : Target.t) =
           | None -> ())
         v.Analysis.Verify_fix.outcomes);
   (* Provenance: causal evidence per finding, captured before the result is
-     sealed. When the shared recording exists (any offline phase, or the
-     replay strategy — i.e. the default) the trace windows and the
-     crash-vs-recovered image diffs are read off it by offline
-     rematerialization, which costs recoveries but never a target
-     execution; without a recording the evidence degrades to witness and
-     verdict. *)
-  let recorded_events = Option.map Pmtrace.Replay.events !recording_ref in
+     sealed. Fault-injection records carry their crash-vs-recovered image
+     diffs, taken at the oracle's verdict under either strategy. When the
+     shared recording exists (any offline phase, or the replay strategy —
+     i.e. the default) the trace windows and failure-point persistency
+     indices are read off it by event position; without a recording the
+     evidence degrades to witness, verdict and image diff. *)
   let trace_signature =
-    match recorded_events with
-    | Some events ->
-        let buf = Buffer.create 4096 in
-        List.iter
-          (fun (e : Pmtrace.Event.t) ->
-            Buffer.add_string buf (Pmem.Op.to_string e.Pmtrace.Event.op);
-            Buffer.add_char buf '\n')
-          events;
-        Digest.to_hex (Digest.string (Buffer.contents buf))
+    match !recording_ref with
+    | Some r -> Pmtrace.Replay.digest r
     | None ->
         Digest.to_hex
           (Digest.string
@@ -522,69 +520,39 @@ let analyze ?(config = Config.default) (target : Target.t) =
                 (Pmem.Stats.flushes pm_stats) (Pmem.Stats.fences pm_stats)))
   in
   let provenance =
-    let events = Option.map Array.of_list recorded_events in
-    let index_of_seq =
-      lazy
-        (let tbl = Hashtbl.create 256 in
-         (match events with
-         | Some evs ->
-             Array.iteri
-               (fun i (e : Pmtrace.Event.t) -> Hashtbl.replace tbl e.Pmtrace.Event.seq i)
-               evs
-         | None -> ());
-         tbl)
-    in
     let window_at anchor_index =
-      match events with
-      | None -> []
-      | Some evs when anchor_index < 0 || anchor_index >= Array.length evs -> []
-      | Some evs ->
+      match !recording_ref with
+      | Some r when anchor_index >= 0 && anchor_index < Pmtrace.Replay.length r ->
           let lo = max 0 (anchor_index - Provenance.window_radius) in
-          let hi = min (Array.length evs - 1) (anchor_index + Provenance.window_radius) in
+          let hi =
+            min (Pmtrace.Replay.length r - 1) (anchor_index + Provenance.window_radius)
+          in
           List.init
             (hi - lo + 1)
             (fun k ->
               let i = lo + k in
-              let e = evs.(i) in
+              let e = Pmtrace.Replay.event r i in
               Printf.sprintf "%c #%d %s"
                 (if i = anchor_index then '>' else ' ')
                 e.Pmtrace.Event.seq
                 (Pmem.Op.to_string e.Pmtrace.Event.op))
+      | _ -> []
     in
-    (* persistency index of each failure-point ordinal, read off the
-       recording — the same enumeration the offline phases use *)
+    (* persistency index of each failure-point ordinal: the replay
+       strategy's own enumeration, or — when only an offline phase recorded
+       the target — the same step function walked over that recording *)
     let pseq_of_ordinal = Hashtbl.create 64 in
-    (match recorded_events with
-    | Some evs ->
-        List.iter
-          (fun (ordinal, pseq, _) -> Hashtbl.replace pseq_of_ordinal ordinal pseq)
-          (Fault_injection.offline_points config evs)
-    | None -> ());
+    let points =
+      match (replay_points, !recording_ref) with
+      | Some points, _ -> points
+      | None, Some r ->
+          let en = Fault_injection.enumeration config in
+          Pmtrace.Replay.iter r (Fault_injection.enumerate_step en);
+          Fault_injection.enumerated en
+      | None, None -> []
+    in
+    List.iter (fun (ordinal, pseq, _) -> Hashtbl.replace pseq_of_ordinal ordinal pseq) points;
     let fi_bugs = Fault_injection.bug_records fi_result in
-    (* Crash-vs-recovered image diff per oracle-flagged point: the crash
-       image is rematerialized from the recording in one batched pass,
-       snapshotted, recovered in place, and diffed against the persisted
-       result at cache-line granularity. *)
-    let diffs : (int, Provenance.image_diff) Hashtbl.t = Hashtbl.create 8 in
-    (match !recording_ref with
-    | Some r when fi_bugs <> [] ->
-        let wanted =
-          List.filter_map
-            (fun (rc : Fault_injection.record) ->
-              let ordinal = rc.Fault_injection.point.Fp_tree.ordinal in
-              Option.map
-                (fun pseq -> (ordinal, pseq))
-                (Hashtbl.find_opt pseq_of_ordinal ordinal))
-            fi_bugs
-        in
-        ignore
-          (Pmtrace.Replay.materialize r ~points:wanted ~f:(fun ~key image ->
-               let crash = Pmem.Image.snapshot image in
-               let device = Pmem.Device.adopt ~eadr:config.Config.eadr image in
-               ignore (Oracle.classify target.Target.recover device);
-               let recovered = Pmem.Device.persisted_image device in
-               Hashtbl.replace diffs key (Provenance.image_diff ~crash ~recovered)))
-    | _ -> ());
     let fi_evidence = Hashtbl.create 16 in
     List.iter
       (fun (rc : Fault_injection.record) ->
@@ -625,10 +593,9 @@ let analyze ?(config = Config.default) (target : Target.t) =
           | Some { Provenance.fp_pseq = Some pseq; _ }, _ ->
               (* load-free recording: pseq = 1-based event position *)
               Some (pseq - 1)
-          | _, Some seq -> (
-              match Hashtbl.find_opt (Lazy.force index_of_seq) seq with
-              | Some i -> Some i
-              | None -> Some (seq - 1))
+          | _, Some seq ->
+              (* a recording's seq is its event's 1-based position *)
+              Some (seq - 1)
           | _ -> None
         in
         let window = match anchor_index with Some i -> window_at i | None -> [] in
@@ -654,7 +621,7 @@ let analyze ?(config = Config.default) (target : Target.t) =
           p_fix = Option.map Analysis.Fix.to_string f.Report.fix;
           p_image_diff =
             Option.bind fi_record (fun (rc : Fault_injection.record) ->
-                Hashtbl.find_opt diffs rc.Fault_injection.point.Fp_tree.ordinal);
+                rc.Fault_injection.image_diff);
         })
       (Report.ordered report)
   in

@@ -13,6 +13,9 @@
 type record = {
   point : Fp_tree.point;
   oracle : Oracle.outcome;
+  image_diff : Provenance.image_diff option;
+      (* what recovery persisted over the crash image, taken at the
+         verdict when the oracle flagged a bug *)
 }
 
 type result = {
@@ -26,69 +29,64 @@ type result = {
 
 exception Crash_now
 
-(* Shared failure-point detector: calls [on_fp] with the captured stack at
-   every failure point, honouring granularity and the store-since guard. *)
-let fp_listener ~granularity ~on_fp =
+(* The failure-point rule shared by the live and the offline detector:
+   does [op] fire a failure point? Honours granularity and the store-since
+   guard, so it is stateful: create one per event stream. *)
+let fp_rule granularity =
   let stores_since = ref 0 in
-  fun (event : Pmtrace.Event.t) (stack : Pmtrace.Callstack.t) ->
-    match event.Pmtrace.Event.op with
-    | Pmem.Op.Load _ -> ()
-    | Pmem.Op.Store _ -> (
+  fun (op : Pmem.Op.t) ->
+    match (op, granularity) with
+    | Pmem.Op.Load _, _ -> false
+    | Pmem.Op.Store _, _ ->
         incr stores_since;
-        match granularity with
-        | Config.Store_level -> on_fp (Pmtrace.Callstack.capture stack)
-        | Config.Persistency_instruction -> ())
-    | Pmem.Op.Flush _ | Pmem.Op.Fence _ -> (
-        match granularity with
-        | Config.Persistency_instruction ->
-            if !stores_since > 0 then begin
-              stores_since := 0;
-              on_fp (Pmtrace.Callstack.capture stack)
-            end
-        | Config.Store_level -> ())
+        granularity = Config.Store_level
+    | (Pmem.Op.Flush _ | Pmem.Op.Fence _), Config.Store_level -> false
+    | (Pmem.Op.Flush _ | Pmem.Op.Fence _), Config.Persistency_instruction ->
+        let fires = !stores_since > 0 in
+        if fires then stores_since := 0;
+        fires
 
-(** Offline replay of the failure-point detector over a recorded trace
-    (events must carry stacks, i.e. come from a [with_stacks] tracer).
-    Returns [(ordinal, pseq, capture)] triples: the discovery ordinal of
-    each unique failure point, the persistency index (count of non-[Load]
-    events) of its first dynamic occurrence, and the call-stack capture it
-    fires under. Because this mirrors [fp_listener] and
-    [Fp_tree.insert] exactly, the ordinals coincide with the ones
-    {!build_tree} assigns on a live execution of the same workload — which
-    is what lets the replay strategy address the live tree offline. *)
+(* Shared live failure-point detector: calls [on_fp] with the captured
+   stack at every failure point. *)
+let fp_listener ~granularity ~on_fp =
+  let fires = fp_rule granularity in
+  fun (event : Pmtrace.Event.t) (stack : Pmtrace.Callstack.t) ->
+    if fires event.Pmtrace.Event.op then on_fp (Pmtrace.Callstack.capture stack)
+
+(* The offline failure-point detector as a step function over recorded
+   events (which must carry stacks). Mirroring [fp_listener] and
+   [Fp_tree.insert] exactly, it assigns the ordinals {!build_tree} assigns
+   on a live execution of the same workload — which is what lets the
+   replay strategy address the live tree offline. *)
+type enumeration = {
+  fires : Pmem.Op.t -> bool;
+  tree : Fp_tree.t;
+  mutable pseq : int;  (** persistency index: count of non-[Load] events *)
+  mutable found : (int * int * Pmtrace.Callstack.capture) list;  (** newest first *)
+}
+
+let enumeration config =
+  { fires = fp_rule config.Config.granularity; tree = Fp_tree.create (); pseq = 0; found = [] }
+
+let enumerate_step en (e : Pmtrace.Event.t) =
+  (match e.Pmtrace.Event.op with Pmem.Op.Load _ -> () | _ -> en.pseq <- en.pseq + 1);
+  if en.fires e.Pmtrace.Event.op then
+    match e.Pmtrace.Event.stack with
+    | None -> ()
+    | Some capture -> (
+        match Fp_tree.insert en.tree capture with
+        | `Added p -> en.found <- (p.Fp_tree.ordinal, en.pseq, capture) :: en.found
+        | `Existing _ -> ())
+
+let enumerated en = List.rev en.found
+
+(** [(ordinal, pseq, capture)] of each unique failure point of [events]:
+    its discovery ordinal, the persistency index of its first dynamic
+    occurrence, and the call-stack capture it fires under. *)
 let offline_points config (events : Pmtrace.Event.t list) =
-  let tree = Fp_tree.create () in
-  let points = ref [] in
-  let stores_since = ref 0 in
-  let pseq = ref 0 in
-  List.iter
-    (fun (e : Pmtrace.Event.t) ->
-      (match e.Pmtrace.Event.op with Pmem.Op.Load _ -> () | _ -> incr pseq);
-      let fp () =
-        match e.Pmtrace.Event.stack with
-        | None -> ()
-        | Some capture -> (
-            match Fp_tree.insert tree capture with
-            | `Added p -> points := (p.Fp_tree.ordinal, !pseq, capture) :: !points
-            | `Existing _ -> ())
-      in
-      match e.Pmtrace.Event.op with
-      | Pmem.Op.Load _ -> ()
-      | Pmem.Op.Store _ -> (
-          incr stores_since;
-          match config.Config.granularity with
-          | Config.Store_level -> fp ()
-          | Config.Persistency_instruction -> ())
-      | Pmem.Op.Flush _ | Pmem.Op.Fence _ -> (
-          match config.Config.granularity with
-          | Config.Persistency_instruction ->
-              if !stores_since > 0 then begin
-                stores_since := 0;
-                fp ()
-              end
-          | Config.Store_level -> ()))
-    events;
-  List.rev !points
+  let en = enumeration config in
+  List.iter (enumerate_step en) events;
+  enumerated en
 
 (** Build the failure-point tree with one instrumented execution (steps 4-5
     of Figure 1). [extra_listener] lets the engine run the trace-analysis
@@ -107,6 +105,22 @@ let build_tree ?(extra_listener = fun _ _ -> ()) config (target : Target.t) =
   target.Target.run ~device ~framer:(Pmtrace.Framer.of_callstack (Pmtrace.Tracer.stack tracer));
   Pmtrace.Tracer.detach tracer;
   (tree, Pmem.Device.stats device)
+
+(* The oracle call site: recovery runs on [view], a copy-on-write view of
+   the crash image adopted by a fresh device, and when the oracle flags a
+   bug the record takes the image diff of what recovery persisted — read
+   here, while the view is still valid. *)
+let judge config (target : Target.t) point view =
+  let oracle =
+    Telemetry.Collector.span ~cat:"inject" ~hist:"oracle_ns" "oracle"
+      ~args:[ ("ordinal", Telemetry.Json.Int point.Fp_tree.ordinal) ]
+      (fun () ->
+        Oracle.classify target.Target.recover
+          (Pmem.Device.adopt ~eadr:config.Config.eadr view))
+  in
+  let bug = Oracle.is_bug oracle in
+  Telemetry.Progress.tick ~bug ();
+  { point; oracle; image_diff = (if bug then Some (Provenance.image_diff view) else None) }
 
 (* One injection execution: crash at the first unvisited failure point.
    Returns the injected point and its crash image, or None if every
@@ -156,15 +170,7 @@ let reexecute_loop config (target : Target.t) tree =
     match reexecute_once config target tree with
     | None -> continue_ := false (* nondeterminism guard: no progress *)
     | Some (point, image) ->
-        let oracle =
-          Telemetry.Collector.span ~cat:"inject" ~hist:"oracle_ns" "oracle"
-            ~args:[ ("ordinal", Telemetry.Json.Int point.Fp_tree.ordinal) ]
-            (fun () ->
-              Oracle.classify target.Target.recover
-                (Pmem.Device.of_image ~eadr:config.Config.eadr image))
-        in
-        Telemetry.Progress.tick ~bug:(Oracle.is_bug oracle) ();
-        records := { point; oracle } :: !records
+        records := judge config target point (Pmem.Image.cow image) :: !records
   done;
   (List.rev !records, !executions)
 
@@ -265,17 +271,17 @@ let inject_reexecute config (target : Target.t) tree =
   else inject_parallel config target tree ~jobs
 
 (** Replay-first injection ([Config.Replay], the default): rebuild the
-    failure-point tree offline from the shared recording, materialize every
-    point's crash image in one batched prefix-incremental replay pass per
-    worker ({!Pmtrace.Replay.materialize}), and stream the recovery oracle
-    over the images — no image is ever retained and the target is never
+    failure-point tree from [points] (the recording's {!enumerated}
+    failure points), materialize every point's crash image in one batched
+    prefix-incremental replay pass per worker
+    ({!Pmtrace.Replay.materialize}), and stream the recovery oracle over
+    the images — no image is ever retained and the target is never
     re-executed on the replayed path. Points the replay pass cannot reach
     (nondeterminism with respect to the recording) fall back to one live
     targeted re-execution each. *)
-let inject_replay config (target : Target.t) ~recording =
-  let points = offline_points config (Pmtrace.Replay.events recording) in
+let inject_replay config (target : Target.t) ~recording ~points =
   (* Re-inserting the captures in discovery order reproduces the ordinals
-     [offline_points] reported — the same ordinals a live [build_tree]
+     the enumeration reported — the same ordinals a live [build_tree]
      assigns on this deterministic workload. *)
   let tree = Fp_tree.create () in
   let pts =
@@ -288,16 +294,6 @@ let inject_replay config (target : Target.t) ~recording =
         | `Existing _ -> assert false)
       points
   in
-  (* [adopt], not [of_image]: the materialized image is a copy-on-write
-     view of the shared prefix (and the fallback image a fresh snapshot we
-     own), so recovery can run on it directly — no pool copy per point. *)
-  let oracle_at ordinal image =
-    Telemetry.Collector.span ~cat:"inject" ~hist:"oracle_ns" "oracle"
-      ~args:[ ("ordinal", Telemetry.Json.Int ordinal) ]
-      (fun () ->
-        Oracle.classify target.Target.recover
-          (Pmem.Device.adopt ~eadr:config.Config.eadr image))
-  in
   let by_ordinal = Hashtbl.create (max 16 (List.length pts)) in
   List.iter (fun (o, _, p) -> Hashtbl.replace by_ordinal o p) pts;
   (* One materialization pass over a share of the points: crash images
@@ -309,9 +305,9 @@ let inject_replay config (target : Target.t) ~recording =
       Pmtrace.Replay.materialize recording
         ~points:(List.map (fun (o, pseq, _) -> (o, pseq)) mine)
         ~f:(fun ~key image ->
-          let oracle = oracle_at key image in
-          Telemetry.Progress.tick ~bug:(Oracle.is_bug oracle) ();
-          out := { point = Hashtbl.find by_ordinal key; oracle } :: !out)
+          (* the image is already a copy-on-write view of the shared
+             prefix: recovery adopts it directly, no pool copy per point *)
+          out := judge config target (Hashtbl.find by_ordinal key) image :: !out)
     in
     (List.rev !out, unreached)
   in
@@ -345,9 +341,8 @@ let inject_replay config (target : Target.t) ~recording =
       match reexecute_at config target tree ~ordinal with
       | None -> Telemetry.Collector.count "fp.unreached" 1
       | Some (point, image) ->
-          let oracle = oracle_at point.Fp_tree.ordinal image in
-          Telemetry.Progress.tick ~bug:(Oracle.is_bug oracle) ();
-          fallback_records := { point; oracle } :: !fallback_records)
+          fallback_records :=
+            judge config target point (Pmem.Image.cow image) :: !fallback_records)
     (List.sort compare unreached);
   {
     tree;

@@ -6,9 +6,10 @@
     fault-injection bugs — the crash-image vs recovered-image byte diff at
     cache-line granularity.
 
-    Everything here is plain data plus [Telemetry.Json] codecs; the capture
-    itself happens in [Engine.analyze], which owns the recording, the
-    injection records and the oracle. *)
+    Everything here is plain data plus [Telemetry.Json] codecs and the
+    image diff; the image diff is taken by fault injection at the oracle's
+    verdict, the rest is assembled in [Engine.analyze], which owns the
+    recording and the injection records. *)
 
 module Json = Telemetry.Json
 
@@ -64,31 +65,55 @@ let id_of_signature s = Digest.to_hex (Digest.string s)
 (* Image diff                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let hex_of_bytes b =
-  let buf = Buffer.create (2 * Bytes.length b) in
-  Bytes.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) b;
-  Buffer.contents buf
+let hex_digits = "0123456789abcdef"
 
-(** Cache-line-granular diff of two equally-sized images: every differing
-    line is counted, the first {!diff_line_cap} are kept with both sides'
-    bytes rendered as hex. *)
-let image_diff ~crash ~recovered =
-  let size = min (Pmem.Image.size crash) (Pmem.Image.size recovered) in
-  let lines = size / cache_line in
+(* Lowercase hex of [len] bytes of [b] from [off]. *)
+let hex_of_sub b off len =
+  let out = Bytes.create (2 * len) in
+  for i = 0 to len - 1 do
+    let c = Char.code (Bytes.get b (off + i)) in
+    Bytes.set out (2 * i) hex_digits.[c lsr 4];
+    Bytes.set out ((2 * i) + 1) hex_digits.[c land 15]
+  done;
+  Bytes.unsafe_to_string out
+
+(* Compares eight bytes at a time, allocating nothing. *)
+let line_equal a a_off b b_off =
+  let rec go i =
+    i >= cache_line
+    || (Bytes.get_int64_ne a (a_off + i) : int64) = Bytes.get_int64_ne b (b_off + i)
+       && go (i + 8)
+  in
+  go 0
+
+(** Cache-line-granular diff of a recovered copy-on-write view against the
+    crash image it was made from: only the pages recovery copied up can
+    differ, so only those are compared, in ascending order. Every
+    differing whole line is counted; the first {!diff_line_cap} are kept
+    with both sides' bytes rendered as hex. *)
+let image_diff view =
+  let base, pages = Pmem.Image.cow_pages view in
+  let lines = Pmem.Image.size view / cache_line in
   let differing = ref 0 in
   let kept = ref [] in
-  for line = 0 to lines - 1 do
-    let addr = line * cache_line in
-    let a = Pmem.Image.read crash ~addr ~size:cache_line in
-    let b = Pmem.Image.read recovered ~addr ~size:cache_line in
-    if not (Bytes.equal a b) then begin
-      incr differing;
-      if !differing <= diff_line_cap then
-        kept :=
-          { dl_line = line; dl_crash = hex_of_bytes a; dl_recovered = hex_of_bytes b }
-          :: !kept
-    end
-  done;
+  List.iter
+    (fun (addr, page) ->
+      let first = addr / cache_line in
+      for line = first to min lines (first + (Bytes.length page / cache_line)) - 1 do
+        let off = (line - first) * cache_line in
+        if not (line_equal base (line * cache_line) page off) then begin
+          incr differing;
+          if !differing <= diff_line_cap then
+            kept :=
+              {
+                dl_line = line;
+                dl_crash = hex_of_sub base (line * cache_line) cache_line;
+                dl_recovered = hex_of_sub page off cache_line;
+              }
+              :: !kept
+        end
+      done)
+    pages;
   {
     id_lines = List.rev !kept;
     id_differing = !differing;

@@ -3,8 +3,9 @@
     that nominated the finding, and — for fault-injection bugs — the
     crash-image vs recovered-image byte diff at cache-line granularity.
 
-    Plain data plus [Telemetry.Json] codecs; the capture itself happens in
-    [Engine.analyze] at the moment each finding is produced. *)
+    Plain data plus [Telemetry.Json] codecs and the image diff, which
+    fault injection takes at the oracle's verdict; [Engine.analyze]
+    assembles the rest at the moment each finding is produced. *)
 
 val cache_line : int
 val diff_line_cap : int
@@ -52,9 +53,14 @@ type t = {
 val id_of_signature : string -> string
 (** Content address of a finding: digest (hex) of its signature entry. *)
 
-val image_diff : crash:Pmem.Image.t -> recovered:Pmem.Image.t -> image_diff
-(** Cache-line-granular diff: every differing line counted, the first
-    {!diff_line_cap} kept with both sides rendered as hex. *)
+val image_diff : Pmem.Image.t -> image_diff
+(** [image_diff view] diffs a recovered {!Pmem.Image.cow} view against the
+    crash image it reads through, at cache-line granularity: only the
+    pages recovery copied up are compared, in ascending order, and lines
+    at or past [size / 64] are ignored. Every differing line is counted,
+    the first {!diff_line_cap} kept with both sides rendered as hex. Takes
+    no snapshot.
+    @raise Invalid_argument when [view] is not a copy-on-write view. *)
 
 val to_json : t -> Telemetry.Json.t
 val of_json : Telemetry.Json.t -> (t, string) result

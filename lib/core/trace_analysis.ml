@@ -18,8 +18,10 @@
 
     The analysis is streaming: [feed] consumes events as the instrumented
     run produces them, so the trace need not be stored. Findings carry the
-    instruction counter; the engine attaches call stacks afterwards with
-    one extra minimally-instrumented execution (paper section 5). *)
+    instruction counter. Under the replay strategy (the default) the
+    engine reads their call stacks off the recording, where a seq is its
+    event's position; under re-execution it attaches them with one extra
+    minimally-instrumented execution (paper section 5). *)
 
 type slot_state = Dirty | Captured
 (* persisted slots are simply removed from the table *)

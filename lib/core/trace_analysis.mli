@@ -14,8 +14,10 @@
 type t
 
 type raw = { kind : Report.kind; seq : int; detail : string }
-(** A finding identified by instruction counter; the engine attaches call
-    stacks afterwards with one extra minimally-instrumented execution. *)
+(** A finding identified by instruction counter. Under the replay strategy
+    the engine reads its call stack off the recording, where a seq is its
+    event's position; under re-execution it attaches stacks with one extra
+    minimally-instrumented execution. *)
 
 val create : Config.t -> t
 

@@ -45,6 +45,15 @@ let unsafe_bytes t =
 
 let cow t = { size = t.size; repr = Cow { base = unsafe_bytes t; pages = Hashtbl.create 64 } }
 
+let cow_pages t =
+  match t.repr with
+  | Flat _ -> invalid_arg "Pmem.Image.cow_pages: not a copy-on-write view"
+  | Cow { base; pages } ->
+      let written =
+        Hashtbl.fold (fun page content acc -> (page lsl page_bits, content) :: acc) pages []
+      in
+      (base, List.sort (fun (a, _) (b, _) -> compare a b) written)
+
 let check t addr size =
   if addr < 0 || size < 0 || addr + size > t.size then
     invalid_arg

@@ -23,6 +23,15 @@ val cow : t -> t
     materializer guarantees this by finishing each oracle run before
     rolling the shared prefix image forward). *)
 
+val cow_pages : t -> bytes * (int * bytes) list
+(** [cow_pages v] is what a {!cow} view is made of: the base buffer it
+    reads through, and the private pages written through it so far as
+    [(byte offset, 4 KiB page)] pairs in ascending offset order. A page's
+    bytes at or past [size v] are padding. Copies nothing; the result is
+    valid as long as the view is.
+    @raise Invalid_argument when [v] is not a copy-on-write view (never
+    was one, or was flattened by {!unsafe_bytes}). *)
+
 val read : t -> addr:int -> size:int -> bytes
 (** [read t ~addr ~size] copies [size] bytes starting at [addr]. *)
 

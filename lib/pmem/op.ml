@@ -32,16 +32,58 @@ let fence_kind_to_string = function
   | Mfence -> "mfence"
   | Rmw -> "rmw"
 
-let to_string = function
-  | Store { addr; size; nt } ->
-      Printf.sprintf "%s addr=%d size=%d" (if nt then "store.nt" else "store") addr size
-  | Flush { kind; line; dirty; volatile } ->
-      Printf.sprintf "%s line=%d dirty=%b volatile=%b" (flush_kind_to_string kind) line
-        dirty volatile
+(* Decimal digits of [n] with no intermediate string; digits are taken
+   from the non-positive side so [min_int] needs no special case. *)
+let add_int buf n =
+  let rec digits m =
+    if m <= -10 then digits (m / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 - (m mod 10)))
+  in
+  if n < 0 then Buffer.add_char buf '-';
+  digits (if n < 0 then n else -n)
+
+let add_bool buf b = Buffer.add_string buf (if b then "true" else "false")
+
+(* The op rendering, one writer per constructor taking the fields unboxed:
+   {!to_string} and the trace digest (written straight from a packed trace
+   arena) both go through these, so the format lives here only. *)
+let add_store buf ~addr ~size ~nt =
+  Buffer.add_string buf (if nt then "store.nt addr=" else "store addr=");
+  add_int buf addr;
+  Buffer.add_string buf " size=";
+  add_int buf size
+
+let add_flush buf kind ~line ~dirty ~volatile =
+  Buffer.add_string buf (flush_kind_to_string kind);
+  Buffer.add_string buf " line=";
+  add_int buf line;
+  Buffer.add_string buf " dirty=";
+  add_bool buf dirty;
+  Buffer.add_string buf " volatile=";
+  add_bool buf volatile
+
+let add_fence buf kind ~pending_flushes ~pending_nt =
+  Buffer.add_string buf (fence_kind_to_string kind);
+  Buffer.add_string buf " pending_flushes=";
+  add_int buf pending_flushes;
+  Buffer.add_string buf " pending_nt=";
+  add_int buf pending_nt
+
+let add_load buf ~addr ~size =
+  Buffer.add_string buf "load addr=";
+  add_int buf addr;
+  Buffer.add_string buf " size=";
+  add_int buf size
+
+let to_string op =
+  let buf = Buffer.create 48 in
+  (match op with
+  | Store { addr; size; nt } -> add_store buf ~addr ~size ~nt
+  | Flush { kind; line; dirty; volatile } -> add_flush buf kind ~line ~dirty ~volatile
   | Fence { kind; pending_flushes; pending_nt } ->
-      Printf.sprintf "%s pending_flushes=%d pending_nt=%d" (fence_kind_to_string kind)
-        pending_flushes pending_nt
-  | Load { addr; size } -> Printf.sprintf "load addr=%d size=%d" addr size
+      add_fence buf kind ~pending_flushes ~pending_nt
+  | Load { addr; size } -> add_load buf ~addr ~size);
+  Buffer.contents buf
 
 let is_persistency_instruction = function
   | Flush _ | Fence _ -> true

@@ -149,6 +149,25 @@ let fold t init f =
   !acc
 
 let to_list t = List.rev (fold t [] (fun acc e -> e :: acc))
+
+let digest t =
+  (* about 40 bytes per rendered op: one allocation for typical traces *)
+  let buf = Buffer.create (max 64 (40 * t.len)) in
+  let d = t.data in
+  for i = 0 to t.len - 1 do
+    let base = i * slots in
+    let a = d.{base + 2} and b = d.{base + 3} and c = d.{base + 4} in
+    (match d.{base + 1} with
+    | 0 -> Pmem.Op.add_store buf ~addr:a ~size:b ~nt:(c = 1)
+    | 1 ->
+        Pmem.Op.add_flush buf (flush_kind_of_code a) ~line:b ~dirty:(c land 1 = 1)
+          ~volatile:(c land 2 = 2)
+    | 2 -> Pmem.Op.add_fence buf (fence_kind_of_code a) ~pending_flushes:b ~pending_nt:c
+    | _ -> Pmem.Op.add_load buf ~addr:a ~size:b);
+    Buffer.add_char buf '\n'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
 let clear t = t.len <- 0
 let path_count t = t.npaths
 let path_id t path = Hashtbl.find_opt t.ids path

@@ -38,6 +38,11 @@ val fold : t -> 'a -> ('a -> Event.t -> 'a) -> 'a
 val to_list : t -> Event.t list
 (** Decode the whole arena, insertion order. *)
 
+val digest : t -> string
+(** Hex MD5 of every event's {!Pmem.Op.to_string} rendering followed by
+    ['\n'], in insertion order — written straight from the packed slots
+    into one buffer, decoding no event. *)
+
 val clear : t -> unit
 (** Drop all events (interned paths are kept: ids remain stable across
     [clear], and a stale entry costs only its one stored copy). *)

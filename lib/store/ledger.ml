@@ -1,7 +1,7 @@
 (** On-disk layout of the results store: one JSON file per run under
     [<dir>/runs/<run_id>.json] plus an append-only [<dir>/bench.jsonl] of
     benchmark envelopes. Runs are content-addressed, so re-running the same
-    analysis overwrites its own record (identical findings and provenance;
+    analysis replaces its own record (identical findings and provenance;
     only the timing metrics move) — the ledger never grows from
     repetition. *)
 
@@ -46,11 +46,18 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (** Persist a run record; returns its id. The file name is the content
-    address, so a repeated identical run rewrites its own record in
-    place. *)
+    address, so a repeated identical run replaces its own record. The
+    record is written to [<id>.json.tmp] in the same directory and renamed
+    into place, so a run killed mid-write leaves the previous record (or
+    none) plus a stray temp file that {!run_ids} ignores — never a
+    truncated record. There is no fsync, which keeps the append cheap: the
+    rename makes the commit atomic against a killed process, not against
+    power loss. *)
 let append_run t record =
-  write_file (run_path t record.Record.run_id)
-    (Json.to_string (Record.to_json record) ^ "\n");
+  let path = run_path t record.Record.run_id in
+  let tmp = path ^ ".tmp" in
+  write_file tmp (Json.to_string (Record.to_json record) ^ "\n");
+  Sys.rename tmp path;
   record.Record.run_id
 
 let run_ids t =

@@ -9,7 +9,9 @@
    [Reexecute] must produce byte-identical report signatures, identical
    failure-point and injection counts — and the replay runs must cost
    exactly one target execution (any live fallback would show up in the
-   count). [Reexecute] at jobs=4 is test_parallel's business.
+   count). Every fault-injection finding's image diff — taken at the
+   oracle's verdict under both strategies — must be present and identical
+   too. [Reexecute] at jobs=4 is test_parallel's business.
 
    Layer 2 — the same differential under configuration overlays: the
    merged-trace abstract interpreter ([absint]) on two clean targets and
@@ -60,6 +62,30 @@ let strategies =
     ("reexecute", Mumak.Config.Reexecute, 1);
   ]
 
+(* Each fault-injection finding's image diff, rendered, keyed by the
+   finding's signature. *)
+let fi_image_diffs (r : Mumak.Engine.result) =
+  List.filter_map
+    (fun (p : Mumak.Provenance.t) ->
+      match p.Mumak.Provenance.p_failure_point with
+      | None -> None
+      | Some _ ->
+          let rendered =
+            match p.Mumak.Provenance.p_image_diff with
+            | None -> "no image diff"
+            | Some d ->
+                Printf.sprintf "%d differing (capped %b): %s" d.Mumak.Provenance.id_differing
+                  d.Mumak.Provenance.id_capped
+                  (String.concat "; "
+                     (List.map
+                        (fun (l : Mumak.Provenance.diff_line) ->
+                          Printf.sprintf "line %d %s -> %s" l.Mumak.Provenance.dl_line
+                            l.Mumak.Provenance.dl_crash l.Mumak.Provenance.dl_recovered)
+                        d.Mumak.Provenance.id_lines))
+          in
+          Some (p.Mumak.Provenance.p_signature ^ " => " ^ rendered))
+    r.Mumak.Engine.provenance
+
 (* [overlay] is the configuration every engine runs under, with only the
    strategy and the worker count replaced. *)
 let differential ?(overlay = Mumak.Config.default) ~bugs name make_target =
@@ -83,8 +109,20 @@ let differential ?(overlay = Mumak.Config.default) ~bugs name make_target =
           Alcotest.(check (list string))
             (Printf.sprintf "%s: %s report signature" name label)
             (Mumak.Report.signature base.Mumak.Engine.report)
-            (Mumak.Report.signature r.Mumak.Engine.report))
+            (Mumak.Report.signature r.Mumak.Engine.report);
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s: %s image diffs" name label)
+            (fi_image_diffs base) (fi_image_diffs r))
         rest;
+      List.iter
+        (fun (label, r) ->
+          List.iter
+            (fun d ->
+              if String.ends_with ~suffix:"no image diff" d then
+                Alcotest.failf "%s: %s fault-injection finding without an image diff: %s" name
+                  label d)
+            (fi_image_diffs r))
+        results;
       (* replay never re-executes: one recording, no fallback, and the free
          stack resolution rides on it; only the static analyzer records the
          target again, twice per invariant run *)

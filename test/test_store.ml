@@ -3,6 +3,13 @@
      to_json |> to_string |> of_string |> of_json byte-for-byte, and a
      real engine run's full record survives the same trip;
    - ledger: append/load by id and by unique prefix through a temp dir;
+     a stale temp file from a killed append is invisible and a re-append
+     replaces the record whole; the trace signature in a run's content
+     address is the digest of the recording's [Op.to_string] lines, and
+     [Op.to_string] renders a fixed table of ops exactly;
+   - overlay image diff: the diff of a recovered copy-on-write view equals
+     a naive line-by-line comparison of snapshots taken before and after
+     the writes;
    - diff algebra: diff a a is empty, and new/fixed swap under argument
      exchange;
    - explain: every finding of a seeded run resolves, by 1-based index
@@ -201,6 +208,227 @@ let test_ledger_append_load () =
   match Store.Ledger.load_run ledger "ffffffffffff" with
   | Ok _ -> Alcotest.fail "made-up id should not resolve"
   | Error _ -> ()
+
+let test_ledger_atomic_append () =
+  let ledger =
+    Store.Ledger.open_
+      ~dir:
+        (Filename.concat (Filename.get_temp_dir_name ())
+           (Printf.sprintf "mumak-store-atomic-%d" (Unix.getpid ())))
+      ()
+  in
+  let record = run_recorded "hashmap_atomic" in
+  let id = record.Store.Record.run_id in
+  let path = Store.Ledger.run_path ledger id in
+  let text = Json.to_string (Store.Record.to_json record) ^ "\n" in
+  let write file contents =
+    let oc = open_out_bin file in
+    output_string oc contents;
+    close_out oc
+  in
+  (* what a run killed mid-write leaves behind *)
+  write (path ^ ".tmp") (String.sub text 0 (String.length text / 2));
+  Alcotest.(check (list string)) "a stale temp file is no run" [] (Store.Ledger.run_ids ledger);
+  Alcotest.(check int) "load_all skips the stale temp file" 0
+    (List.length (Store.Ledger.load_all ledger));
+  (* an older, longer record under the same id *)
+  write path (text ^ String.make 4096 ' ' ^ "stale tail\n");
+  ignore (Store.Ledger.append_run ledger record);
+  Alcotest.(check (list string))
+    "one run after the append" [ id ] (Store.Ledger.run_ids ledger);
+  Alcotest.(check bool) "the temp file was renamed into place" false
+    (Sys.file_exists (path ^ ".tmp"));
+  Alcotest.(check string) "the record was replaced whole" text (Store.Ledger.read_file path);
+  match Store.Ledger.load_all ledger with
+  | [ r ] -> Alcotest.(check bool) "and loads back" true (Store.Record.equal record r)
+  | l -> Alcotest.failf "expected one loadable run, got %d" (List.length l)
+
+(* The ledger's content address includes the trace signature, so its value
+   must never move: it is the MD5 of every recorded event's Op.to_string
+   followed by a newline. Pinned on the 15 clean targets at small op
+   counts, and Op.to_string itself on a fixed table. *)
+let clean_targets () =
+  let workload = Targets.standard_workload ~ops:30 ~key_range:20 () in
+  List.map
+    (fun (module A : Pmapps.Kv_intf.S) -> (A.name, target_for ~workload A.name))
+    Pmapps.Registry.apps
+  @ [
+      ("montage.hashtable", Targets.of_montage ~variant:`Buffered ~workload ());
+      ("montage.lf_hashtable", Targets.of_montage ~variant:`Lockfree ~workload ());
+      ("pmemkv.cmap", Targets.of_pmemkv ~engine:Kvstores.Pmemkv.Cmap ~workload ());
+      ("pmemkv.stree", Targets.of_pmemkv ~engine:Kvstores.Pmemkv.Stree ~workload ());
+      ("redis", Targets.of_redis ~workload ());
+      ("rocksdb", Targets.of_rocksdb ~workload ());
+    ]
+
+let test_trace_signature_pinned () =
+  let targets = clean_targets () in
+  Alcotest.(check int) "15 clean targets" 15 (List.length targets);
+  List.iter
+    (fun (name, (target : Mumak.Target.t)) ->
+      let result = Mumak.Engine.analyze target in
+      let recording =
+        Pmtrace.Replay.record ~pool_size:target.Mumak.Target.pool_size
+          (fun ~device ~framer -> target.Mumak.Target.run ~device ~framer)
+      in
+      let buf = Buffer.create 4096 in
+      List.iter
+        (fun (e : Pmtrace.Event.t) ->
+          Buffer.add_string buf (Pmem.Op.to_string e.Pmtrace.Event.op);
+          Buffer.add_char buf '\n')
+        (Pmtrace.Replay.events recording);
+      Alcotest.(check string)
+        (name ^ ": trace signature = digest of the Op.to_string lines")
+        (Digest.to_hex (Digest.string (Buffer.contents buf)))
+        result.Mumak.Engine.trace_signature)
+    targets
+
+let test_op_rendering_pinned () =
+  let open Pmem.Op in
+  List.iter
+    (fun (op, expected) -> Alcotest.(check string) expected expected (to_string op))
+    [
+      (Store { addr = 4096; size = 8; nt = false }, "store addr=4096 size=8");
+      (Store { addr = 128; size = 64; nt = true }, "store.nt addr=128 size=64");
+      ( Flush { kind = Clflush; line = 3; dirty = true; volatile = false },
+        "clflush line=3 dirty=true volatile=false" );
+      ( Flush { kind = Clflush; line = -1; dirty = false; volatile = true },
+        "clflush line=-1 dirty=false volatile=true" );
+      ( Flush { kind = Clflushopt; line = 0; dirty = false; volatile = false },
+        "clflushopt line=0 dirty=false volatile=false" );
+      ( Flush { kind = Clflushopt; line = 1_000_000; dirty = true; volatile = true },
+        "clflushopt line=1000000 dirty=true volatile=true" );
+      ( Flush { kind = Clwb; line = 77; dirty = true; volatile = false },
+        "clwb line=77 dirty=true volatile=false" );
+      ( Flush { kind = Clwb; line = min_int; dirty = false; volatile = true },
+        "clwb line=-4611686018427387904 dirty=false volatile=true" );
+      ( Fence { kind = Sfence; pending_flushes = 2; pending_nt = 0 },
+        "sfence pending_flushes=2 pending_nt=0" );
+      ( Fence { kind = Mfence; pending_flushes = 0; pending_nt = 13 },
+        "mfence pending_flushes=0 pending_nt=13" );
+      ( Fence { kind = Rmw; pending_flushes = 10; pending_nt = 1 },
+        "rmw pending_flushes=10 pending_nt=1" );
+      (Load { addr = 65535; size = 16 }, "load addr=65535 size=16");
+    ]
+
+(* --- overlay image diff ---------------------------------------------- *)
+
+(* The reference the overlay diff must reproduce: snapshots taken before
+   and after the writes, compared one whole cache line at a time. *)
+let naive_image_diff ~before ~after =
+  let hex b =
+    String.concat ""
+      (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (Bytes.to_seq b)))
+  in
+  let cap = Mumak.Provenance.diff_line_cap in
+  let differing = ref 0 and kept = ref [] in
+  for line = 0 to (Pmem.Image.size before / 64) - 1 do
+    let a = Pmem.Image.read before ~addr:(line * 64) ~size:64 in
+    let b = Pmem.Image.read after ~addr:(line * 64) ~size:64 in
+    if not (Bytes.equal a b) then begin
+      incr differing;
+      if !differing <= cap then
+        kept :=
+          { Mumak.Provenance.dl_line = line; dl_crash = hex a; dl_recovered = hex b } :: !kept
+    end
+  done;
+  {
+    Mumak.Provenance.id_lines = List.rev !kept;
+    id_differing = !differing;
+    id_capped = !differing > cap;
+  }
+
+(* A write through the view: [same] rewrites the bytes already there. *)
+type overlay_write = { addr : int; len : int; same : bool; fill : int }
+type overlay_case = { size : int; base_seed : int; writes : overlay_write list }
+
+let gen_overlay_case =
+  let open QCheck.Gen in
+  let* size =
+    oneof
+      [
+        int_range 1 300;
+        int_range 4000 4200;
+        int_range 8100 13_000;
+        oneofl [ 4096; 8192; 6400 ];
+      ]
+  in
+  let gen_write ~max_len ~same =
+    let* addr =
+      oneof
+        [
+          int_bound (size - 1);
+          (* straddling a page boundary *)
+          (let* page = int_range 1 (max 1 (size / 4096)) in
+           let* back = int_range 0 100 in
+           return (max 0 (min (size - 1) ((page * 4096) - back))));
+          (* the (possibly partial) last page and line *)
+          map (fun back -> max 0 (size - 1 - back)) (int_range 0 100);
+        ]
+    in
+    let* len = int_range 1 max_len in
+    let* same = same in
+    let* fill = int_bound 1_000_000 in
+    return { addr; len = min len (size - addr); same; fill }
+  in
+  (* three regimes: only identical rewrites (no differing line), a few
+     small writes (at most 8 lines), many long ones (more than 8) *)
+  let* writes =
+    oneof
+      [
+        list_size (int_range 0 4) (gen_write ~max_len:2000 ~same:(return true));
+        list_size (int_range 1 3)
+          (gen_write ~max_len:100 ~same:(frequencyl [ (3, false); (1, true) ]));
+        list_size (int_range 2 6)
+          (gen_write ~max_len:3000 ~same:(frequencyl [ (4, false); (1, true) ]));
+      ]
+  in
+  let* base_seed = int_bound 1_000_000 in
+  return { size; base_seed; writes }
+
+let random_bytes ~seed n =
+  let st = Random.State.make [| seed |] in
+  Bytes.init n (fun _ -> Char.chr (Random.State.int st 256))
+
+(* The view after the writes, and the reference diff computed without it. *)
+let run_overlay_case c =
+  let base = Pmem.Image.create ~size:c.size in
+  Pmem.Image.write base ~addr:0 (random_bytes ~seed:c.base_seed c.size);
+  let before = Pmem.Image.snapshot base in
+  let view = Pmem.Image.cow base in
+  List.iter
+    (fun w ->
+      Pmem.Image.write view ~addr:w.addr
+        (if w.same then Pmem.Image.read before ~addr:w.addr ~size:w.len
+         else random_bytes ~seed:w.fill w.len))
+    c.writes;
+  (view, naive_image_diff ~before ~after:(Pmem.Image.snapshot view))
+
+let print_overlay_case c =
+  Printf.sprintf "size=%d base_seed=%d writes=[%s]" c.size c.base_seed
+    (String.concat "; "
+       (List.map
+          (fun w -> Printf.sprintf "%d+%d%s" w.addr w.len (if w.same then " same" else ""))
+          c.writes))
+
+let prop_overlay_diff =
+  QCheck.Test.make ~name:"overlay diff = snapshot line-by-line diff" ~count:300
+    (QCheck.make ~print:print_overlay_case gen_overlay_case) (fun c ->
+      let view, expected = run_overlay_case c in
+      Mumak.Provenance.image_diff view = expected)
+
+let test_overlay_regimes () =
+  let st = Random.State.make [| 42 |] in
+  let counts =
+    List.map
+      (fun c -> (snd (run_overlay_case c)).Mumak.Provenance.id_differing)
+      (QCheck.Gen.generate ~rand:st ~n:200 gen_overlay_case)
+  in
+  Alcotest.(check bool) "cases with no differing line" true (List.mem 0 counts);
+  Alcotest.(check bool) "cases with 1 to 8 differing lines" true
+    (List.exists (fun n -> n >= 1 && n <= 8) counts);
+  Alcotest.(check bool) "cases with more than 8 differing lines" true
+    (List.exists (fun n -> n > 8) counts)
 
 (* --- diff algebra ---------------------------------------------------- *)
 
@@ -422,6 +650,17 @@ let () =
           Alcotest.test_case "append/load by id and prefix" `Quick test_ledger_append_load;
           Alcotest.test_case "bench history round-trips" `Quick
             test_bench_history_roundtrip;
+          Alcotest.test_case "stale temp ignored, re-append replaces" `Quick
+            test_ledger_atomic_append;
+          Alcotest.test_case "trace signature = Op.to_string digest" `Quick
+            test_trace_signature_pinned;
+          Alcotest.test_case "Op.to_string fixed table" `Quick test_op_rendering_pinned;
+        ] );
+      ( "overlay",
+        [
+          QCheck_alcotest.to_alcotest prop_overlay_diff;
+          Alcotest.test_case "generator covers 0, <=8 and >8 lines" `Quick
+            test_overlay_regimes;
         ] );
       ( "diff",
         [
