@@ -574,33 +574,22 @@ let optimize ?invariants ?absint ~weights ~support ~confidence ~eadr
     (noload : Pmtrace.Replay.t) =
   Telemetry.Collector.span ~cat:"optimize" "optimize" @@ fun () ->
   let module VF = Verify_fix in
-  let replays = ref 0 in
-  let base_events = Pmtrace.Replay.events noload in
+  (* The baseline, computed once under both crash views. The static
+     recheck runs over the load-free pair (the optimize phase never has a
+     load-traced recording — it must not cost an execution), so the
+     baseline uses the same pairing for the diff to be meaningful. *)
+  let base =
+    VF.baseline ?invariants ~support ~confidence ~eadr ~adr:true ~oracle ~points noload
+  in
+  let base_events = base.VF.events in
   let baseline_cycles = Cost.trace_cycles weights base_events in
   let baseline_events = persist_count base_events in
   let all_plans = synthesize ?absint ~weights base_events in
   let synthesized = List.length all_plans in
   let plans = List.filteri (fun i _ -> i < max_plans) all_plans in
-  (* Baseline views, computed once. The static recheck runs over the
-     load-free pair (the optimize phase never has a load-traced recording —
-     it must not cost an execution), so the baseline uses the same pairing
-     for the diff to be meaningful. *)
-  let base_static =
-    Static.analyze ?invariants ~support ~confidence ~eadr [ (base_events, base_events) ]
-  in
-  let invariants = base_static.Static.invariants in
-  let base_lint = Lint.analyze ~eadr base_events in
-  let base_prefix, base_image = VF.inject ~points ~oracle noload in
-  let base_adr, _ = VF.inject ~policy:Pmem.Device.Adr ~points ~oracle noload in
-  replays := 2;
-  let base_structural = VF.static_keys ~correctness_only:true base_static in
-  let base_missing = VF.lint_keys ~only:Lint.Missing_flush base_lint in
-  let fresh got base =
-    VF.Keys.elements (VF.Keys.diff got base) |> List.filter VF.attributable
-  in
   let judge plan =
-    match Pmtrace.Replay.rewrite noload plan.p_edits with
-    | exception Failure msg ->
+    match base.VF.recheck ~preserve:true plan.p_edits with
+    | Error msg ->
         {
           b_plan = plan;
           b_verdict = VF.Ineffective;
@@ -608,33 +597,14 @@ let optimize ?invariants ?absint ~weights ~support ~confidence ~eadr
           b_measured_cycles = 0;
           b_measured_events = 0;
         }
-    | rewritten ->
-        let norm = Pmtrace.Replay.normalize rewritten in
-        let re_static =
-          Static.analyze ~invariants ~support ~confidence ~eadr [ (norm, norm) ]
-        in
-        let re_lint = Lint.analyze ~eadr norm in
-        let re_prefix, re_image = VF.inject ~points ~oracle rewritten in
-        let re_adr, _ = VF.inject ~policy:Pmem.Device.Adr ~points ~oracle rewritten in
-        replays := !replays + 3;
-        let measured_cycles = baseline_cycles - Cost.trace_cycles weights norm in
-        let measured_events = baseline_events - persist_count norm in
+    | Ok r ->
+        let measured_cycles = baseline_cycles - Cost.trace_cycles weights r.VF.r_events in
+        let measured_events = baseline_events - persist_count r.VF.r_events in
         let verdict, detail =
-          match
-            ( fresh re_prefix base_prefix,
-              fresh re_adr base_adr,
-              fresh (VF.static_keys ~correctness_only:true re_static) base_structural,
-              fresh (VF.lint_keys ~only:Lint.Missing_flush re_lint) base_missing )
-          with
-          | bug :: _, _, _, _ -> (VF.Harmful, "introduces an oracle bug: " ^ bug)
-          | [], bug :: _, _, _ ->
-              (VF.Harmful, "introduces an oracle bug under the ADR crash view: " ^ bug)
-          | [], [], v :: _, _ -> (VF.Harmful, "introduces a structural violation: " ^ v)
-          | [], [], [], v :: _ -> (VF.Harmful, "strands a store window: " ^ v)
-          | [], [], [], [] ->
-              if not (Pmem.Image.equal base_image re_image) then
-                (VF.Harmful, "changes the final persisted image")
-              else if measured_cycles > 0 || measured_events > 0 then
+          match r.VF.r_harm with
+          | Some harm -> (VF.Harmful, VF.harm_to_string harm)
+          | None ->
+              if measured_cycles > 0 || measured_events > 0 then
                 ( VF.Proven,
                   Printf.sprintf
                     "replay-verified at every failure point under both crash views; saves %d \
@@ -682,7 +652,7 @@ let optimize ?invariants ?absint ~weights ~support ~confidence ~eadr
     proven;
     ineffective;
     harmful;
-    replays = !replays;
+    replays = base.VF.passes ();
   }
 
 (* ------------------------------------------------------------------ *)

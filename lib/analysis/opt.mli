@@ -42,6 +42,8 @@ type t = {
   ineffective : int;
   harmful : int;  (** reported for provenance, never suggested *)
   replays : int;
+      (** trace interpretations: 1 baseline pass plus 1 per verified plan
+          whose edits apply — 1 + verified *)
 }
 
 val shipped : t -> bundle list
@@ -65,11 +67,14 @@ val optimize :
   Pmtrace.Replay.t ->
   t
 (** [optimize ~weights ~oracle ~points noload] — synthesize, then verify
-    the top 12 candidates against the load-free recording: rewrite,
-    normalize, re-run the static and lint detectors, and fault-inject
-    every failure point of the rewritten trace under both crash views; any
-    fresh attributable finding, or a changed final image, is Harmful. [invariants] (normally the baseline static phase's) are
-    reused rather than re-mined. *)
+    the top 12 candidates against the load-free recording through a
+    {!Verify_fix.baseline}'s [recheck]: rewrite, one pass that normalizes
+    the rewritten trace and fault-injects its failure points from the
+    first edit on under both crash views, then the static and lint
+    rechecks and the final image; any fresh attributable finding, or a
+    changed final image, is Harmful. [oracle] receives a crash view it may write through, valid
+    only during the call. [invariants] (normally the baseline static
+    phase's) are reused rather than re-mined. *)
 
 val pp_bundle : bundle Fmt.t
 val pp : t Fmt.t

@@ -13,8 +13,10 @@
     persisted image.
 
     Everything here is offline: verification costs replays (trace
-    interpretation), never target re-executions. The oracle and
-    failure-point enumerators are passed in as closures so this module
+    interpretation), never target re-executions — one per rewritten
+    recording, whose device both re-derives the trace's metadata and hands
+    the oracle copy-on-write crash views at each failure point. The oracle
+    and failure-point enumerators are passed in as closures so this module
     stays below the engine in the dependency order. *)
 
 type verdict = Proven | Ineffective | Harmful
@@ -220,36 +222,6 @@ let lint_keys ?only (l : Lint.t) =
       else Keys.add (finding_key (Lint.kind_to_string f.Lint.l_kind) f.Lint.l_stack f.Lint.l_pseq) acc)
     Keys.empty l.Lint.findings
 
-(* Replay-based fault injection: enumerate the trace's failure points with
-   the [points] closure, replay once, and capture + classify the crash
-   image of each point as it is passed — the offline analogue of the
-   snapshot injection strategy. [policy] selects the crash view:
-   [Program_prefix] (the default, Mumak's graceful model) or the
-   conservative [Adr] view the optimizer's differential uses, under which
-   only fenced data survives — the view that makes deleted or deferred
-   persist instructions observable. Returns the oracle-bug key set and the
-   final (fully drained, ADR) image of the replayed run. *)
-let inject ?(policy = Pmem.Device.Program_prefix) ~points ~oracle recording =
-  let evs = Pmtrace.Replay.events recording in
-  let want = Hashtbl.create 64 in
-  List.iter (fun (_, pseq, capture) -> Hashtbl.replace want pseq capture) (points evs);
-  let keys = ref Keys.empty in
-  let device =
-    Pmtrace.Replay.replay recording ~on_event:(fun device ~pseq _e ->
-        match Hashtbl.find_opt want pseq with
-        | None -> ()
-        | Some capture -> (
-            let img = Pmem.Device.crash device ~policy in
-            match oracle img with
-            | None -> ()
-            | Some (kind, _detail) ->
-                keys :=
-                  Keys.add
-                    (kind ^ "@" ^ Pmtrace.Callstack.capture_to_string capture)
-                    !keys))
-  in
-  (!keys, Pmem.Device.persisted_image device)
-
 (* A post-rewrite finding anchored at a synthesized event (stackless key,
    "kind@#pseq") has no source location: it is the detector re-describing
    the inserted instruction itself, not a new defect at a program site.
@@ -261,6 +233,142 @@ let attributable key =
   | None -> true
 
 (* ------------------------------------------------------------------ *)
+(* The one-pass verifier                                               *)
+(* ------------------------------------------------------------------ *)
+
+type pass = { normalized : Pmtrace.Event.t list; bugs : Keys.t list; device : Pmem.Device.t }
+
+(* One interpretation of [recording] yields everything a verdict reads:
+   the normalized events, the oracle-bug keys of each crash view, and the
+   final device. Failure points are enumerated on the recording itself;
+   each one at or past [from] is judged once, on zero-copy views of the
+   replaying device, and then forgotten — a load that follows it shares
+   its pseq but must not judge it again on the post-event image. *)
+let pass ?(from = 1) ~views ~points ~oracle recording =
+  Telemetry.Collector.span ~cat:"replay" ~hist:"replay_ns" "replay" @@ fun () ->
+  let want = Hashtbl.create 64 in
+  List.iter
+    (fun (_, pseq, capture) -> if pseq >= from then Hashtbl.replace want pseq capture)
+    (points (Pmtrace.Replay.events recording));
+  let bugs = Array.make (List.length views) Keys.empty in
+  let normalized, device =
+    Pmtrace.Replay.pass recording ~on_event:(fun device ~pseq _e ->
+        match Hashtbl.find_opt want pseq with
+        | None -> ()
+        | Some capture ->
+            Hashtbl.remove want pseq;
+            List.iteri
+              (fun i policy ->
+                match oracle (Pmem.Device.crash_view device ~policy) with
+                | None -> ()
+                | Some (kind, _detail) ->
+                    let key = kind ^ "@" ^ Pmtrace.Callstack.capture_to_string capture in
+                    bugs.(i) <- Keys.add key bugs.(i))
+              views)
+  in
+  { normalized; bugs = Array.to_list bugs; device }
+
+type harm =
+  | Oracle_bug of string
+  | Adr_oracle_bug of string
+  | Structural_violation of string
+  | Stranded_window of string
+  | Image_changed
+
+let harm_to_string = function
+  | Oracle_bug k -> "introduces an oracle bug: " ^ k
+  | Adr_oracle_bug k -> "introduces an oracle bug under the ADR crash view: " ^ k
+  | Structural_violation v -> "introduces a structural violation: " ^ v
+  | Stranded_window v -> "strands a store window: " ^ v
+  | Image_changed -> "changes the final persisted image"
+
+(* The crash views a rewrite is judged under, each with the harm a fresh
+   bug under it reports. *)
+let views ~adr =
+  (Pmem.Device.Program_prefix, fun k -> Oracle_bug k)
+  :: (if adr then [ (Pmem.Device.Adr, fun k -> Adr_oracle_bug k) ] else [])
+
+type recheck = {
+  r_events : Pmtrace.Event.t list;
+  r_static : Static.t;
+  r_lint : Lint.t;
+  r_harm : harm option;
+}
+
+type baseline = {
+  events : Pmtrace.Event.t list;
+  recheck : preserve:bool -> Pmtrace.Replay.edit list -> (recheck, string) result;
+  passes : unit -> int;
+}
+
+(* The baseline — one pass over the unmodified recording, its static and
+   lint keys and its final image — and the harm cascade both judges share:
+   rewrite, one pass over the rewritten trace (judging only the failure
+   points at or after the first edit: before it the rewritten trace is the
+   baseline's, event for event, so the deterministic oracle can only
+   repeat baseline keys there), the static and lint rechecks, and the
+   final image, reporting the first harm in that order. *)
+let baseline ?invariants ~support ~confidence ~eadr ~adr ~oracle ~points ?loaded noload =
+  let views = views ~adr in
+  let events = Pmtrace.Replay.events noload in
+  let loaded_events = match loaded with Some l -> Pmtrace.Replay.events l | None -> events in
+  let static =
+    Static.analyze ?invariants ~support ~confidence ~eadr [ (events, loaded_events) ]
+  in
+  let invariants = static.Static.invariants in
+  let structural = static_keys ~correctness_only:true static in
+  let missing = lint_keys ~only:Lint.Missing_flush (Lint.analyze ~eadr events) in
+  let bugs, image =
+    let base = pass ~views:(List.map fst views) ~points ~oracle noload in
+    (base.bugs, Pmem.Device.persisted_image base.device)
+  in
+  let passes = ref 1 in
+  let recheck ~preserve edits =
+    match Pmtrace.Replay.rewrite noload edits with
+    | exception Failure msg -> Error msg
+    | rewritten ->
+        let from =
+          List.fold_left (fun p ed -> min p (Pmtrace.Replay.edit_anchor ed)) max_int edits
+        in
+        let re = pass ~from ~views:(List.map fst views) ~points ~oracle rewritten in
+        incr passes;
+        let re_loaded =
+          match loaded with
+          | None -> re.normalized
+          | Some loaded ->
+              incr passes;
+              Pmtrace.Replay.normalize (Pmtrace.Replay.rewrite loaded edits)
+        in
+        let r_static =
+          Static.analyze ~invariants ~support ~confidence ~eadr [ (re.normalized, re_loaded) ]
+        in
+        let r_lint = Lint.analyze ~eadr re.normalized in
+        let fresh got had = Keys.elements (Keys.diff got had) |> List.filter attributable in
+        let r_harm =
+          match
+            List.find_map
+              (fun ((_, harm), (got, had)) ->
+                match fresh got had with k :: _ -> Some (harm k) | [] -> None)
+              (List.combine views (List.combine re.bugs bugs))
+          with
+          | Some _ as oracle_harm -> oracle_harm
+          | None -> (
+              match
+                ( fresh (static_keys ~correctness_only:true r_static) structural,
+                  fresh (lint_keys ~only:Lint.Missing_flush r_lint) missing )
+              with
+              | v :: _, _ -> Some (Structural_violation v)
+              | [], v :: _ -> Some (Stranded_window v)
+              | [], [] ->
+                  if preserve && not (Pmem.Device.persisted_equal re.device image) then
+                    Some Image_changed
+                  else None)
+        in
+        Ok { r_events = re.normalized; r_static; r_lint; r_harm }
+  in
+  { events; recheck; passes = (fun () -> !passes) }
+
+(* ------------------------------------------------------------------ *)
 (* Verification                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -269,20 +377,11 @@ let verify ?invariants ~support ~confidence ~eadr
     ~(points : Pmtrace.Event.t list -> (int * int * Pmtrace.Callstack.capture) list)
     ~(noload : Pmtrace.Replay.t) ~(loaded : Pmtrace.Replay.t) (candidates : candidate list) =
   Telemetry.Collector.span ~cat:"verify" "verify_fixes" @@ fun () ->
-  let replays = ref 0 in
-  let noload_events = Pmtrace.Replay.events noload in
-  let loaded_events = Pmtrace.Replay.events loaded in
   (* baseline: what the unmodified trace shows, under invariants mined once
      and reused for every recheck *)
-  let base_static =
-    Static.analyze ?invariants ~support ~confidence ~eadr [ (noload_events, loaded_events) ]
+  let base =
+    baseline ?invariants ~support ~confidence ~eadr ~adr:false ~oracle ~points ~loaded noload
   in
-  let invariants = base_static.Static.invariants in
-  let base_lint = Lint.analyze ~eadr noload_events in
-  let base_oracle, base_image = inject ~points ~oracle noload in
-  incr replays;
-  let base_structural = static_keys ~correctness_only:true base_static in
-  let base_missing = lint_keys ~only:Lint.Missing_flush base_lint in
   (* deterministic order, one verdict per distinct edit *)
   let candidates =
     List.stable_sort (fun a b -> Fix.compare a.c_fix b.c_fix) candidates
@@ -299,50 +398,27 @@ let verify ?invariants ~support ~confidence ~eadr
        capture ordinals are not — a load-traced frame counts its loads, so
        matching sites by capture against the loaded trace would hit
        different instructions *)
-    let edits = expand_fix c.c_fix noload_events in
-    match Pmtrace.Replay.rewrite noload edits with
-    | exception Failure msg -> { o_candidate = c; o_verdict = Ineffective; o_detail = msg }
-    | rewritten ->
-        let norm_noload = Pmtrace.Replay.normalize rewritten in
-        let norm_loaded =
-          Pmtrace.Replay.normalize (Pmtrace.Replay.rewrite loaded edits)
-        in
-        let re_static =
-          Static.analyze ~invariants ~support ~confidence ~eadr [ (norm_noload, norm_loaded) ]
-        in
-        let re_lint = Lint.analyze ~eadr norm_noload in
-        let re_oracle, re_image = inject ~points ~oracle rewritten in
-        replays := !replays + 3;
-        let fresh got base =
-          Keys.elements (Keys.diff got base) |> List.filter attributable
-        in
-        let new_oracle = fresh re_oracle base_oracle in
-        let new_structural =
-          fresh (static_keys ~correctness_only:true re_static) base_structural
-        in
-        let new_missing = fresh (lint_keys ~only:Lint.Missing_flush re_lint) base_missing in
-        let image_changed = is_delete c.c_fix && not (Pmem.Image.equal base_image re_image) in
-        let target_gone =
-          let keys =
-            match c.c_source with
-            | Static_finding -> static_keys ~correctness_only:false re_static
-            | Lint_finding -> lint_keys re_lint
+    let edits = expand_fix c.c_fix base.events in
+    let verdict, detail =
+      match base.recheck ~preserve:(is_delete c.c_fix) edits with
+      | Error msg -> (Ineffective, msg)
+      | Ok { r_harm = Some Image_changed; _ } ->
+          (Harmful, "deletion " ^ harm_to_string Image_changed)
+      | Ok { r_harm = Some harm; _ } -> (Harmful, harm_to_string harm)
+      | Ok { r_static; r_lint; r_harm = None; _ } ->
+          let target_gone =
+            let keys =
+              match c.c_source with
+              | Static_finding -> static_keys ~correctness_only:false r_static
+              | Lint_finding -> lint_keys r_lint
+            in
+            not (Keys.mem (candidate_key c) keys)
           in
-          not (Keys.mem (candidate_key c) keys)
-        in
-        let verdict, detail =
-          match (new_oracle, new_structural, new_missing, image_changed) with
-          | bug :: _, _, _, _ -> (Harmful, "introduces an oracle bug: " ^ bug)
-          | [], v :: _, _, _ -> (Harmful, "introduces a structural violation: " ^ v)
-          | [], [], v :: _, _ -> (Harmful, "strands a store window: " ^ v)
-          | [], [], [], true ->
-              (Harmful, "deletion changes the final persisted image")
-          | [], [], [], false ->
-              if target_gone then
-                (Proven, "targeted finding gone from the rewritten trace; no new findings")
-              else (Ineffective, "targeted finding still present in the rewritten trace")
-        in
-        { o_candidate = c; o_verdict = verdict; o_detail = detail }
+          if target_gone then
+            (Proven, "targeted finding gone from the rewritten trace; no new findings")
+          else (Ineffective, "targeted finding still present in the rewritten trace")
+    in
+    { o_candidate = c; o_verdict = verdict; o_detail = detail }
   in
   let outcomes = List.map judge candidates in
   let tally v = List.length (List.filter (fun o -> o.o_verdict = v) outcomes) in
@@ -350,7 +426,7 @@ let verify ?invariants ~support ~confidence ~eadr
   Telemetry.Collector.count "fix.proven" proven;
   Telemetry.Collector.count "fix.ineffective" ineffective;
   Telemetry.Collector.count "fix.harmful" harmful;
-  { outcomes; proven; ineffective; harmful; replays = !replays }
+  { outcomes; proven; ineffective; harmful; replays = base.passes () }
 
 let pp_outcome ppf o =
   Fmt.pf ppf "[%s] %s -> %s (%s)"

@@ -4,9 +4,11 @@
     upgrading advisory suggestions to machine-checked verdicts.
 
     Verification costs replays (trace interpretation), never target
-    re-executions. The oracle and failure-point enumerator are passed in as
-    closures so this module stays below the engine in the dependency
-    order. *)
+    re-executions: one per rewritten recording, in which the device that
+    normalizes the trace also hands the oracle zero-copy crash views
+    ({!Pmem.Device.crash_view}). The oracle and failure-point enumerator
+    are passed in as closures so this module stays below the engine in
+    the dependency order. *)
 
 type verdict =
   | Proven
@@ -43,7 +45,10 @@ type t = {
   proven : int;
   ineffective : int;
   harmful : int;
-  replays : int;  (** trace interpretations performed (injection + normalization) *)
+  replays : int;
+      (** trace interpretations performed: 1 for the baseline plus 2 per
+          candidate whose edits apply (its one verifier {!pass} and the
+          load-traced recording's normalization) — 1 + 2 × candidates *)
 }
 
 val edits_of_fix : Fix.t -> Pmtrace.Replay.edit list
@@ -68,7 +73,8 @@ val expand_fix : Fix.t -> Pmtrace.Event.t list -> Pmtrace.Replay.edit list
 
     The helpers below are the building blocks {!verify} is made of,
     exported so the optimizer ({!Opt}) judges its transformation plans
-    with the very same differential checks. *)
+    with the very same differential checks: one {!baseline}, then one
+    [recheck] per rewrite. *)
 
 module Keys : Set.S with type elt = string
 
@@ -84,18 +90,87 @@ val attributable : string -> bool
 val static_keys : correctness_only:bool -> Static.t -> Keys.t
 val lint_keys : ?only:Lint.kind -> Lint.t -> Keys.t
 
-val inject :
-  ?policy:Pmem.Device.crash_policy ->
+(** {2 The one-pass verifier} *)
+
+type pass = {
+  normalized : Pmtrace.Event.t list;
+      (** the recording's events with device-recomputed metadata
+          ({!Pmtrace.Replay.normalize}) *)
+  bugs : Keys.t list;  (** oracle-bug keys ("kind\@capture"), one set per view *)
+  device : Pmem.Device.t;  (** the replayed device after the last event *)
+}
+
+val pass :
+  ?from:int ->
+  views:Pmem.Device.crash_policy list ->
   points:(Pmtrace.Event.t list -> (int * int * Pmtrace.Callstack.capture) list) ->
   oracle:(Pmem.Image.t -> (string * string) option) ->
   Pmtrace.Replay.t ->
-  Keys.t * Pmem.Image.t
-(** Replay-based fault injection over every failure point of the given
-    recording: classify the crash image of each point under [policy]
-    ([Program_prefix] by default; the optimizer also runs the conservative
-    [Adr] view, under which only fenced data survives a crash — the view
-    that makes deleted or deferred persist instructions observable).
-    Returns the oracle-bug key set and the final fully-drained image. *)
+  pass
+(** [pass ?from ~views ~points ~oracle recording] drives one device once
+    over [recording] ({!Pmtrace.Replay.pass}). Every failure point
+    [points] enumerates on the recording whose pseq is at least [from]
+    (default 1: all of them) is judged exactly once, right before its
+    event applies, by calling [oracle] on {!Pmem.Device.crash_view} under
+    each of [views] in order. [oracle] receives a view it may write
+    through (a device {!Pmem.Device.adopt}ing it, say); the view is valid
+    only during the call. Nothing is snapshotted. *)
+
+type harm =
+  | Oracle_bug of string  (** a fresh oracle-bug key under the graceful view *)
+  | Adr_oracle_bug of string  (** a fresh oracle-bug key under the [Adr] view *)
+  | Structural_violation of string  (** a fresh correctness-grade static key *)
+  | Stranded_window of string  (** a fresh missing-flush lint key *)
+  | Image_changed  (** the final persisted image differs from the baseline's *)
+
+val harm_to_string : harm -> string
+(** The verdict detail for a harm, e.g. "changes the final persisted
+    image". *)
+
+type recheck = {
+  r_events : Pmtrace.Event.t list;  (** the rewritten load-free trace, normalized *)
+  r_static : Static.t;
+  r_lint : Lint.t;
+  r_harm : harm option;  (** the first harm, in {!harm} order *)
+}
+
+(** What rewrites are judged against, and the judge. *)
+type baseline = {
+  events : Pmtrace.Event.t list;  (** the load-free recording's events *)
+  recheck : preserve:bool -> Pmtrace.Replay.edit list -> (recheck, string) result;
+      (** The harm cascade of both judges: rewrite the load-free recording
+          (an edit that does not apply is [Error] with the rewrite's
+          message), one {!pass} over it, the static recheck (over the
+          rewritten load-traced recording, normalized by a second pass,
+          when the baseline has one), the lint recheck, and — when
+          [preserve] — the final persisted image compared in place with
+          the baseline's. Only failure points at or after the first edit's
+          anchor ({!Pmtrace.Replay.edit_anchor}) are judged: before it the
+          rewritten trace is the baseline's, event for event, so the
+          deterministic oracle could only repeat baseline keys there.
+          Fresh keys count only when {!attributable}. *)
+  passes : unit -> int;
+      (** Trace interpretations so far: 1 for the baseline plus, per
+          [recheck] whose rewrite applies, 1 (2 when the baseline has a
+          load-traced recording). *)
+}
+
+val baseline :
+  ?invariants:Invariants.t ->
+  support:int ->
+  confidence:float ->
+  eadr:bool ->
+  adr:bool ->
+  oracle:(Pmem.Image.t -> (string * string) option) ->
+  points:(Pmtrace.Event.t list -> (int * int * Pmtrace.Callstack.capture) list) ->
+  ?loaded:Pmtrace.Replay.t ->
+  Pmtrace.Replay.t ->
+  baseline
+(** [baseline ~adr ~oracle ~points ?loaded noload] — one {!pass} over the
+    load-free recording under the [Program_prefix] view (plus [Adr] when
+    [adr]), one persisted-image snapshot, and the static and lint
+    baselines. The static analyses pair [noload] with [loaded] when given,
+    else with itself. [invariants] are reused rather than mined. *)
 
 val is_delete : Fix.t -> bool
 (** Whether the fix promises behaviour preservation (deletions and every
@@ -114,7 +189,8 @@ val verify :
   candidate list ->
   t
 (** [verify ~oracle ~points ~noload ~loaded candidates] — [oracle]
-    classifies a crash image (Some (kind, detail) = bug); [points]
+    classifies a crash image (Some (kind, detail) = bug); the image is a
+    view it may write through, valid only during the call; [points]
     enumerates a trace's failure points as [(ordinal, pseq, capture)]
     triples; [noload]/[loaded] are replay recordings of the same
     deterministic workload without/with load tracing. Candidates are

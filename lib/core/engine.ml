@@ -123,9 +123,11 @@ let lint_kind_to_report : Analysis.Lint.kind -> Report.kind = function
 
 (* The verifier and the optimizer are parameterized over the oracle and
    failure-point enumerator so [Analysis] stays below the engine in the
-   dependency order; these closures plug the engine's own back in. *)
+   dependency order; these closures plug the engine's own back in. The
+   image is a crash view the oracle may write through for the duration of
+   the call, so recovery runs on it directly instead of on a copy. *)
 let image_oracle config (target : Target.t) img =
-  let device = Pmem.Device.of_image ~eadr:config.Config.eadr img in
+  let device = Pmem.Device.adopt ~eadr:config.Config.eadr img in
   match Oracle.classify target.Target.recover device with
   | Oracle.Consistent -> None
   | Oracle.Unrecoverable msg -> Some (Report.kind_to_string Report.Unrecoverable_state, msg)

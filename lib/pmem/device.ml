@@ -311,14 +311,17 @@ let volatile_view t =
   volatile_view_into t img;
   img
 
-let crash t ~policy =
+(* One crash-image constructor: a copy-on-write view of the persistent
+   image plus whatever [policy] adds on top, written into the view's
+   private pages so the device is never touched. [crash] snapshots it. *)
+let crash_view t ~policy =
   (* Under eADR the persistence domain covers the CPU caches: every store
      that became globally visible survives, whatever the policy asked. *)
   let policy = if t.eadr then Program_prefix else policy in
-  match policy with
-  | Adr -> Image.snapshot t.image
+  let img = Image.cow t.image in
+  (match policy with
+  | Adr -> ()
   | Adr_with_pending ->
-      let img = Image.snapshot t.image in
       List.iter
         (fun line ->
           match Hashtbl.find_opt t.pending line with
@@ -328,19 +331,21 @@ let crash t ~policy =
               if avail > 0 then
                 Image.blit_to img ~dst_addr:base ~src:content ~src_off:0 ~len:avail
           | None -> ())
-        (List.rev t.pending_order);
-      img
+        (List.rev t.pending_order)
   | Program_prefix ->
       (* Graceful crash: everything the program issued persists. The overlay
          holds the newest content of every touched line, and NT stores were
          merged into it, so overlaying the image with the cache suffices. *)
-      let img = Image.snapshot t.image in
       List.iter
         (fun (addr, b) ->
           Image.blit_to img ~dst_addr:addr ~src:b ~src_off:0 ~len:(Bytes.length b))
         (List.rev t.pending_nt);
-      volatile_view_into t img;
-      img
+      volatile_view_into t img);
+  img
+
+let crash t ~policy = Image.snapshot (crash_view t ~policy)
+
+let persisted_equal t img = Image.equal t.image img
 
 let line_versions t =
   let tbl = Hashtbl.create 32 in

@@ -131,13 +131,28 @@ val fetch_add : t -> addr:int -> int64 -> int64
 
 (** {1 Crash generation} *)
 
+val crash_view : t -> policy:crash_policy -> Image.t
+(** [crash_view t ~policy] is the persistent image a restart would observe
+    under [policy], as an {!Image.cow} view of the device's own bytes:
+    [Adr] adds nothing to the persisted image, [Adr_with_pending] writes the
+    pending flush captures into the view, [Program_prefix] the pending
+    non-temporal stores and every cached line. Under eADR every policy
+    means [Program_prefix]. Writes through the view (and through a device
+    {!adopt}ing it) land in its private pages, never in [t]. The view reads
+    through [t], so it is valid only until [t]'s next operation. *)
+
 val crash : t -> policy:crash_policy -> Image.t
-(** [crash t ~policy] is the persistent image a restart would observe under
-    [policy]. The device itself is left untouched. *)
+(** [crash t ~policy] is [Image.snapshot (crash_view t ~policy)]: an owned
+    copy, for callers that keep the image past the device's next
+    operation. The device itself is left untouched. *)
 
 val persisted_image : t -> Image.t
 (** Snapshot of the current persistent image (equivalent to
-    [crash ~policy:Adr]). *)
+    [crash ~policy:Adr] on a device without eADR). *)
+
+val persisted_equal : t -> Image.t -> bool
+(** [persisted_equal t img] is [Image.equal (persisted_image t) img]
+    without the snapshot. *)
 
 val volatile_view : t -> Image.t
 (** The program's own view of memory: persistent image overlaid with all

@@ -43,7 +43,11 @@ let unsafe_bytes t =
       t.repr <- Flat buf;
       buf
 
-let cow t = { size = t.size; repr = Cow { base = unsafe_bytes t; pages = Hashtbl.create 64 } }
+(* A view of a view reads through a private flat copy, so [t] itself is
+   never flattened: a device that adopted [t] keeps its pages. *)
+let cow t =
+  let base = match t.repr with Flat buf -> buf | Cow _ -> flatten_bytes t in
+  { size = t.size; repr = Cow { base; pages = Hashtbl.create 64 } }
 
 let cow_pages t =
   match t.repr with

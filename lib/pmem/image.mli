@@ -18,10 +18,11 @@ val snapshot : t -> t
 val cow : t -> t
 (** [cow t] is a copy-on-write view of [t]'s current contents: reads fall
     through to [t], writes materialize private 4 KiB pages, and [t] itself
-    is never mutated through the view. Creating the view copies nothing —
-    the caller must not mutate [t] while the view is live (the batched
-    materializer guarantees this by finishing each oracle run before
-    rolling the shared prefix image forward). *)
+    is never mutated through the view. Creating a view of a plain image
+    copies nothing — the caller must not mutate [t] while the view is live
+    (the batched materializer guarantees this by finishing each oracle run
+    before rolling the shared prefix image forward). A view of a view
+    reads through one private copy of [t]'s current contents. *)
 
 val cow_pages : t -> bytes * (int * bytes) list
 (** [cow_pages v] is what a {!cow} view is made of: the base buffer it

@@ -148,12 +148,12 @@ let apply t device (e : Event.t) =
       | Pmem.Op.Rmw -> Pmem.Device.rmw_fence device)
   | Pmem.Op.Load { addr; size } -> ignore (Pmem.Device.load device ~addr ~size)
 
-(* The single interpreter loop behind [replay], [materialize] and
-   [normalize]. [on_event] fires {e before} the event is applied — the hook
-   discipline of the live device, so a crash image captured there is the
-   state a fault at that instruction leaves behind. [pseq] is the
-   persistency index (1-based count of non-load events, the coordinate
-   system of the offline analyses). *)
+(* The single interpreter loop behind [replay] and [pass]. [on_event]
+   fires {e before} the event is applied — the hook discipline of the live
+   device, so a crash image captured there is the state a fault at that
+   instruction leaves behind. [pseq] is the persistency index (1-based
+   count of non-load events, the coordinate system of the offline
+   analyses). *)
 let run ?hook ?on_event ?after_event t =
   let device = Pmem.Device.create ~eadr:t.eadr ~size:t.pool_size () in
   Pmem.Device.trace_loads device t.loads;
@@ -472,8 +472,10 @@ let rewrite_events evs edits =
    device re-emits yields the same events with metadata recomputed —
    every driven event emits exactly one op, so the streams zip. On an
    unmodified recording this is the identity (the replay-lossless
-   property the tests assert). *)
-let normalize t =
+   property the tests assert). [on_event] rides the same interpretation,
+   so a verifier gets crash images and normalized events from one
+   replay. *)
+let pass ?on_event t =
   let out = ref [] in
   let current = ref None in
   let hook op = current := Some op in
@@ -484,8 +486,11 @@ let normalize t =
         out := { e with Event.op } :: !out
     | None -> Fmt.failwith "Replay.normalize: event #%d re-emitted nothing" e.Event.seq
   in
-  ignore (run ~hook ~after_event t);
-  List.rev !out
+  let device = run ~hook ?on_event ~after_event t in
+  Pmem.Device.set_hook device None;
+  (List.rev !out, device)
+
+let normalize t = fst (pass t)
 
 let normalize_events ?(loads = false) ?(eadr = false) ~pool_size evs =
   normalize (of_events ~loads ~eadr ~pool_size evs)

@@ -69,9 +69,11 @@ val replay : ?on_event:(Pmem.Device.t -> pseq:int -> Event.t -> unit) -> t -> Pm
 val materialize :
   t -> points:(int * int) list -> f:(key:int -> Pmem.Image.t -> unit) -> int list
 (** [materialize t ~points ~f] — the batched, prefix-incremental crash-image
-    materializer. [points] is a [(key, pseq)] list (keys and pseqs unique,
-    any order); one forward replay pass rolls a single device through the
-    recording, so the prefix two consecutive failure points share is
+    materializer for the [Program_prefix] view. [points] is a [(key, pseq)]
+    list (keys and pseqs unique, any order); one forward pass rolls a
+    single image through the recording, applying store payloads and
+    allocator poison only (under [Program_prefix] flushes, fences and loads
+    move no bytes), so the prefix two consecutive failure points share is
     applied once instead of rebuilt from scratch per point. Each wanted
     image is passed to [f] the moment its pseq is reached — before the
     event at that index applies, exactly where live injection crashes — and
@@ -116,6 +118,11 @@ type edit =
 
 val edit_to_string : edit -> string
 
+val edit_anchor : edit -> int
+(** The persistency index (original coordinates) an edit anchors at; for
+    {!Move_flush_to}, the moved flush's. Every event before the smallest
+    anchor of an edit list survives {!rewrite} unchanged. *)
+
 val rewrite : t -> edit list -> t
 (** Apply every edit, then renumber seqs consecutively from 1 (remapping
     payload keys and poison positions along), so the rewritten trace
@@ -138,6 +145,13 @@ val normalize : t -> Event.t list
     rewrite the recorded metadata is stale — a fence's [pending_flushes]
     still counts a deleted flush. On an unmodified recording this is the
     identity (the replay-lossless property the tests assert). *)
+
+val pass :
+  ?on_event:(Pmem.Device.t -> pseq:int -> Event.t -> unit) -> t -> Event.t list * Pmem.Device.t
+(** [pass ?on_event t] is {!replay} and {!normalize} in one interpretation
+    of the recording: [on_event] fires as in {!replay}, and the result is
+    the normalized events with the device after the last event (hook
+    removed). *)
 
 val normalize_events :
   ?loads:bool -> ?eadr:bool -> pool_size:int -> Event.t list -> Event.t list

@@ -8,6 +8,12 @@
      a synthetic trace covers it);
    - end-to-end optimize() on synthetic recordings: proven verdicts for
      safe rewrites, deterministic plan order;
+   - the one-pass verifier against the copying reference (full replay,
+     Device.crash snapshot at every failure point, oracle on a copy) on
+     the 15 clean targets, eADR off and on: equal fresh keys per view and
+     final-image verdicts, with the oracle run once per view at each
+     failure point from the first edit on — including the first edit's
+     own point and points followed by loads;
    - qcheck: Replay.rewrite edit composition — renumbering stays
      consecutive under overlapping move+delete sets, edit-list order is
      irrelevant, and rewritten traces survive arena serialization
@@ -273,12 +279,219 @@ let test_optimize_batch_and_tally () =
   in
   Alcotest.(check int) "proven" 1 o.Opt.proven;
   Alcotest.(check int) "verified = synthesized below the cap" o.Opt.synthesized o.Opt.verified;
-  (* two baseline injection passes plus three replays per verified plan *)
-  Alcotest.(check int) "replay accounting" (2 + (3 * o.Opt.verified)) o.Opt.replays;
+  (* one baseline pass plus one pass per verified plan *)
+  Alcotest.(check int) "replay accounting" (1 + o.Opt.verified) o.Opt.replays;
   let b = List.hd (Opt.shipped o) in
   Alcotest.(check int) "one fence removed" 1 b.Opt.b_measured_events;
   Alcotest.(check bool) "pure deletion: measured equals projected" true
     (b.Opt.b_measured_cycles = b.Opt.b_plan.Opt.p_projected_cycles)
+
+(* --- the one-pass verifier against the copying reference ------------ *)
+
+module VF = Analysis.Verify_fix
+
+let views = [ Pmem.Device.Program_prefix; Pmem.Device.Adr ]
+let points = Mumak.Fault_injection.offline_points Mumak.Config.default
+
+(* An oracle that flags an image by its content — one bit of a
+   multiplicative hash over the pool prefix the workload can have touched
+   — and then writes through the device it opened on the image, so a view
+   that leaked writes into the replaying device would shift later
+   verdicts. [open_] is how the oracle gets a device: adopting the view it
+   is handed, or copying it. *)
+let content_oracle ~open_ ~span calls img =
+  incr calls;
+  let dev = open_ img in
+  let bytes = Pmem.Device.peek dev ~addr:0 ~size:span in
+  let h = ref 0 in
+  for i = 0 to (span / 8) - 1 do
+    h := (!h * 0x100000001b3) lxor Int64.to_int (Bytes.get_int64_le bytes (i * 8))
+  done;
+  let h = !h land max_int in
+  let addr = (h lsr 8) mod (span - 8) in
+  Pmem.Device.store dev ~addr (Bytes.make 8 '\xab');
+  Pmem.Device.clflush dev ~addr;
+  if h land 1 = 1 then Some ("content", string_of_int h) else None
+
+(* The parent algorithm, kept as the reference: replay the whole trace,
+   snapshot the crash image of every failure point under each view with
+   Device.crash, judge each snapshot once through a copy, and snapshot the
+   final persisted image. *)
+let reference ~oracle recording =
+  let want = Hashtbl.create 64 in
+  List.iter
+    (fun (_, pseq, capture) -> Hashtbl.replace want pseq capture)
+    (points (Replay.events recording));
+  let keys = Array.make (List.length views) VF.Keys.empty in
+  let device =
+    Replay.replay recording ~on_event:(fun device ~pseq _ ->
+        match Hashtbl.find_opt want pseq with
+        | None -> ()
+        | Some capture ->
+            Hashtbl.remove want pseq;
+            List.iteri
+              (fun i policy ->
+                match oracle (Pmem.Device.crash device ~policy) with
+                | None -> ()
+                | Some (kind, _) ->
+                    let key = kind ^ "@" ^ Pmtrace.Callstack.capture_to_string capture in
+                    keys.(i) <- VF.Keys.add key keys.(i))
+              views)
+  in
+  (Array.to_list keys, Pmem.Device.persisted_image device)
+
+(* Per view, the keys of [got] that [had] lacks. *)
+let fresh got had = List.map2 (fun g h -> VF.Keys.elements (VF.Keys.diff g h)) got had
+
+let verifier_targets ~ops =
+  let workload = Targets.standard_workload ~ops ~key_range:20 () in
+  List.map
+    (fun (module A : Pmapps.Kv_intf.S) ->
+      let version =
+        if String.equal A.name "hashmap_atomic" then Pmalloc.Version.V1_6
+        else Pmalloc.Version.V1_12
+      in
+      (A.name, Targets.of_app (module A) ~version ~workload ()))
+    Pmapps.Registry.apps
+  @ [
+      ("montage.hashtable", Targets.of_montage ~variant:`Buffered ~workload ());
+      ("montage.lf_hashtable", Targets.of_montage ~variant:`Lockfree ~workload ());
+      ("pmemkv.cmap", Targets.of_pmemkv ~engine:Kvstores.Pmemkv.Cmap ~workload ());
+      ("pmemkv.stree", Targets.of_pmemkv ~engine:Kvstores.Pmemkv.Stree ~workload ());
+      ("redis", Targets.of_redis ~workload ());
+      ("rocksdb", Targets.of_rocksdb ~workload ());
+    ]
+
+let test_verifier_differential () =
+  let targets = verifier_targets ~ops:20 in
+  Alcotest.(check int) "15 clean targets" 15 (List.length targets);
+  let judged = ref 0 in
+  List.iter
+    (fun (name, (target : Mumak.Target.t)) ->
+      List.iter
+        (fun eadr ->
+          let noload =
+            Replay.record ~eadr ~pool_size:target.Mumak.Target.pool_size
+              (fun ~device ~framer -> target.Mumak.Target.run ~device ~framer)
+          in
+          let span =
+            min target.Mumak.Target.pool_size
+              ((Replay.stats noload).Pmem.Stats.high_water_mark + 4096)
+          in
+          let calls = ref 0 in
+          let adopted = content_oracle ~open_:(Pmem.Device.adopt ~eadr) ~span calls in
+          let copied = content_oracle ~open_:(Pmem.Device.of_image ~eadr) ~span (ref 0) in
+          let base = VF.pass ~views ~points ~oracle:adopted noload in
+          let base_image = Pmem.Device.persisted_image base.VF.device in
+          let ref_base, ref_image = reference ~oracle:copied noload in
+          let label what = Printf.sprintf "%s eadr=%b: %s" name eadr what in
+          Alcotest.(check (list (list string))) (label "baseline keys")
+            (List.map VF.Keys.elements ref_base)
+            (List.map VF.Keys.elements base.VF.bugs);
+          let plans =
+            Opt.synthesize ~weights:Cost.static_weights (Replay.events noload)
+            |> List.filteri (fun i _ -> i < 4)
+          in
+          List.iter
+            (fun (plan : Opt.plan) ->
+              match Replay.rewrite noload plan.Opt.p_edits with
+              | exception Failure _ -> ()
+              | rewritten ->
+                  incr judged;
+                  let from =
+                    List.fold_left
+                      (fun p ed -> min p (Replay.edit_anchor ed))
+                      max_int plan.Opt.p_edits
+                  in
+                  calls := 0;
+                  let re = VF.pass ~from ~views ~points ~oracle:adopted rewritten in
+                  let ref_keys, ref_final = reference ~oracle:copied rewritten in
+                  let what =
+                    label (plan.Opt.p_rule ^ " " ^ Analysis.Fix.anchor_to_string plan.Opt.p_fix)
+                  in
+                  Alcotest.(check (list (list string))) (what ^ ": fresh keys per view")
+                    (fresh ref_keys ref_base) (fresh re.VF.bugs base.VF.bugs);
+                  Alcotest.(check bool) (what ^ ": final image verdict")
+                    (Pmem.Image.equal ref_final ref_image)
+                    (Pmem.Device.persisted_equal re.VF.device base_image);
+                  let from_p =
+                    List.length
+                      (List.filter
+                         (fun (_, pseq, _) -> pseq >= from)
+                         (points (Replay.events rewritten)))
+                  in
+                  Alcotest.(check int) (what ^ ": oracle calls")
+                    (from_p * List.length views) !calls)
+            plans)
+        [ false; true ])
+    targets;
+  Alcotest.(check bool) "some rewrites judged" true (!judged > 0)
+
+(* Deleting the first of two fences makes the second one a failure point
+   at the deleted fence's own index: the first edit's anchor is judged
+   too, not only what follows it. *)
+let test_verifier_judges_first_edit () =
+  let f1 = cap [ "main"; "commit" ] 4 and f2 = cap [ "main"; "commit" ] 9 in
+  let noload =
+    Replay.of_events ~pool_size
+      (mk_events
+         [ store ~stack:(cap [ "main" ] 1) 0 8; fence ~stack:f1 (); fence ~stack:f2 () ])
+  in
+  let edits = [ Replay.Delete_fence_at { pseq = 2 } ] in
+  let calls = ref 0 in
+  let flag _ =
+    incr calls;
+    Some ("flagged", "")
+  in
+  let base = VF.pass ~views ~points ~oracle:flag noload in
+  calls := 0;
+  let re = VF.pass ~from:2 ~views ~points ~oracle:flag (Replay.rewrite noload edits) in
+  let key = "flagged@" ^ Pmtrace.Callstack.capture_to_string f2 in
+  Alcotest.(check (list (list string))) "the promoted fence is judged" [ [ key ]; [ key ] ]
+    (fresh re.VF.bugs base.VF.bugs);
+  Alcotest.(check int) "once per view" 2 !calls
+
+(* A load that follows a failure point shares its pseq; the verifier must
+   still judge the point once, before its own event, and never again on a
+   later image. *)
+let test_verifier_judges_each_point_once () =
+  let workload = Targets.standard_workload ~ops:30 ~key_range:20 () in
+  let target = Targets.of_app (module Pmapps.Btree) ~workload () in
+  let loaded =
+    Replay.record ~loads:true ~pool_size:target.Mumak.Target.pool_size
+      (fun ~device ~framer -> target.Mumak.Target.run ~device ~framer)
+  in
+  let store_level =
+    Mumak.Fault_injection.offline_points
+      { Mumak.Config.default with Mumak.Config.granularity = Mumak.Config.Store_level }
+  in
+  let events = Replay.events loaded in
+  let pts = store_level events in
+  let at = Hashtbl.create 64 in
+  List.iter (fun (_, pseq, _) -> Hashtbl.replace at pseq ()) pts;
+  (* the recording has the shape that re-judged points: a failure point's
+     event directly followed by a load *)
+  let rec followed_by_load pseq = function
+    | (a : Pmtrace.Event.t) :: ((b : Pmtrace.Event.t) :: _ as rest) ->
+        let pseq =
+          match a.Pmtrace.Event.op with Pmem.Op.Load _ -> pseq | _ -> pseq + 1
+        in
+        (match (a.Pmtrace.Event.op, b.Pmtrace.Event.op) with
+        | Pmem.Op.Load _, _ -> false
+        | _, Pmem.Op.Load _ -> Hashtbl.mem at pseq
+        | _ -> false)
+        || followed_by_load pseq rest
+    | _ -> false
+  in
+  Alcotest.(check bool) "a failure point is followed by a load" true (followed_by_load 0 events);
+  let calls = ref 0 in
+  ignore
+    (VF.pass ~views:[ Pmem.Device.Program_prefix ] ~points:store_level
+       ~oracle:(fun _ ->
+         incr calls;
+         None)
+       loaded);
+  Alcotest.(check int) "one oracle call per failure point" (List.length pts) !calls
 
 (* --- qcheck: rewrite edit composition ------------------------------- *)
 
@@ -457,6 +670,10 @@ let () =
           Alcotest.test_case "proves safe plans" `Quick test_optimize_proves_safe_plans;
           Alcotest.test_case "batch verdict + replay tally" `Quick
             test_optimize_batch_and_tally;
+          Alcotest.test_case "one pass = copying reference" `Slow test_verifier_differential;
+          Alcotest.test_case "each point judged once" `Quick
+            test_verifier_judges_each_point_once;
+          Alcotest.test_case "first edit's point judged" `Quick test_verifier_judges_first_edit;
         ] );
       ( "rewrite-qcheck",
         [
