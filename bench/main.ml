@@ -109,12 +109,13 @@ let write_bench ~experiment ~target ~config ~rows ~signature =
 
 let phase_metrics (r : Mumak.Engine.result) =
   Telemetry.Json.Assoc
-    [
-      ("total", Mumak.Metrics.to_json r.Mumak.Engine.metrics);
-      ("fault_injection", Mumak.Metrics.to_json r.Mumak.Engine.fi_metrics);
-      ("trace_analysis", Mumak.Metrics.to_json r.Mumak.Engine.ta_metrics);
-      ("static_analysis", Mumak.Metrics.to_json r.Mumak.Engine.sa_metrics);
-    ]
+    (("total", Mumak.Metrics.to_json r.Mumak.Engine.metrics)
+    :: List.map
+         (fun (phase, m) -> (Mumak.Report.phase_to_string phase, Mumak.Metrics.to_json m))
+         r.Mumak.Engine.phase_metrics)
+
+(* One phase's measurement; raises [Not_found] if the phase did not run. *)
+let phase_metric (r : Mumak.Engine.result) phase = List.assoc phase r.Mumak.Engine.phase_metrics
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: taxonomy coverage matrix                                   *)
@@ -629,7 +630,7 @@ let scaling () =
             { Mumak.Config.faithful with Mumak.Config.jobs; resolve_stacks = false }
           in
           let r = Mumak.Engine.analyze ~config target in
-          let t = r.Mumak.Engine.fi_metrics.Mumak.Metrics.wall_seconds in
+          let t = (phase_metric r Mumak.Report.Fault_injection).Mumak.Metrics.wall_seconds in
           if jobs = 1 then begin
             base := t;
             signature := Mumak.Report.signature r.Mumak.Engine.report
@@ -1038,7 +1039,7 @@ let optimize_bench () =
     let meas_ev = sum (fun b -> b.Analysis.Opt.b_measured_events) in
     let proj_cyc = sum (fun b -> b.Analysis.Opt.b_plan.Analysis.Opt.p_projected_cycles) in
     let meas_cyc = sum (fun b -> b.Analysis.Opt.b_measured_cycles) in
-    let t_opt = r.Mumak.Engine.opt_metrics.Mumak.Metrics.wall_seconds in
+    let t_opt = (phase_metric r Mumak.Report.Optimize).Mumak.Metrics.wall_seconds in
     let name =
       target.Mumak.Target.name ^ if fit_cost then " (fitted)" else ""
     in

@@ -96,7 +96,7 @@ let run name ops key_range seed version_str grouped strategy_str bugs no_warning
       Fmt.pr "%a@." Mumak.Engine.pp_result result;
       (match result.Mumak.Engine.static with
       | Some s ->
-          Fmt.pr "static analysis: %d raw findings over %d recordings@."
+          Fmt.pr "static analysis: %d raw findings, invariants pooled over %d run(s)@."
             (List.length s.Analysis.Static.findings)
             s.Analysis.Static.runs
       | None -> ());

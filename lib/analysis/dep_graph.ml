@@ -109,8 +109,6 @@ type window = {
 let ring_max = 16
 
 type builder = {
-  loc_fn : int -> string option;
-      (* stable store-location resolver, keyed by persistency index *)
   mutable pseq : int;
   mutable epoch : int;
   mutable next_id : int;
@@ -128,9 +126,8 @@ type builder = {
   mutable events : int;
 }
 
-let create_builder loc_fn =
+let create_builder () =
   {
-    loc_fn;
     pseq = 0;
     epoch = 0;
     next_id = 0;
@@ -187,13 +184,9 @@ let add_store b (event : Pmtrace.Event.t) line =
   w.w_last_store <- seq;
   w.w_last_store_p <- b.pseq;
   w.w_count <- w.w_count + 1;
-  (match b.loc_fn b.pseq with
+  (match loc_of event with
   | Some l when not (List.mem l w.w_locs) -> w.w_locs <- l :: w.w_locs
-  | None -> (
-      match loc_of event with
-      | Some l when not (List.mem l w.w_locs) -> w.w_locs <- l :: w.w_locs
-      | _ -> ())
-  | Some _ -> ());
+  | _ -> ());
   (* read-after-persist dependencies: recently loaded persisted lines feed
      this window's new content *)
   List.iter
@@ -344,14 +337,12 @@ let finish b =
     events = b.events;
   }
 
-(** [build ?loc_of_pseq events] folds a recorded trace (execution order)
-    into a graph. [loc_of_pseq] resolves a store's persistency index to a
-    stable location string (a capture from a load-free recording of the
-    same workload); without it, store locations fall back to the events'
-    own stacks, whose [op_index] values shift with data-dependent load
-    counts when the recording traced loads. *)
-let build ?(loc_of_pseq = fun _ -> None) events =
-  let b = create_builder loc_of_pseq in
+(** [build events] folds a recorded trace (execution order) into a graph.
+    Store locations are the stores' own stack captures, whose ordinals do
+    not count loads, so they are stable across dynamic instances whether
+    or not the recording traced loads. *)
+let build events =
+  let b = create_builder () in
   List.iter (feed b) events;
   finish b
 

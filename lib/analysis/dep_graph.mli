@@ -12,7 +12,9 @@
     position counting only non-load events, which equals the instruction
     counter of a load-free execution of the same deterministic workload —
     directly comparable with trace-analysis seqs and failure-point first
-    occurrences. *)
+    occurrences. Store locations are the stores' stack captures, whose
+    ordinals skip loads ({!Pmtrace.Callstack.capture}): one load-traced
+    recording yields the same locations a load-free one would. *)
 
 type node = {
   id : int;  (** creation order: nondecreasing in (epoch, fence) *)
@@ -77,13 +79,11 @@ type t = {
   events : int;
 }
 
-val build : ?loc_of_pseq:(int -> string option) -> Pmtrace.Event.t list -> t
+val build : Pmtrace.Event.t list -> t
 (** [build events] folds a recorded trace (execution order) into a graph.
     Traces recorded with load tracing enabled yield dependency edges and
-    chases; load-free traces yield the persist lineage only. [loc_of_pseq]
-    resolves a store's persistency index to a stable location string (a
-    capture from a load-free recording of the same workload); without it,
-    store locations fall back to the events' own stacks. *)
+    chases; load-free traces yield the persist lineage only. Store
+    locations are the stores' own stack captures. *)
 
 val node : t -> int -> node
 

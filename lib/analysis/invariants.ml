@@ -1,8 +1,8 @@
 (** Likely-invariant inference over persistency dependency graphs
     (Witcher-style, see PAPERS.md): correctness conditions are not declared
     by the programmer but {e mined} from how the program usually behaves
-    across (repeated) executions, then the minority of instances that break
-    an accepted invariant become findings.
+    across the dynamic instances of the pooled graphs, then the minority
+    of instances that break an accepted invariant become findings.
 
     Three families are mined:
     - {e ordering invariants from pointer chases} ("the pointee must

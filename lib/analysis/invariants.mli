@@ -1,6 +1,8 @@
 (** Likely-invariant inference over persistency dependency graphs
     (Witcher-style): ordering and atomicity conditions mined from how the
-    program usually behaves, gated by support/confidence thresholds. *)
+    program usually behaves, gated by support/confidence thresholds. The
+    graphs come from one load-traced recording; the static analyzer pools
+    its graph once per configured run. *)
 
 type ordering_stat = {
   o_src_path : string;  (** frame path of the pointer load *)
@@ -46,10 +48,9 @@ val mine :
   (Dep_graph.t * (Dep_graph.node -> string list)) list ->
   t
 (** [mine ~support ~confidence graphs] pools instances across the given
-    runs. Each graph comes with a resolver mapping a persist node to its
-    stable store locations (captures from a load-free recording — the
-    load-traced run's own [op_index] values shift with data-dependent load
-    counts and would not be comparable across dynamic instances).
+    graphs. Each graph comes with a resolver mapping a persist node to its
+    stable store locations (the stores' captures, whose ordinals skip
+    loads, so they compare across dynamic instances).
     [support] is the minimum pooled instance count for any candidate;
     [confidence] additionally gates the atomicity family (ordering
     candidates keep their measured confidence, since a deterministic bug

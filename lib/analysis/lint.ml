@@ -1,5 +1,5 @@
 (** Epoch-based persistency anti-pattern detectors (the Bentō catalogue, see
-    PAPERS.md): a single pass over one load-free recorded trace flags
+    PAPERS.md): a single pass over one recorded trace (loads skipped) flags
     persistency instructions that do no useful work — and fences that arrive
     with work left undone — each with a frame + ordinal location, a concrete
     {!Fix.t}, and the estimated cost of leaving it in place.

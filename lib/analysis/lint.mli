@@ -1,5 +1,5 @@
 (** Epoch-based persistency anti-pattern detectors: one pass over a
-    load-free recorded trace flags persistency instructions that do no
+    recorded trace (loads skipped) flags persistency instructions that do no
     useful work — and fences that arrive with work left undone — each with
     a frame + ordinal location, a concrete {!Fix.t}, and an estimated
     cycles/events saving.

@@ -574,10 +574,9 @@ let optimize ?invariants ?absint ~weights ~support ~confidence ~eadr
     (noload : Pmtrace.Replay.t) =
   Telemetry.Collector.span ~cat:"optimize" "optimize" @@ fun () ->
   let module VF = Verify_fix in
-  (* The baseline, computed once under both crash views. The static
-     recheck runs over the load-free pair (the optimize phase never has a
-     load-traced recording — it must not cost an execution), so the
-     baseline uses the same pairing for the diff to be meaningful. *)
+  (* The baseline, computed once under both crash views, over the same
+     recording every recheck rewrites (the engine hands the optimizer its
+     load-free view), so the diff is meaningful. *)
   let base =
     VF.baseline ?invariants ~support ~confidence ~eadr ~adr:true ~oracle ~points noload
   in

@@ -1,16 +1,18 @@
-(** The offline static analyzer: whole-trace analysis over recorded
-    executions, run after tracing and before (or instead of) fault
+(** The offline static analyzer: whole-trace analysis over one recorded
+    execution, run after tracing and before (or instead of) fault
     injection.
 
-    Each run of the workload is recorded twice: once load-free with stacks
-    (exact frame + ordinal anchors, in the same seq coordinates as the
-    rest of the pipeline) and once with load tracing (dependency edges and
-    pointer chases, whose seqs are normalized back to persistency-index
-    coordinates). The dependency graphs of all runs feed the likely-
-    invariant miner; the subject graph (run 0) is then scanned for
-    instances that break an accepted invariant, for store windows that
-    never reached durability, and for persistency instructions that do no
-    work — each finding carrying a concrete {!Fix.t} when one exists. *)
+    The recording traces loads (dependency edges and pointer chases need
+    them) and carries a stack on every event; a store, flush or fence has
+    the stack ordinal a load-free recording would give it, so findings
+    anchor at exact frame + ordinal sites in the persistency-index
+    coordinates of the rest of the pipeline. The recording's dependency
+    graph feeds the likely-invariant miner, pooled once per configured run
+    (the target is deterministic, so repeated recordings would be equal);
+    the graph is then scanned for instances that break an accepted
+    invariant, for store windows that never reached durability, and for
+    persistency instructions that do no work — each finding carrying a
+    concrete {!Fix.t} when one exists. *)
 
 type kind =
   | Durability  (** correctness: a store window never reached durability *)
@@ -45,24 +47,10 @@ type finding = {
 type t = {
   findings : finding list;
   invariants : Invariants.t;
-  graph : Dep_graph.t;  (** the subject run's graph *)
-  runs : int;
-  events : int;  (** total events folded into graphs across recordings *)
+  graph : Dep_graph.t;  (** the recording's dependency graph *)
+  runs : int;  (** times the graph was pooled for invariant mining *)
+  events : int;  (** events folded into the graph, times [runs] *)
 }
-
-(* Index a load-free recorded trace: seq -> stack capture. *)
-let index_stacks events =
-  let tbl = Hashtbl.create 4096 in
-  List.iter
-    (fun (e : Pmtrace.Event.t) ->
-      match e.Pmtrace.Event.stack with
-      | Some c -> Hashtbl.replace tbl e.Pmtrace.Event.seq c
-      | None -> ())
-    events;
-  tbl
-
-let capture_str tbl p =
-  Option.map Pmtrace.Callstack.capture_to_string (Hashtbl.find_opt tbl p)
 
 let kind_rank = function
   | Durability -> 0
@@ -72,33 +60,32 @@ let kind_rank = function
   | Redundant_flush -> 4
   | Redundant_fence -> 5
 
-(** [analyze ~support ~confidence ~eadr runs] — each run is
-    [(load_free_events, load_traced_events)] of one recorded execution of
-    the same deterministic workload. [invariants] skips the mining and
-    scans against the given invariant set instead — how the fix verifier
-    re-checks a rewritten trace under the {e baseline} invariants. *)
-let analyze ?invariants ~support ~confidence ~eadr
-    (runs : (Pmtrace.Event.t list * Pmtrace.Event.t list) list) =
+(** [analyze ~runs ~support ~confidence ~eadr events] over one recorded
+    execution. [invariants] skips the mining and scans against the given
+    invariant set instead — how the fix verifier re-checks a rewritten
+    trace under the {e baseline} invariants. *)
+let analyze ?invariants ?(runs = 1) ~support ~confidence ~eadr (events : Pmtrace.Event.t list) =
   Telemetry.Collector.span ~cat:"static" "analyze" @@ fun () ->
-  assert (runs <> []);
-  let stacks = List.map (fun (noload, _) -> index_stacks noload) runs in
-  let graphs =
-    List.map2
-      (fun (_, loaded) tbl -> Dep_graph.build ~loc_of_pseq:(capture_str tbl) loaded)
-      runs stacks
-  in
+  let runs = max 1 runs in
+  let g = Dep_graph.build events in
   let invariants =
     match invariants with
     | Some i -> i
     | None ->
-        let with_locs =
-          List.map (fun g -> (g, fun (n : Dep_graph.node) -> n.Dep_graph.locs)) graphs
-        in
-        Invariants.mine ~support ~confidence with_locs
+        Invariants.mine ~support ~confidence
+          (List.init runs (fun _ -> (g, fun (n : Dep_graph.node) -> n.Dep_graph.locs)))
   in
-  let g = List.hd graphs in
-  let stack_tbl = List.hd stacks in
-  let stack_of p = Hashtbl.find_opt stack_tbl p in
+  (* the stack of each persistency index: the p-th non-load event's *)
+  let stacks =
+    Array.of_list
+      (List.filter_map
+         (fun (e : Pmtrace.Event.t) ->
+           match e.Pmtrace.Event.op with
+           | Pmem.Op.Load _ -> None
+           | _ -> Some e.Pmtrace.Event.stack)
+         events)
+  in
+  let stack_of p = if p >= 1 && p <= Array.length stacks then stacks.(p - 1) else None in
   let findings = ref [] in
   let add ?fix ?ident kind seq detail =
     findings := { kind; seq; stack = stack_of seq; detail; fix; ident } :: !findings
@@ -326,13 +313,7 @@ let analyze ?invariants ~support ~confidence ~eadr
         Stdlib.compare (a.seq, kind_rank a.kind, a.detail) (b.seq, kind_rank b.kind, b.detail))
       !findings
   in
-  {
-    findings;
-    invariants;
-    graph = g;
-    runs = List.length runs;
-    events = List.fold_left (fun acc gr -> acc + gr.Dep_graph.events) 0 graphs;
-  }
+  { findings; invariants; graph = g; runs; events = runs * g.Dep_graph.events }
 
 let pp_finding ppf f =
   Fmt.pf ppf "[SA] %s: %s%s" (kind_to_string f.kind) f.detail

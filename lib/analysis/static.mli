@@ -1,6 +1,10 @@
-(** The offline static analyzer: builds persistency dependency graphs from
-    recorded executions, mines likely invariants, and emits findings with
-    concrete fix suggestions. *)
+(** The offline static analyzer: builds the persistency dependency graph
+    of one load-traced recording, mines likely invariants from it, and
+    emits findings with concrete fix suggestions. Stores, flushes and
+    fences carry the stack ordinals a load-free recording would give them
+    ({!Pmtrace.Callstack.capture}), so findings anchor at the same
+    frame + ordinal sites and persistency indices as the rest of the
+    pipeline without a second recording. *)
 
 type kind =
   | Durability  (** correctness: a store window never reached durability *)
@@ -28,9 +32,9 @@ type finding = {
 type t = {
   findings : finding list;
   invariants : Invariants.t;
-  graph : Dep_graph.t;  (** the subject run's graph *)
-  runs : int;
-  events : int;  (** total events folded into graphs across recordings *)
+  graph : Dep_graph.t;  (** the recording's dependency graph *)
+  runs : int;  (** times the graph was pooled for invariant mining *)
+  events : int;  (** events folded into the graph, times [runs] *)
 }
 
 val kind_rank : kind -> int
@@ -38,21 +42,22 @@ val kind_rank : kind -> int
 
 val analyze :
   ?invariants:Invariants.t ->
+  ?runs:int ->
   support:int ->
   confidence:float ->
   eadr:bool ->
-  (Pmtrace.Event.t list * Pmtrace.Event.t list) list ->
+  Pmtrace.Event.t list ->
   t
-(** [analyze ~support ~confidence ~eadr runs] — each run is
-    [(load_free_events, load_traced_events)] of one recorded execution of
-    the same deterministic workload: the load-free recording (with stacks)
-    provides exact frame + ordinal anchors in pipeline seq coordinates;
-    the load-traced recording provides dependency edges and pointer
-    chases. Under [eadr] the durability family is suppressed (globally
-    visible stores are durable, paper section 4.3). Findings are sorted by
-    (anchor, kind, detail). [invariants] skips the mining and scans
-    against the given set — how the fix verifier re-checks a rewritten
-    trace under the baseline invariants. *)
+(** [analyze ~runs ~support ~confidence ~eadr events] — [events] is one
+    recorded execution with a stack on every event; with load tracing it
+    yields dependency edges and pointer chases too. The invariant miner
+    pools the recording's graph [runs] times (default 1): the target is
+    deterministic, so [runs] recordings would give equal graphs. Under
+    [eadr] the durability family is suppressed (globally visible stores
+    are durable, paper section 4.3). Findings are sorted by (anchor, kind,
+    detail). [invariants] skips the mining and scans against the given
+    set — how the fix verifier re-checks a rewritten trace under the
+    baseline invariants. *)
 
 val pp_finding : finding Fmt.t
 val pp : t Fmt.t

@@ -15,7 +15,9 @@
     Everything here is offline: verification costs replays (trace
     interpretation), never target re-executions — one per rewritten
     recording, whose device both re-derives the trace's metadata and hands
-    the oracle copy-on-write crash views at each failure point. The oracle
+    the oracle copy-on-write crash views at each failure point. One
+    recording serves every check: the static recheck reads its loads, the
+    others skip them. The oracle
     and failure-point enumerators are passed in as closures so this module
     stays below the engine in the dependency order. *)
 
@@ -45,7 +47,7 @@ type t = {
   proven : int;
   ineffective : int;
   harmful : int;
-  replays : int;  (** trace interpretations performed (injection + normalization) *)
+  replays : int;  (** trace interpretations performed: 1 + candidates *)
 }
 
 (* Finding identity across a rewrite: kind + code path. Stacks survive
@@ -307,24 +309,22 @@ type baseline = {
    points at or after the first edit: before it the rewritten trace is the
    baseline's, event for event, so the deterministic oracle can only
    repeat baseline keys there), the static and lint rechecks, and the
-   final image, reporting the first harm in that order. *)
-let baseline ?invariants ~support ~confidence ~eadr ~adr ~oracle ~points ?loaded noload =
+   final image, reporting the first harm in that order. Every check but
+   the static one skips the loads of a load-traced recording. *)
+let baseline ?invariants ~support ~confidence ~eadr ~adr ~oracle ~points recording =
   let views = views ~adr in
-  let events = Pmtrace.Replay.events noload in
-  let loaded_events = match loaded with Some l -> Pmtrace.Replay.events l | None -> events in
-  let static =
-    Static.analyze ?invariants ~support ~confidence ~eadr [ (events, loaded_events) ]
-  in
+  let events = Pmtrace.Replay.events recording in
+  let static = Static.analyze ?invariants ~support ~confidence ~eadr events in
   let invariants = static.Static.invariants in
   let structural = static_keys ~correctness_only:true static in
   let missing = lint_keys ~only:Lint.Missing_flush (Lint.analyze ~eadr events) in
   let bugs, image =
-    let base = pass ~views:(List.map fst views) ~points ~oracle noload in
+    let base = pass ~views:(List.map fst views) ~points ~oracle recording in
     (base.bugs, Pmem.Device.persisted_image base.device)
   in
   let passes = ref 1 in
   let recheck ~preserve edits =
-    match Pmtrace.Replay.rewrite noload edits with
+    match Pmtrace.Replay.rewrite recording edits with
     | exception Failure msg -> Error msg
     | rewritten ->
         let from =
@@ -332,16 +332,7 @@ let baseline ?invariants ~support ~confidence ~eadr ~adr ~oracle ~points ?loaded
         in
         let re = pass ~from ~views:(List.map fst views) ~points ~oracle rewritten in
         incr passes;
-        let re_loaded =
-          match loaded with
-          | None -> re.normalized
-          | Some loaded ->
-              incr passes;
-              Pmtrace.Replay.normalize (Pmtrace.Replay.rewrite loaded edits)
-        in
-        let r_static =
-          Static.analyze ~invariants ~support ~confidence ~eadr [ (re.normalized, re_loaded) ]
-        in
+        let r_static = Static.analyze ~invariants ~support ~confidence ~eadr re.normalized in
         let r_lint = Lint.analyze ~eadr re.normalized in
         let fresh got had = Keys.elements (Keys.diff got had) |> List.filter attributable in
         let r_harm =
@@ -375,12 +366,12 @@ let baseline ?invariants ~support ~confidence ~eadr ~adr ~oracle ~points ?loaded
 let verify ?invariants ~support ~confidence ~eadr
     ~(oracle : Pmem.Image.t -> (string * string) option)
     ~(points : Pmtrace.Event.t list -> (int * int * Pmtrace.Callstack.capture) list)
-    ~(noload : Pmtrace.Replay.t) ~(loaded : Pmtrace.Replay.t) (candidates : candidate list) =
+    (recording : Pmtrace.Replay.t) (candidates : candidate list) =
   Telemetry.Collector.span ~cat:"verify" "verify_fixes" @@ fun () ->
   (* baseline: what the unmodified trace shows, under invariants mined once
      and reused for every recheck *)
   let base =
-    baseline ?invariants ~support ~confidence ~eadr ~adr:false ~oracle ~points ~loaded noload
+    baseline ?invariants ~support ~confidence ~eadr ~adr:false ~oracle ~points recording
   in
   (* deterministic order, one verdict per distinct edit *)
   let candidates =
@@ -393,11 +384,6 @@ let verify ?invariants ~support ~confidence ~eadr
     |> snd |> List.rev
   in
   let judge c =
-    (* one edit list, computed in noload coordinates and applied to both
-       recordings: the persistency index is shared (it skips loads), while
-       capture ordinals are not — a load-traced frame counts its loads, so
-       matching sites by capture against the loaded trace would hit
-       different instructions *)
     let edits = expand_fix c.c_fix base.events in
     let verdict, detail =
       match base.recheck ~preserve:(is_delete c.c_fix) edits with

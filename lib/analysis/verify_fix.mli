@@ -6,9 +6,13 @@
     Verification costs replays (trace interpretation), never target
     re-executions: one per rewritten recording, in which the device that
     normalizes the trace also hands the oracle zero-copy crash views
-    ({!Pmem.Device.crash_view}). The oracle and failure-point enumerator
-    are passed in as closures so this module stays below the engine in
-    the dependency order. *)
+    ({!Pmem.Device.crash_view}). One recording serves every check: the
+    static recheck reads its loads when it traced them, and the oracle,
+    lint and image checks skip them — stores, flushes and fences carry
+    the same stacks and persistency indices either way
+    ({!Pmtrace.Callstack.capture}). The oracle and failure-point
+    enumerator are passed in as closures so this module stays below the
+    engine in the dependency order. *)
 
 type verdict =
   | Proven
@@ -46,9 +50,9 @@ type t = {
   ineffective : int;
   harmful : int;
   replays : int;
-      (** trace interpretations performed: 1 for the baseline plus 2 per
-          candidate whose edits apply (its one verifier {!pass} and the
-          load-traced recording's normalization) — 1 + 2 × candidates *)
+      (** trace interpretations performed: 1 for the baseline plus 1 per
+          candidate whose edits apply (its one verifier {!pass}) —
+          1 + candidates *)
 }
 
 val edits_of_fix : Fix.t -> Pmtrace.Replay.edit list
@@ -128,7 +132,7 @@ val harm_to_string : harm -> string
     image". *)
 
 type recheck = {
-  r_events : Pmtrace.Event.t list;  (** the rewritten load-free trace, normalized *)
+  r_events : Pmtrace.Event.t list;  (** the rewritten trace, normalized *)
   r_static : Static.t;
   r_lint : Lint.t;
   r_harm : harm option;  (** the first harm, in {!harm} order *)
@@ -136,13 +140,12 @@ type recheck = {
 
 (** What rewrites are judged against, and the judge. *)
 type baseline = {
-  events : Pmtrace.Event.t list;  (** the load-free recording's events *)
+  events : Pmtrace.Event.t list;  (** the recording's events *)
   recheck : preserve:bool -> Pmtrace.Replay.edit list -> (recheck, string) result;
-      (** The harm cascade of both judges: rewrite the load-free recording
-          (an edit that does not apply is [Error] with the rewrite's
-          message), one {!pass} over it, the static recheck (over the
-          rewritten load-traced recording, normalized by a second pass,
-          when the baseline has one), the lint recheck, and — when
+      (** The harm cascade of both judges: rewrite the recording (an edit
+          that does not apply is [Error] with the rewrite's message), one
+          {!pass} over it, the static and lint rechecks over the pass's
+          normalized events, and — when
           [preserve] — the final persisted image compared in place with
           the baseline's. Only failure points at or after the first edit's
           anchor ({!Pmtrace.Replay.edit_anchor}) are judged: before it the
@@ -150,9 +153,8 @@ type baseline = {
           deterministic oracle could only repeat baseline keys there.
           Fresh keys count only when {!attributable}. *)
   passes : unit -> int;
-      (** Trace interpretations so far: 1 for the baseline plus, per
-          [recheck] whose rewrite applies, 1 (2 when the baseline has a
-          load-traced recording). *)
+      (** Trace interpretations so far: 1 for the baseline plus 1 per
+          [recheck] whose rewrite applies. *)
 }
 
 val baseline :
@@ -163,14 +165,12 @@ val baseline :
   adr:bool ->
   oracle:(Pmem.Image.t -> (string * string) option) ->
   points:(Pmtrace.Event.t list -> (int * int * Pmtrace.Callstack.capture) list) ->
-  ?loaded:Pmtrace.Replay.t ->
   Pmtrace.Replay.t ->
   baseline
-(** [baseline ~adr ~oracle ~points ?loaded noload] — one {!pass} over the
-    load-free recording under the [Program_prefix] view (plus [Adr] when
-    [adr]), one persisted-image snapshot, and the static and lint
-    baselines. The static analyses pair [noload] with [loaded] when given,
-    else with itself. [invariants] are reused rather than mined. *)
+(** [baseline ~adr ~oracle ~points recording] — one {!pass} over the
+    recording under the [Program_prefix] view (plus [Adr] when [adr]), one
+    persisted-image snapshot, and the static and lint baselines.
+    [invariants] are reused rather than mined. *)
 
 val is_delete : Fix.t -> bool
 (** Whether the fix promises behaviour preservation (deletions and every
@@ -184,20 +184,19 @@ val verify :
   eadr:bool ->
   oracle:(Pmem.Image.t -> (string * string) option) ->
   points:(Pmtrace.Event.t list -> (int * int * Pmtrace.Callstack.capture) list) ->
-  noload:Pmtrace.Replay.t ->
-  loaded:Pmtrace.Replay.t ->
+  Pmtrace.Replay.t ->
   candidate list ->
   t
-(** [verify ~oracle ~points ~noload ~loaded candidates] — [oracle]
-    classifies a crash image (Some (kind, detail) = bug); the image is a
-    view it may write through, valid only during the call; [points]
-    enumerates a trace's failure points as [(ordinal, pseq, capture)]
-    triples; [noload]/[loaded] are replay recordings of the same
-    deterministic workload without/with load tracing. Candidates are
-    deduplicated by edit identity ({!Fix.key}) and judged in
-    {!Fix.compare} order; [invariants] (normally the baseline static
-    analysis's) are reused for every recheck rather than re-mined, and
-    mined once from the given pair when absent. *)
+(** [verify ~oracle ~points recording candidates] — [oracle] classifies a
+    crash image (Some (kind, detail) = bug); the image is a view it may
+    write through, valid only during the call; [points] enumerates a
+    trace's failure points as [(ordinal, pseq, capture)] triples;
+    [recording] is the workload's replay recording, load-traced so the
+    static recheck sees dependency edges and pointer chases. Candidates
+    are deduplicated by edit identity ({!Fix.key}) and judged in
+    {!Fix.compare} order, one {!pass} each; [invariants] (normally the
+    baseline static analysis's) are reused for every recheck rather than
+    re-mined, and mined once from the recording when absent. *)
 
 val pp_outcome : outcome Fmt.t
 val pp : t Fmt.t

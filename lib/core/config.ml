@@ -25,23 +25,25 @@ type t = {
   resolve_stacks : bool;
       (** run the extra minimally-instrumented execution that attaches call
           stacks to trace-analysis findings (paper section 5) *)
-  detect_dirty_overwrites : bool;
-      (** also flag stores overwriting unpersisted data (off by default: in
-          undo-logged code this pattern is routine inside transactions) *)
   eadr : bool;
       (** analyse for an eADR platform (persistence domain extends to the
           CPU caches, paper sections 2 and 4.3): fault injection is
           unchanged — atomicity/ordering bugs survive eADR — but the trace
           analysis stops reporting unflushed stores as durability bugs *)
   static : bool;
-      (** run the offline persistency dependency-graph analyzer over
-          recorded traces before the dynamic phases: builds per-cacheline
-          store→flush→fence lineages, mines likely ordering/atomicity
-          invariants across [invariant_runs] executions, and attaches fix
-          suggestions to its findings *)
+      (** run the offline persistency dependency-graph analyzer before the
+          dynamic phases: builds per-cacheline store→flush→fence lineages
+          and mines likely ordering/atomicity invariants from the shared
+          recording, and attaches fix suggestions to its findings. The
+          recording then also traces loads (dependency edges and pointer
+          chases need them); every other phase reads its load-free view,
+          so the run still executes the target once. *)
   invariant_runs : int;
-      (** executions (with distinct workload seeds) the invariant miner
-          observes; more runs raise support counts and kill noise *)
+      (** how many times the invariant miner (and the abstract
+          interpreter's control-flow merge) pools the one recording. The
+          target is deterministic, so this stands in for that many
+          identical executions: support counts scale with it, at no extra
+          execution. *)
   invariant_support : int;
       (** minimum dynamic instances before a candidate invariant is kept *)
   invariant_confidence : float;
@@ -62,16 +64,16 @@ type t = {
   verify_fixes : bool;
       (** verify every fix suggestion (static and lint) by rewriting the
           recorded trace, replaying it, and re-running the oracle and the
-          detectors: verdicts proven / ineffective / harmful. Costs one
-          extra instrumented execution (the load-traced recording) and
-          replays — never target re-executions. *)
+          detectors: verdicts proven / ineffective / harmful. The shared
+          recording then traces loads (for the static recheck); the phase
+          costs one replay per fix plus one, never a target execution. *)
   absint : bool;
       (** abstract-interpret a control-flow automaton merged from
-          [invariant_runs] recordings with a per-cache-line persistency
-          lattice: reports missing-flush/missing-fence/ordering findings on
-          merged paths no single recording exercised (each with a concrete
-          path witness) and proves failure-point sites safe, which the
-          optimizer uses to rank plans *)
+          [invariant_runs] copies of the recording with a per-cache-line
+          persistency lattice: reports missing-flush/missing-fence/ordering
+          findings on merged paths no single recording exercised (each with
+          a concrete path witness) and proves failure-point sites safe,
+          which the optimizer uses to rank plans *)
   optimize : bool;
       (** synthesize persist-transformation plans (fence batching, flush
           coalescing/hoisting, non-temporal and clwb conversions) over the
@@ -92,7 +94,6 @@ let default =
     strategy = Replay;
     report_warnings = true;
     resolve_stacks = true;
-    detect_dirty_overwrites = false;
     eadr = false;
     static = false;
     invariant_runs = 2;
@@ -125,7 +126,6 @@ let to_json t =
       ("strategy", String (strategy_name t.strategy));
       ("report_warnings", Bool t.report_warnings);
       ("resolve_stacks", Bool t.resolve_stacks);
-      ("detect_dirty_overwrites", Bool t.detect_dirty_overwrites);
       ("eadr", Bool t.eadr);
       ("static", Bool t.static);
       ("invariant_runs", Int t.invariant_runs);

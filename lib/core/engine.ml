@@ -9,21 +9,15 @@ type result = {
   executions : int;  (** instrumented workload executions performed *)
   trace_events : int;
   pm_stats : Pmem.Stats.t;
-  metrics : Metrics.t;
-  fi_metrics : Metrics.t;
-  ta_metrics : Metrics.t;
-  sa_metrics : Metrics.t;
-      (** static-analysis phase (recordings + graph/invariant mining);
-          [Metrics.zero] when [Config.static] is off *)
+  metrics : Metrics.t;  (** the sum of [phase_metrics] *)
+  phase_metrics : (Report.phase * Metrics.t) list;
+      (** resource usage of each phase that ran, in execution order *)
   static : Analysis.Static.t option;
-      (** the static analyzer's output (graphs, invariants, raw findings)
+      (** the static analyzer's output (graph, invariants, raw findings)
           when [Config.static] was on *)
   absint : Analysis.Absint.t option;
       (** merged-CFG abstract interpreter output when [Config.absint] was
           on *)
-  ai_metrics : Metrics.t;
-      (** abstract-interpretation phase (recordings + fixpoint);
-          [Metrics.zero] when the phase is off *)
   lint : Analysis.Lint.t option;
       (** anti-pattern detector output when [Config.lint] or
           [Config.verify_fixes] was on (verification replays lint too) *)
@@ -33,9 +27,6 @@ type result = {
   opt : Analysis.Opt.t option;
       (** the optimizer's verified transformation bundles when
           [Config.optimize] was on *)
-  opt_metrics : Metrics.t;
-      (** optimize phase (synthesis + replay verification);
-          [Metrics.zero] when the phase is off *)
   first_bug_injection : int option;
       (** 1-based position in the injection schedule (failure-point
           ordinal order) of the first fault whose oracle flagged a bug;
@@ -57,20 +48,18 @@ type result = {
    stacks to the trace-analysis findings (the instruction-counter
    optimisation of paper section 5). *)
 let resolve_stacks (target : Target.t) ~wanted =
-  let want = Hashtbl.create (List.length wanted) in
-  List.iter (fun s -> Hashtbl.replace want s ()) wanted;
-  let resolved = Hashtbl.create (List.length wanted) in
-  if Hashtbl.length want > 0 then begin
+  if wanted = [] then Hashtbl.create 0
+  else begin
     let device = Pmem.Device.create ~size:target.Target.pool_size () in
     let tracer = Pmtrace.Tracer.create ~collect:false device in
-    Pmtrace.Tracer.add_listener tracer (fun event stack ->
-        if Hashtbl.mem want event.Pmtrace.Event.seq then
-          Hashtbl.replace resolved event.Pmtrace.Event.seq (Pmtrace.Callstack.capture stack));
-    target.Target.run ~device
-      ~framer:(Pmtrace.Framer.of_callstack (Pmtrace.Tracer.stack tracer));
-    Pmtrace.Tracer.detach tracer
-  end;
-  resolved
+    let framer = Pmtrace.Framer.of_callstack (Pmtrace.Tracer.stack tracer) in
+    let resolved =
+      Pmtrace.Tracer.resolve_stacks tracer ~wanted ~run:(fun () ->
+          target.Target.run ~device ~framer)
+    in
+    Pmtrace.Tracer.detach tracer;
+    resolved
+  end
 
 let oracle_finding (r : Fault_injection.record) =
   let kind, detail =
@@ -87,17 +76,6 @@ let oracle_finding (r : Fault_injection.record) =
     detail;
     fix = None;
   }
-
-(* One fully-instrumented recording for the static analyzer: stacks on
-   every event; [loads] additionally traces PM loads (shifting seq, which
-   is why the analyzer keeps persistency-index coordinates). *)
-let record_trace ?(loads = false) ~eadr (target : Target.t) =
-  let device = Pmem.Device.create ~eadr ~size:target.Target.pool_size () in
-  if loads then Pmem.Device.trace_loads device true;
-  let tracer = Pmtrace.Tracer.create ~collect:true ~with_stacks:true device in
-  target.Target.run ~device ~framer:(Pmtrace.Framer.of_callstack (Pmtrace.Tracer.stack tracer));
-  Pmtrace.Tracer.detach tracer;
-  Pmtrace.Trace.to_list (Pmtrace.Tracer.trace tracer)
 
 let static_kind_to_report : Analysis.Static.kind -> Report.kind = function
   | Analysis.Static.Durability -> Report.Durability_bug
@@ -133,123 +111,98 @@ let image_oracle config (target : Target.t) img =
   | Oracle.Unrecoverable msg -> Some (Report.kind_to_string Report.Unrecoverable_state, msg)
   | Oracle.Crashed msg -> Some (Report.kind_to_string Report.Recovery_crash, msg)
 
-let verify_candidates config (target : Target.t) ~invariants ~noload ~loaded candidates =
+let verify_candidates config (target : Target.t) ~invariants recording candidates =
   let points events = Fault_injection.offline_points config events in
   Analysis.Verify_fix.verify ?invariants ~support:config.Config.invariant_support
     ~confidence:config.Config.invariant_confidence ~eadr:config.Config.eadr
-    ~oracle:(image_oracle config target) ~points ~noload ~loaded candidates
+    ~oracle:(image_oracle config target) ~points recording candidates
 
 let analyze ?(config = Config.default) (target : Target.t) =
   let report = Report.create ~target:target.Target.name in
   let ta = Trace_analysis.create config in
   let ta_feed event _stack = Trace_analysis.feed ta event in
-  (* The shared replay recording: under [Config.Replay] — and for every
-     offline phase regardless of strategy — the target is recorded once and
-     each consumer reads the recording instead of re-executing. Created
-     lazily inside the first phase that needs it (so its cost lands in that
-     phase's metrics) and counted as one instrumented execution. *)
-  let recording_ref = ref None in
-  let rec_executions = ref 0 in
-  let recording () =
-    match !recording_ref with
-    | Some r -> r
-    | None ->
-        let r =
-          Pmtrace.Replay.record ~loads:false ~eadr:config.Config.eadr
-            ~pool_size:target.Target.pool_size (fun ~device ~framer ->
-              target.Target.run ~device ~framer)
-        in
-        incr rec_executions;
-        recording_ref := Some r;
-        r
+  (* The one recording: under [Config.Replay] — and for every offline phase
+     regardless of strategy — the target is recorded once and each consumer
+     reads the recording instead of re-executing. It traces loads only when
+     static analysis or fix verification needs them (dependency edges and
+     pointer chases); every other consumer reads its load-free view, which
+     equals a load-free recording because a store, flush or fence has the
+     same stack ordinal either way. Both are created lazily inside the
+     first phase that needs them (so their cost lands in that phase's
+     metrics); the recording counts as one instrumented execution. *)
+  let recording =
+    lazy
+      (Pmtrace.Replay.record
+         ~loads:(config.Config.static || config.Config.verify_fixes)
+         ~eadr:config.Config.eadr ~pool_size:target.Target.pool_size
+         (fun ~device ~framer -> target.Target.run ~device ~framer))
   in
-  (* Phase 0 (optional): offline static analysis over recorded traces —
-     dependency graphs, invariant mining and fix suggestions. *)
-  let static_result, static_noload, sa_metrics, static_executions =
-    if not config.Config.static then (None, None, Metrics.zero, 0)
+  let view = lazy (Pmtrace.Replay.load_free (Lazy.force recording)) in
+  let measured name f =
+    let v, m = Metrics.measure (fun () -> Telemetry.Collector.span ~cat:"phase" name f) in
+    (v, Some m)
+  in
+  (* Phase 0 (optional): offline static analysis over the recording —
+     dependency graph, invariant mining and fix suggestions. *)
+  let static_result, sa_metrics =
+    if not config.Config.static then (None, None)
     else begin
       Telemetry.Progress.phase "static";
-      let runs = max 1 config.Config.invariant_runs in
-      let (recordings, static_r), sa_metrics =
-        Metrics.measure (fun () ->
-            Telemetry.Collector.span ~cat:"phase" "static_analysis" @@ fun () ->
-            let recordings =
-              List.init runs (fun _ ->
-                  let noload = record_trace ~loads:false ~eadr:config.Config.eadr target in
-                  let loaded = record_trace ~loads:true ~eadr:config.Config.eadr target in
-                  (noload, loaded))
-            in
-            let s =
-              Analysis.Static.analyze ~support:config.Config.invariant_support
-                ~confidence:config.Config.invariant_confidence ~eadr:config.Config.eadr
-                recordings
-            in
-            (recordings, s))
+      let s, m =
+        measured "static_analysis" (fun () ->
+            Analysis.Static.analyze ~runs:config.Config.invariant_runs
+              ~support:config.Config.invariant_support
+              ~confidence:config.Config.invariant_confidence ~eadr:config.Config.eadr
+              (Pmtrace.Replay.events (Lazy.force recording)))
       in
-      (Some static_r, Some (List.map fst recordings), sa_metrics, 2 * runs)
+      (Some s, m)
     end
   in
-  (* Phase 0b (optional): merge [invariant_runs] recordings into one
-     control-flow automaton and abstract-interpret it with the per-line
-     persistency lattice — merged-path findings plus per-site safety
-     proofs. Reuses the static phase's load-free recordings when both
-     phases are on. *)
+  (* Phase 0b (optional): merge [invariant_runs] copies of the recording
+     into one control-flow automaton and abstract-interpret it with the
+     per-line persistency lattice — merged-path findings plus per-site
+     safety proofs. *)
   let absint_result, ai_metrics =
-    if not config.Config.absint then (None, Metrics.zero)
+    if not config.Config.absint then (None, None)
     else begin
       Telemetry.Progress.phase "absint";
-      let runs = max 1 config.Config.invariant_runs in
-      let a, ai_metrics =
-        Metrics.measure (fun () ->
-            Telemetry.Collector.span ~cat:"phase" "absint" @@ fun () ->
-            let recordings =
-              match static_noload with
-              | Some rs -> rs
-              | None ->
-                  (* A deterministic target records identically every run, so
-                     duplicating the shared recording's events reproduces what
-                     [runs] fresh recordings would feed the CFG merge (which is
-                     idempotent under duplication — a qcheck law) without a
-                     single extra execution. *)
-                  let evs = Pmtrace.Replay.events (recording ()) in
-                  List.init runs (fun _ -> evs)
-            in
-            Analysis.Absint.analyze ~eadr:config.Config.eadr recordings)
+      let a, m =
+        measured "absint" (fun () ->
+            (* A deterministic target records identically every run, so
+               duplicating the recording's events reproduces what
+               [invariant_runs] fresh recordings would feed the CFG merge
+               (which is idempotent under duplication — a qcheck law)
+               without a single extra execution. *)
+            let evs = Pmtrace.Replay.events (Lazy.force view) in
+            Analysis.Absint.analyze ~eadr:config.Config.eadr
+              (List.init (max 1 config.Config.invariant_runs) (fun _ -> evs)))
       in
       Telemetry.Collector.count "absint.nodes"
         (Analysis.Cfg.node_count a.Analysis.Absint.cfg);
       Telemetry.Collector.count "absint.findings" (List.length a.Analysis.Absint.findings);
       Telemetry.Collector.count "absint.proven_sites" (Analysis.Absint.proven_count a);
-      (Some a, ai_metrics)
+      (Some a, m)
     end
   in
-  (* Phase 0c (optional): anti-pattern lint over the shared recording, plus
-     replay-backed verification of every fix suggestion (static and lint).
-     Lint reuses the shared recording; verification costs one extra
-     (load-traced) recording — then only trace interpretations, never
+  (* Phase 0c (optional): anti-pattern lint over the recording's load-free
+     view, plus replay-backed verification of every fix suggestion (static
+     and lint) over the recording itself — trace interpretations, never
      target re-executions. *)
-  let lint_result, fix_verdicts, lv_metrics, lv_executions =
-    if not (config.Config.lint || config.Config.verify_fixes) then
-      (None, None, Metrics.zero, 0)
+  let lint_result, fix_verdicts, lv_metrics =
+    if not (config.Config.lint || config.Config.verify_fixes) then (None, None, None)
     else begin
       Telemetry.Progress.phase "lint";
-      let (lint_r, verdicts, executions), lv_metrics =
-        Metrics.measure (fun () ->
-            Telemetry.Collector.span ~cat:"phase" "lint" @@ fun () ->
-            let run ~device ~framer = target.Target.run ~device ~framer in
-            let noload = recording () in
+      let (lint_r, verdicts), m =
+        measured "lint" (fun () ->
             let lint_r =
-              Analysis.Lint.analyze ~eadr:config.Config.eadr (Pmtrace.Replay.events noload)
+              Analysis.Lint.analyze ~eadr:config.Config.eadr
+                (Pmtrace.Replay.events (Lazy.force view))
             in
             Telemetry.Collector.count "lint.findings"
               (List.length lint_r.Analysis.Lint.findings);
             Telemetry.Collector.count "lint.events_saved" lint_r.Analysis.Lint.events_saved;
-            if not config.Config.verify_fixes then (lint_r, None, 0)
+            if not config.Config.verify_fixes then (lint_r, None)
             else begin
-              let loaded =
-                Pmtrace.Replay.record ~loads:true ~eadr:config.Config.eadr
-                  ~pool_size:target.Target.pool_size run
-              in
               let static_candidates =
                 match static_result with
                 | None -> []
@@ -286,29 +239,26 @@ let analyze ?(config = Config.default) (target : Target.t) =
               let invariants =
                 Option.map (fun s -> s.Analysis.Static.invariants) static_result
               in
-              let v =
-                verify_candidates config target ~invariants ~noload ~loaded
-                  (static_candidates @ lint_candidates)
-              in
-              (lint_r, Some v, 1)
+              ( lint_r,
+                Some
+                  (verify_candidates config target ~invariants (Lazy.force recording)
+                     (static_candidates @ lint_candidates)) )
             end)
       in
-      (Some lint_r, verdicts, lv_metrics, executions)
+      (Some lint_r, verdicts, m)
     end
   in
   (* Phase 0d (optional): the optimizer — synthesize persist-transformation
-     plans over the shared recording, price them with the cost model, and
-     verify each candidate by replay at all failure points of its rewritten
-     trace under both crash views. Pure trace interpretation: the phase
-     adds zero target executions (its static recheck runs over the
-     load-free pair, so no load-traced recording is made either). *)
+     plans over the recording's load-free view, price them with the cost
+     model, and verify each candidate by replay at all failure points of
+     its rewritten trace under both crash views. Pure trace
+     interpretation: the phase adds zero target executions. *)
   let opt_result, opt_metrics =
-    if not config.Config.optimize then (None, Metrics.zero)
+    if not config.Config.optimize then (None, None)
     else begin
       Telemetry.Progress.phase "optimize";
-      Metrics.measure (fun () ->
-          Telemetry.Collector.span ~cat:"phase" "optimize" @@ fun () ->
-          let noload = recording () in
+      measured "optimize" (fun () ->
+          let noload = Lazy.force view in
           let weights =
             if config.Config.fit_cost then
               Analysis.Cost.fit
@@ -352,7 +302,7 @@ let analyze ?(config = Config.default) (target : Target.t) =
                enumeration; the tree is rebuilt from the points, and crash
                images stream out of one batched materialization pass per
                worker. *)
-            let r = recording () in
+            let r = Lazy.force view in
             let en = Fault_injection.enumeration config in
             Pmtrace.Replay.iter r (fun e ->
                 Trace_analysis.feed ta e;
@@ -372,9 +322,7 @@ let analyze ?(config = Config.default) (target : Target.t) =
   (* Phase 3: close the streaming trace analysis. *)
   Telemetry.Progress.phase "trace-analysis";
   let raw_findings, ta_metrics =
-    Metrics.measure (fun () ->
-        Telemetry.Collector.span ~cat:"phase" "trace_analysis" (fun () ->
-            Trace_analysis.finish ta))
+    measured "trace_analysis" (fun () -> Trace_analysis.finish ta)
   in
   (* Attach stacks to trace findings. Under [Replay] the recording already
      carries a stack on every event and a finding's seq is its event's
@@ -385,8 +333,9 @@ let analyze ?(config = Config.default) (target : Target.t) =
       Telemetry.Progress.phase "resolve-stacks";
       Telemetry.Collector.span ~cat:"phase" "resolve_stacks" (fun () ->
           let wanted = List.map (fun r -> r.Trace_analysis.seq) raw_findings in
-          match (config.Config.strategy, !recording_ref) with
-          | Config.Replay, Some r ->
+          match config.Config.strategy with
+          | Config.Replay ->
+              let r = Lazy.force view in
               let resolved = Hashtbl.create (List.length wanted) in
               List.iter
                 (fun seq ->
@@ -506,13 +455,15 @@ let analyze ?(config = Config.default) (target : Target.t) =
         v.Analysis.Verify_fix.outcomes);
   (* Provenance: causal evidence per finding, captured before the result is
      sealed. Fault-injection records carry their crash-vs-recovered image
-     diffs, taken at the oracle's verdict under either strategy. When the
-     shared recording exists (any offline phase, or the replay strategy —
-     i.e. the default) the trace windows and failure-point persistency
-     indices are read off it by event position; without a recording the
-     evidence degrades to witness, verdict and image diff. *)
+     diffs, taken at the oracle's verdict under either strategy. When a
+     phase read the recording's load-free view (the replay strategy — i.e.
+     the default — or any offline phase but the static analyzer) the trace
+     windows and failure-point persistency indices are read off it by
+     event position; without it the evidence degrades to witness, verdict
+     and image diff. *)
+  let read_view = if Lazy.is_val view then Some (Lazy.force view) else None in
   let trace_signature =
-    match !recording_ref with
+    match read_view with
     | Some r -> Pmtrace.Replay.digest r
     | None ->
         Digest.to_hex
@@ -523,7 +474,7 @@ let analyze ?(config = Config.default) (target : Target.t) =
   in
   let provenance =
     let window_at anchor_index =
-      match !recording_ref with
+      match read_view with
       | Some r when anchor_index >= 0 && anchor_index < Pmtrace.Replay.length r ->
           let lo = max 0 (anchor_index - Provenance.window_radius) in
           let hi =
@@ -541,11 +492,11 @@ let analyze ?(config = Config.default) (target : Target.t) =
       | _ -> []
     in
     (* persistency index of each failure-point ordinal: the replay
-       strategy's own enumeration, or — when only an offline phase recorded
-       the target — the same step function walked over that recording *)
+       strategy's own enumeration, or — when only an offline phase read the
+       view — the same step function walked over it *)
     let pseq_of_ordinal = Hashtbl.create 64 in
     let points =
-      match (replay_points, !recording_ref) with
+      match (replay_points, read_view) with
       | Some points, _ -> points
       | None, Some r ->
           let en = Fault_injection.enumeration config in
@@ -627,6 +578,18 @@ let analyze ?(config = Config.default) (target : Target.t) =
         })
       (Report.ordered report)
   in
+  let phase_metrics =
+    List.filter_map
+      (fun (name, m) -> Option.map (fun m -> (name, m)) m)
+      [
+        (Report.Static_analysis, sa_metrics);
+        (Report.Abs_interp, ai_metrics);
+        (Report.Lint, lv_metrics);
+        (Report.Optimize, opt_metrics);
+        (Report.Fault_injection, Some fi_metrics);
+        (Report.Trace_analysis, ta_metrics);
+      ]
+  in
   let result =
     {
       report;
@@ -636,26 +599,16 @@ let analyze ?(config = Config.default) (target : Target.t) =
         fi_result.Fault_injection.executions
         + (if config.Config.resolve_stacks && config.Config.strategy <> Config.Replay then 1
            else 0)
-        + static_executions + lv_executions + !rec_executions;
+        + if Lazy.is_val recording then 1 else 0;
       trace_events = Trace_analysis.event_count ta;
       pm_stats;
-      metrics =
-        Metrics.add
-          (Metrics.add
-             (Metrics.add (Metrics.add (Metrics.add fi_metrics ta_metrics) sa_metrics)
-                lv_metrics)
-             ai_metrics)
-          opt_metrics;
-      fi_metrics;
-      ta_metrics;
-      sa_metrics;
+      metrics = Metrics.sum (List.map snd phase_metrics);
+      phase_metrics;
       static = static_result;
       absint = absint_result;
-      ai_metrics;
       lint = lint_result;
       fix_verdicts;
       opt = opt_result;
-      opt_metrics;
       first_bug_injection = Fault_injection.injections_to_first_bug fi_result;
       worker_metrics = fi_result.Fault_injection.worker_metrics;
       trace_signature;

@@ -11,22 +11,19 @@ type result = {
   pm_stats : Pmem.Stats.t;
       (** device counters of the first instrumented execution (real
           store/flush/fence totals, under either strategy) *)
-  metrics : Metrics.t;  (** total resource usage *)
-  fi_metrics : Metrics.t;
-      (** fault-injection phase, including worker-domain allocations *)
-  ta_metrics : Metrics.t;  (** trace-analysis phase *)
-  sa_metrics : Metrics.t;
-      (** static-analysis phase (recordings + graph/invariant mining);
-          [Metrics.zero] when [Config.static] is off *)
+  metrics : Metrics.t;  (** total resource usage: the sum of [phase_metrics] *)
+  phase_metrics : (Report.phase * Metrics.t) list;
+      (** resource usage of each phase that ran, in execution order:
+          [Static_analysis], [Abs_interp], [Lint] (lint and fix
+          verification), [Optimize], [Fault_injection] (with the worker
+          domains' allocations) and [Trace_analysis]. The shared recording
+          is paid by the first phase that reads it. *)
   static : Analysis.Static.t option;
-      (** the static analyzer's output (graphs, invariants, raw findings)
+      (** the static analyzer's output (graph, invariants, raw findings)
           when [Config.static] was on *)
   absint : Analysis.Absint.t option;
       (** merged-CFG abstract interpreter output when [Config.absint] was
           on *)
-  ai_metrics : Metrics.t;
-      (** abstract-interpretation phase (recordings + fixpoint);
-          [Metrics.zero] when the phase is off *)
   lint : Analysis.Lint.t option;
       (** anti-pattern detector output when [Config.lint] or
           [Config.verify_fixes] was on (verification replays lint too) *)
@@ -37,9 +34,6 @@ type result = {
       (** the optimizer's replay-verified transformation bundles when
           [Config.optimize] was on — proven plans first, best measured
           savings first *)
-  opt_metrics : Metrics.t;
-      (** optimize phase (synthesis + replay verification);
-          [Metrics.zero] when the phase is off *)
   first_bug_injection : int option;
       (** 1-based position in the injection schedule (failure-point
           ordinal order) of the first fault whose oracle flagged a bug;

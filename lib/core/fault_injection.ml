@@ -122,19 +122,28 @@ let judge config (target : Target.t) point view =
   Telemetry.Progress.tick ~bug ();
   { point; oracle; image_diff = (if bug then Some (Provenance.image_diff view) else None) }
 
-(* One injection execution: crash at the first unvisited failure point.
-   Returns the injected point and its crash image, or None if every
-   failure point reached was already visited. *)
-let reexecute_once config (target : Target.t) tree =
-  Telemetry.Collector.span ~cat:"inject" ~hist:"injection_exec_ns" "exec" @@ fun () ->
+(* One injection execution: crash at the first dynamic occurrence of an
+   unvisited failure point. Returns the injected point and its crash
+   image, or None if the run reached no such point. With [ordinal], only
+   that point is crashed at: ordinals are assigned in discovery order, so
+   this is the occurrence — hence the program-prefix image — the standard
+   loop crashes at when that point's turn comes; the replay strategy uses
+   it for points its recording does not reach. *)
+let reexecute ?ordinal config (target : Target.t) tree =
+  let args = Option.map (fun o -> [ ("ordinal", Telemetry.Json.Int o) ]) ordinal in
+  Telemetry.Collector.span ~cat:"inject" ~hist:"injection_exec_ns" ?args "exec" @@ fun () ->
   let device = Pmem.Device.create ~eadr:config.Config.eadr ~size:target.Target.pool_size () in
   let tracer = Pmtrace.Tracer.create ~collect:false device in
   let injected = ref None in
+  let wanted (point : Fp_tree.point) =
+    (not point.Fp_tree.visited)
+    && match ordinal with Some o -> point.Fp_tree.ordinal = o | None -> true
+  in
   Pmtrace.Tracer.add_listener tracer
     (fp_listener ~granularity:config.Config.granularity ~on_fp:(fun capture ->
          if !injected = None then
            match Fp_tree.find tree capture with
-           | Some point when not point.Fp_tree.visited ->
+           | Some point when wanted point ->
                point.Fp_tree.visited <- true;
                (* the image is captured here, before the crash unwinds, so
                   cleanup code cannot pollute the post-failure state *)
@@ -167,50 +176,12 @@ let reexecute_loop config (target : Target.t) tree =
   let continue_ = ref true in
   while !continue_ && Fp_tree.unvisited_count tree > 0 do
     incr executions;
-    match reexecute_once config target tree with
+    match reexecute config target tree with
     | None -> continue_ := false (* nondeterminism guard: no progress *)
     | Some (point, image) ->
         records := judge config target point (Pmem.Image.cow image) :: !records
   done;
   (List.rev !records, !executions)
-
-(* Targeted injection: crash at the first dynamic occurrence of the failure
-   point with [ordinal]. Because ordinals are assigned in discovery order,
-   this is the same occurrence — hence the same program-prefix image — the
-   standard loop crashes at when that point's turn comes; the replay
-   strategy uses it for points its recording does not reach. *)
-let reexecute_at config (target : Target.t) tree ~ordinal =
-  Telemetry.Collector.span ~cat:"inject" ~hist:"injection_exec_ns"
-    ~args:[ ("ordinal", Telemetry.Json.Int ordinal) ]
-    "exec"
-  @@ fun () ->
-  let device = Pmem.Device.create ~eadr:config.Config.eadr ~size:target.Target.pool_size () in
-  let tracer = Pmtrace.Tracer.create ~collect:false device in
-  let injected = ref None in
-  Pmtrace.Tracer.add_listener tracer
-    (fp_listener ~granularity:config.Config.granularity ~on_fp:(fun capture ->
-         if !injected = None then
-           match Fp_tree.find tree capture with
-           | Some point when point.Fp_tree.ordinal = ordinal && not point.Fp_tree.visited ->
-               point.Fp_tree.visited <- true;
-               injected :=
-                 Some
-                   ( point,
-                     Telemetry.Collector.span ~cat:"inject" ~hist:"crash_image_ns"
-                       ~args:[ ("ordinal", Telemetry.Json.Int ordinal) ]
-                       "crash_image" (fun () ->
-                         Pmem.Device.crash device ~policy:Pmem.Device.Program_prefix) );
-               raise Crash_now
-           | Some _ | None -> ()));
-  (try
-     target.Target.run ~device
-       ~framer:(Pmtrace.Framer.of_callstack (Pmtrace.Tracer.stack tracer))
-   with
-  | Crash_now -> ()
-  | Fun.Finally_raised Crash_now -> ()
-  | _ when !injected <> None -> ());
-  Pmtrace.Tracer.detach tracer;
-  !injected
 
 (* The deterministic-merge rule: reports are ordered by failure-point
    discovery ordinal, so the result is identical regardless of how the
@@ -338,7 +309,7 @@ let inject_replay config (target : Target.t) ~recording ~points =
     (fun ordinal ->
       Telemetry.Collector.count "fp.replay_fallback" 1;
       incr fallback_execs;
-      match reexecute_at config target tree ~ordinal with
+      match reexecute ~ordinal config target tree with
       | None -> Telemetry.Collector.count "fp.unreached" 1
       | Some (point, image) ->
           fallback_records :=

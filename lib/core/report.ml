@@ -49,7 +49,7 @@ let kind_to_string = function
   | Missing_flush_warning -> "missing flush (warning)"
   | Missing_fence_warning -> "missing fence (warning)"
 
-type phase = Fault_injection | Trace_analysis | Static_analysis | Abs_interp | Lint
+type phase = Fault_injection | Trace_analysis | Static_analysis | Abs_interp | Lint | Optimize
 
 let phase_to_string = function
   | Fault_injection -> "fault_injection"
@@ -57,6 +57,7 @@ let phase_to_string = function
   | Static_analysis -> "static_analysis"
   | Abs_interp -> "abs_interp"
   | Lint -> "lint"
+  | Optimize -> "optimize"
 
 type finding = {
   kind : kind;
@@ -111,6 +112,7 @@ let phase_rank = function
   | Static_analysis -> 2
   | Abs_interp -> 3
   | Lint -> 4
+  | Optimize -> 5
 
 let kind_rank = function
   | Unrecoverable_state -> 0
@@ -185,7 +187,8 @@ let pp_finding ppf f =
     | Trace_analysis -> "TA"
     | Static_analysis -> "SA"
     | Abs_interp -> "AI"
-    | Lint -> "LINT")
+    | Lint -> "LINT"
+    | Optimize -> "OPT")
     (kind_to_string f.kind) f.detail
     (match f.stack with
     | Some c -> "\n    at " ^ Pmtrace.Callstack.capture_to_string c

@@ -25,7 +25,10 @@ val kind_is_warning : kind -> bool
 val kind_is_correctness : kind -> bool
 val kind_to_string : kind -> string
 
-type phase = Fault_injection | Trace_analysis | Static_analysis | Abs_interp | Lint
+(** The pipeline phase that produced a finding or a measurement
+    ([Engine.result.phase_metrics]). The optimizer reports bundles, not
+    findings, so only its measurement carries [Optimize]. *)
+type phase = Fault_injection | Trace_analysis | Static_analysis | Abs_interp | Lint | Optimize
 
 val phase_to_string : phase -> string
 

@@ -70,11 +70,6 @@ let feed t (event : Pmtrace.Event.t) =
   | Pmem.Op.Store { addr; size; nt } ->
       List.iter
         (fun slot ->
-          (match Hashtbl.find_opt t.slots slot with
-          | Some (Dirty, _) when t.config.Config.detect_dirty_overwrites ->
-              report t Report.Dirty_overwrite seq
-                (Printf.sprintf "store to slot %d overwrites unpersisted data" slot)
-          | _ -> ());
           if nt then begin
             (* non-temporal: persists at the next fence without a flush *)
             Hashtbl.replace t.slots slot (Captured, seq);

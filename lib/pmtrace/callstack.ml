@@ -7,9 +7,16 @@
     across repeated deterministic executions, exactly like a code address
     with ASLR disabled (paper section 5). *)
 
-type frame = { label : string; mutable op_index : int }
+(* [op_index] counts every PM instruction of the activation, loads
+   included; [persist_index] counts only the others. Loads are traced on
+   demand, so a store, flush or fence is addressed by [persist_index]: the
+   same whether or not the recording traced loads. *)
+type frame = { label : string; mutable op_index : int; mutable persist_index : int }
 
-type t = { mutable frames : frame list (* innermost first *) }
+type t = {
+  mutable frames : frame list; (* innermost first *)
+  mutable at_load : bool; (* the last ticked instruction was a load *)
+}
 
 (* Every stack bottoms out in a permanent root frame — the analogue of
    [_start] in Figure 2 — so that PM instructions executed outside any
@@ -17,10 +24,11 @@ type t = { mutable frames : frame list (* innermost first *) }
    distinct instruction identities. *)
 let root_label = "_start"
 
-let create () = { frames = [ { label = root_label; op_index = 0 } ] }
+let new_frame label = { label; op_index = 0; persist_index = 0 }
+let create () = { frames = [ new_frame root_label ]; at_load = false }
 let depth t = List.length t.frames - 1
 
-let push t label = t.frames <- { label; op_index = 0 } :: t.frames
+let push t label = t.frames <- new_frame label :: t.frames
 
 let pop t =
   match t.frames with
@@ -38,9 +46,14 @@ let with_frame t label f =
       raise e
 
 (* Called by the tracer on every PM instruction: bumps the per-activation
-   instruction counter of the innermost frame. *)
-let tick t =
-  match t.frames with [] -> () | f :: _ -> f.op_index <- f.op_index + 1
+   instruction counters of the innermost frame. *)
+let tick t ~load =
+  t.at_load <- load;
+  match t.frames with
+  | [] -> ()
+  | f :: _ ->
+      f.op_index <- f.op_index + 1;
+      if not load then f.persist_index <- f.persist_index + 1
 
 (** A captured stack: outermost label first, with the innermost frame's
     current instruction index as the "address" of the leaf instruction. *)
@@ -48,7 +61,11 @@ type capture = { path : string list; op_index : int }
 
 let capture t =
   let path = List.rev_map (fun f -> f.label) t.frames in
-  let op_index = match t.frames with [] -> 0 | f :: _ -> f.op_index in
+  let op_index =
+    match t.frames with
+    | [] -> 0
+    | f :: _ -> if t.at_load then f.op_index else f.persist_index
+  in
   { path; op_index }
 
 let capture_to_string { path; op_index } =

@@ -26,15 +26,23 @@ val with_frame : t -> string -> (unit -> 'a) -> 'a
 (** Push a frame for the duration of the callback (popped on exceptions
     too). *)
 
-val tick : t -> unit
-(** Advance the innermost frame's instruction counter; called by the tracer
-    on every PM instruction. *)
+val tick : t -> load:bool -> unit
+(** Advance the innermost frame's instruction counters; called by the
+    tracer on every PM instruction, [load] telling whether it is a PM
+    load. A frame counts every instruction and, separately, its non-load
+    instructions. *)
 
 (** A captured stack: outermost label first, with the innermost frame's
     instruction index as the "address" of the leaf instruction. *)
 type capture = { path : string list; op_index : int }
 
 val capture : t -> capture
+(** The stack at the instruction ticked last. A load's [op_index] is its
+    ordinal among all instructions of the activation; any other
+    instruction's is its ordinal among the activation's non-load
+    instructions, so stores, flushes and fences keep the address a
+    load-free execution gives them when loads are traced too. *)
+
 val capture_to_string : capture -> string
 val capture_equal : capture -> capture -> bool
 val capture_compare : capture -> capture -> int

@@ -11,9 +11,8 @@ type t = {
   seq : int;
       (** monotonically increasing instruction counter, assigned by the
           tracer to {e every} hooked event — including loads when load
-          tracing is on, which is why analyses that mix load-traced and
-          load-free recordings must align them on a persistency index
-          rather than on [seq] *)
+          tracing is on; the load-free view of a load-traced recording
+          ({!Replay.load_free}) renumbers it *)
   op : Pmem.Op.t;  (** the device operation (store, flush, fence, load) *)
   stack : Callstack.capture option;
       (** the call path and per-frame ordinal at the instruction, when the

@@ -462,6 +462,19 @@ let rewrite_events evs edits =
            incr n;
            Some { e with Event.seq = !n })
 
+(* A load-traced recording holds a load-free one: a non-load event's stack
+   ordinal does not count loads ({!Callstack.capture}) and loads change no
+   device state, so dropping them leaves the events, payloads, poison and
+   statistics a load-free recording of the same execution holds, once
+   [repack] renumbers seqs and remaps payload keys and poison positions. *)
+let load_free t =
+  if not t.loads then t
+  else
+    repack { t with loads = false }
+      (List.filter
+         (function Ev { Event.op = Pmem.Op.Load _; _ } -> false | Ev _ | Poison _ -> true)
+         (items t))
+
 (* ------------------------------------------------------------------ *)
 (* Normalization                                                       *)
 (* ------------------------------------------------------------------ *)

@@ -52,6 +52,15 @@ val digest : t -> string
 val stats : t -> Pmem.Stats.t
 (** Device counters at the end of the recorded run. *)
 
+val load_free : t -> t
+(** The load-free view of a recording: its loads dropped, seqs renumbered
+    from 1, payload keys and poison positions remapped along. On a
+    load-traced recording this equals a load-free {!record} of the same
+    deterministic execution — events with their stacks, {!digest},
+    {!stats} and every crash image — because a store, flush or fence has
+    the same stack ordinal either way ({!Callstack.capture}). A load-free
+    recording is returned as is. *)
+
 val pool_size : t -> int
 
 exception Stop

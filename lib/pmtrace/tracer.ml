@@ -33,7 +33,7 @@ let create ?(collect = true) ?(with_stacks = false) device =
     (Some
        (fun op ->
          t.seq <- t.seq + 1;
-         Callstack.tick t.stack;
+         Callstack.tick t.stack ~load:(match op with Pmem.Op.Load _ -> true | _ -> false);
          let stack = if t.with_stacks then Some (Callstack.capture t.stack) else None in
          let event = { Event.seq = t.seq; op; stack } in
          List.iter (fun l -> l event t.stack) t.listeners;
@@ -81,6 +81,8 @@ let resolve_stacks t ~wanted ~run =
   t.listeners <- t.listeners @ [ listener ];
   Fun.protect
     ~finally:(fun () ->
+      (* the re-run's events count as seen, as [detach] counts the rest *)
+      Telemetry.Collector.count "trace.events" t.seq;
       t.listeners <- List.filter (fun l -> l != listener) t.listeners;
       t.collect <- saved_collect;
       t.with_stacks <- saved_stacks;

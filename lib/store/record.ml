@@ -38,7 +38,7 @@ type t = {
   executions : int;
   trace_events : int;
   first_bug_injection : int option;
-  metrics : Json.t;  (** per-phase resource usage *)
+  metrics : Json.t;  (** resource usage: the total, then each phase that ran *)
   phases : (string * Json.t) list;  (** optional phase summaries, by name *)
   findings : finding list;  (** {!Mumak.Report.ordered} order *)
   provenance : Mumak.Provenance.t list;  (** parallel to [findings] *)
@@ -87,14 +87,10 @@ let of_result ~target ~workload ~(config : Mumak.Config.t)
   let trace_signature = result.Mumak.Engine.trace_signature in
   let metrics =
     Json.Assoc
-      [
-        ("total", Mumak.Metrics.to_json result.Mumak.Engine.metrics);
-        ("fault_injection", Mumak.Metrics.to_json result.Mumak.Engine.fi_metrics);
-        ("trace_analysis", Mumak.Metrics.to_json result.Mumak.Engine.ta_metrics);
-        ("static_analysis", Mumak.Metrics.to_json result.Mumak.Engine.sa_metrics);
-        ("abs_interp", Mumak.Metrics.to_json result.Mumak.Engine.ai_metrics);
-        ("optimize", Mumak.Metrics.to_json result.Mumak.Engine.opt_metrics);
-      ]
+      (("total", Mumak.Metrics.to_json result.Mumak.Engine.metrics)
+      :: List.map
+           (fun (phase, m) -> (Mumak.Report.phase_to_string phase, Mumak.Metrics.to_json m))
+           result.Mumak.Engine.phase_metrics)
   in
   let phases =
     List.concat

@@ -18,8 +18,8 @@ let target_for ?version ?tx_mode name =
       in
       Targets.of_app (module A) ~version ?tx_mode ~workload:(wl ()) ()
 
-(* One fully instrumented recording, mirroring the engine's internal
-   [record_trace]: stacks on every event, optional load tracing. *)
+(* One fully instrumented recording, as the engine's recorder makes it:
+   stacks on every event, optional load tracing. *)
 let record ?(loads = false) (target : Mumak.Target.t) =
   let device = Pmem.Device.create ~size:target.Mumak.Target.pool_size () in
   if loads then Pmem.Device.trace_loads device true;
@@ -194,17 +194,14 @@ let test_static_same_correctness_bugs () =
 
 let test_static_eadr_drops_durability () =
   (* one durability and one ordering bug, so both halves of the contract
-     have something to check; the same recordings feed both analyses *)
+     have something to check; the same recording feeds both analyses *)
   Bugreg.with_enabled [ "hm_atomic_count_never_flushed"; "hm_atomic_link_before_persist" ]
     (fun () ->
-      let runs =
-        List.init static_config.Mumak.Config.invariant_runs (fun _ ->
-            ( Pmtrace.Trace.to_list (record (target_for "hashmap_atomic")),
-              Pmtrace.Trace.to_list (record ~loads:true (target_for "hashmap_atomic")) ))
-      in
+      let events = Pmtrace.Trace.to_list (record ~loads:true (target_for "hashmap_atomic")) in
       let findings eadr =
-        (Analysis.Static.analyze ~support:static_config.Mumak.Config.invariant_support
-           ~confidence:static_config.Mumak.Config.invariant_confidence ~eadr runs)
+        (Analysis.Static.analyze ~runs:static_config.Mumak.Config.invariant_runs
+           ~support:static_config.Mumak.Config.invariant_support
+           ~confidence:static_config.Mumak.Config.invariant_confidence ~eadr events)
           .Analysis.Static.findings
       in
       let durability (f : Analysis.Static.finding) =

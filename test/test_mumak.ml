@@ -244,12 +244,11 @@ let test_replay_reexecute_equivalence () =
   Alcotest.(check bool) "reexecute runs many executions" true
     (r.Mumak.Engine.executions > s.Mumak.Engine.executions)
 
-(* What each preset costs in target executions: replay records the
-   workload once and every offline phase reads that recording; fix
-   verification adds one load-traced recording, and the static analyzer
-   records each invariant run with and without load tracing. *)
+(* What each preset costs in target executions: one. Replay records the
+   workload once and every phase reads that recording — static analysis
+   and fix verification with its loads, everything else its load-free
+   view. *)
 let test_executions_per_preset () =
-  let static = Mumak.Config.static_analysis in
   List.iter
     (fun (label, config, expected) ->
       let target =
@@ -260,9 +259,9 @@ let test_executions_per_preset () =
     [
       ("default", Mumak.Config.default, 1);
       ("lint only", { Mumak.Config.default with Mumak.Config.lint = true }, 1);
-      ("linting", Mumak.Config.linting, 2);
+      ("linting", Mumak.Config.linting, 1);
       ("optimizing", Mumak.Config.optimizing, 1);
-      ("static_analysis", static, 1 + (2 * static.Mumak.Config.invariant_runs));
+      ("static_analysis", Mumak.Config.static_analysis, 1);
     ]
 
 let test_store_granularity_blowup () =

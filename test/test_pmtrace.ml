@@ -40,7 +40,32 @@ let test_stack_capture () =
   (* the second activation of "insert" restarts its counter, so the same
      code point gets the same identity *)
   Alcotest.(check bool) "same identity across activations" true
-    (Callstack.capture_equal (stack_of 0) (stack_of 3))
+    (Callstack.capture_equal (stack_of 0) (stack_of 3));
+  (* with loads traced, every store, flush and fence keeps the index it has
+     without them, and each load is numbered among all the activation's
+     instructions *)
+  let loaded = Pmem.Device.create ~size:4096 () in
+  Pmem.Device.trace_loads loaded true;
+  let tracer = Tracer.create ~with_stacks:true loaded in
+  Tracer.with_frame tracer "main" (fun () ->
+      Tracer.with_frame tracer "insert" (fun () ->
+          ignore (Pmem.Device.load_i64 loaded ~addr:0);
+          Pmem.Device.store_i64 loaded ~addr:0 1L;
+          ignore (Pmem.Device.load_i64 loaded ~addr:64);
+          Pmem.Device.clwb loaded ~addr:0;
+          Pmem.Device.sfence loaded));
+  let indices =
+    List.map
+      (fun (e : Event.t) ->
+        let kind = match e.Event.op with Pmem.Op.Load _ -> "load" | _ -> "other" in
+        match e.Event.stack with
+        | Some c -> Printf.sprintf "%s@%d" kind c.Callstack.op_index
+        | None -> Alcotest.fail "missing stack")
+      (Trace.to_list (Tracer.trace tracer))
+  in
+  Alcotest.(check (list string)) "load-traced indices"
+    [ "load@1"; "other@1"; "load@3"; "other@2"; "other@3" ]
+    indices
 
 let test_frames_pop_on_exception () =
   let cs = Callstack.create () in
@@ -84,7 +109,7 @@ let prop_capture_identity =
       let cs = Callstack.create () in
       List.iter (fun l -> Callstack.push cs l) labels;
       for _ = 1 to k do
-        Callstack.tick cs
+        Callstack.tick cs ~load:false
       done;
       let a = Callstack.capture cs and b = Callstack.capture cs in
       Callstack.capture_equal a b

@@ -17,15 +17,22 @@
    merged-trace abstract interpreter ([absint]) on two clean targets and
    three seeded bugs, and the static analyzer ([static]) over the whole
    seeded matrix. Their findings join the report, so the signatures
-   compare them too; under [static] each run also pays the analyzer's own
-   recordings.
+   compare them too; under [static] the one recording traces loads, and
+   the replay runs still cost one execution.
 
    Layer 3 — qcheck properties for the arena representation: pack/unpack
    round-trip, interning stability (decoded equal paths are physically
    shared), serialization of arena-backed traces equal to the list-backed
    round-trip, rewrite on arena-backed recordings agreeing with the
    list-based rewriter, and the store-only prefix materializer producing
-   byte-identical images to a full device replay. *)
+   byte-identical images to a full device replay.
+
+   Layer 4 — the load-free view: on the 15 clean targets and the 33 seeded
+   bugs, the load-free view of a load-traced recording equals a load-free
+   recording of the same execution — events with their stacks, digest,
+   statistics and the materialized crash image at every failure point.
+   Every phase but static analysis and fix verification reads that view,
+   so this is what lets a run record the target once. *)
 
 let app name =
   match Pmapps.Registry.find name with
@@ -124,11 +131,8 @@ let differential ?(overlay = Mumak.Config.default) ~bugs name make_target =
             (fi_image_diffs r))
         results;
       (* replay never re-executes: one recording, no fallback, and the free
-         stack resolution rides on it; only the static analyzer records the
-         target again, twice per invariant run *)
-      let executions =
-        1 + if overlay.Mumak.Config.static then 2 * max 1 overlay.Mumak.Config.invariant_runs else 0
-      in
+         stack resolution rides on it — under every overlay *)
+      let executions = 1 in
       Alcotest.(check int)
         (name ^ ": replay j=1 executions")
         executions base.Mumak.Engine.executions;
@@ -386,6 +390,75 @@ let arena_tests =
              (List.init np (fun i -> i + 1)));
   ]
 
+(* --- layer 4: the load-free view --- *)
+
+let clean_names =
+  List.map (fun (module A : Pmapps.Kv_intf.S) -> A.name) Pmapps.Registry.apps
+  @ [ "montage.hashtable"; "montage.lf_hashtable"; "pmemkv.cmap"; "pmemkv.stree"; "redis";
+      "rocksdb" ]
+
+let clean_target name () =
+  let workload = wl () in
+  match name with
+  | "montage.hashtable" -> Targets.of_montage ~variant:`Buffered ~workload ()
+  | "montage.lf_hashtable" -> Targets.of_montage ~variant:`Lockfree ~workload ()
+  | "pmemkv.cmap" -> Targets.of_pmemkv ~engine:Kvstores.Pmemkv.Cmap ~workload ()
+  | "pmemkv.stree" -> Targets.of_pmemkv ~engine:Kvstores.Pmemkv.Stree ~workload ()
+  | "redis" -> Targets.of_redis ~workload ()
+  | "rocksdb" -> Targets.of_rocksdb ~workload ()
+  | name -> Targets.of_app (app name) ~version:(version_for name) ~workload ()
+
+(* The crash image at each failure point of a recording, as the digest of
+   the view's bytes (a materialized view reads through the rolling
+   prefix, so this copies nothing). *)
+let point_images recording =
+  let points =
+    Mumak.Fault_injection.offline_points Mumak.Config.default
+      (Pmtrace.Replay.events recording)
+  in
+  let images = ref [] in
+  let unreached =
+    Pmtrace.Replay.materialize recording
+      ~points:(List.map (fun (ordinal, pseq, _) -> (ordinal, pseq)) points)
+      ~f:(fun ~key image ->
+        images := (key, Digest.to_hex (Digest.bytes (fst (Pmem.Image.cow_pages image)))) :: !images)
+  in
+  (List.length points, unreached, List.sort compare !images)
+
+let check_load_free_view name make_target =
+  let record loads =
+    let target = make_target () in
+    Pmtrace.Replay.record ~loads ~pool_size:target.Mumak.Target.pool_size
+      (fun ~device ~framer -> target.Mumak.Target.run ~device ~framer)
+  in
+  let plain = record false and loaded = record true in
+  let view = Pmtrace.Replay.load_free loaded in
+  Alcotest.(check bool)
+    (name ^ ": the recording traced loads")
+    true
+    (Pmtrace.Replay.length loaded > Pmtrace.Replay.length plain);
+  let render r = List.map Pmtrace.Trace.event_to_line (Pmtrace.Replay.events r) in
+  Alcotest.(check (list string)) (name ^ ": events and stacks") (render plain) (render view);
+  Alcotest.(check string) (name ^ ": digest") (Pmtrace.Replay.digest plain)
+    (Pmtrace.Replay.digest view);
+  Alcotest.(check bool) (name ^ ": stats") true
+    (Pmtrace.Replay.stats plain = Pmtrace.Replay.stats view);
+  let points, unreached, images = point_images plain in
+  let points', unreached', images' = point_images view in
+  Alcotest.(check int) (name ^ ": failure points") points points';
+  Alcotest.(check (list int)) (name ^ ": every point reached") [] (unreached @ unreached');
+  Alcotest.(check (list (pair int string))) (name ^ ": crash images") images images'
+
+let test_load_free_view_clean () =
+  List.iter (fun name -> check_load_free_view name (clean_target name)) clean_names
+
+let test_load_free_view_seeded () =
+  List.iter
+    (fun (b : Bugreg.t) ->
+      Bugreg.with_enabled [ b.Bugreg.id ] (fun () ->
+          check_load_free_view b.Bugreg.id (target_for b.Bugreg.component)))
+    (all_seeded_bugs ())
+
 let () =
   Alcotest.run "replay-engine"
     [
@@ -404,6 +477,11 @@ let () =
           Alcotest.test_case "static: seeded bugs" `Slow test_static_seeded;
           Alcotest.test_case "absint: clean targets" `Slow test_absint_clean;
           Alcotest.test_case "absint: seeded bugs" `Slow test_absint_seeded;
+        ] );
+      ( "load-free-view",
+        [
+          Alcotest.test_case "clean targets" `Slow test_load_free_view_clean;
+          Alcotest.test_case "seeded bugs" `Slow test_load_free_view_seeded;
         ] );
       qsuite "arena" arena_tests;
     ]

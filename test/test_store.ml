@@ -190,6 +190,48 @@ let test_record_roundtrip () =
             "run record survives serialization byte-for-byte" true
             (Store.Record.equal record record'))
 
+(* A record's metrics list the total and then every phase that ran, each
+   once: the phase entries sum to the total under every preset, lint and
+   fix verification included. Compared after the ledger's text encoding
+   (12 significant digits), so within a relative 1e-9. *)
+let test_phase_metrics_sum () =
+  List.iter
+    (fun (label, config) ->
+      let result =
+        Mumak.Engine.analyze ~config (target_for ~workload:(wl ~ops:60 ~key_range:20 ()) "btree")
+      in
+      let record = Store.Record.of_result ~target:"btree" ~workload:"test:btree" ~config result in
+      let metrics =
+        match Json.of_string (Json.to_string record.Store.Record.metrics) with
+        | Ok (Json.Assoc fields) -> fields
+        | Ok _ | Error _ -> Alcotest.failf "%s: metrics do not decode to an object" label
+      in
+      let total, phases =
+        match metrics with
+        | ("total", total) :: phases -> (total, phases)
+        | _ -> Alcotest.failf "%s: metrics do not start with the total" label
+      in
+      Alcotest.(check bool) (label ^ ": phases listed once") true
+        (List.length (List.sort_uniq compare (List.map fst phases)) = List.length phases);
+      List.iter
+        (fun field ->
+          let value m =
+            match Option.bind (Json.member field m) Json.to_float_opt with
+            | Some v -> v
+            | None -> Alcotest.failf "%s: %s missing" label field
+          in
+          let sum = List.fold_left (fun acc (_, m) -> acc +. value m) 0. phases in
+          let t = value total in
+          if Float.abs (sum -. t) > 1e-9 *. Float.max 1. (Float.abs t) then
+            Alcotest.failf "%s: phase %s sum to %.17g, total %.17g" label field sum t)
+        [ "wall_seconds"; "cpu_seconds"; "allocated_bytes"; "heap_growth_words" ])
+    [
+      ("default", Mumak.Config.default);
+      ("linting", Mumak.Config.linting);
+      ("static_analysis", Mumak.Config.static_analysis);
+      ("optimizing", Mumak.Config.optimizing);
+    ]
+
 let test_ledger_append_load () =
   let ledger = temp_store () in
   let record = run_recorded "hashmap_atomic" in
@@ -655,6 +697,7 @@ let () =
           Alcotest.test_case "trace signature = Op.to_string digest" `Quick
             test_trace_signature_pinned;
           Alcotest.test_case "Op.to_string fixed table" `Quick test_op_rendering_pinned;
+          Alcotest.test_case "phase entries sum to total" `Quick test_phase_metrics_sum;
         ] );
       ( "overlay",
         [
