@@ -391,7 +391,8 @@ let query store_dir target_filter kind_filter phase_filter digest_filter fix_ver
   | Some ("proven" | "ineffective" | "harmful") | None -> ()
   | Some v -> usage_error "unknown fix verdict %s (proven | ineffective | harmful)" v);
   let ledger = open_ledger store_dir in
-  let runs = Store.Ledger.load_all ledger in
+  let runs, unreadable = Store.Ledger.load_all ledger in
+  List.iter (Fmt.epr "mumak: unreadable run record %s@.") unreadable;
   let contains ~needle haystack =
     let n = String.length needle and h = String.length haystack in
     let rec at i = i + n <= h && (String.sub haystack i n = needle || at (i + 1)) in
@@ -456,12 +457,13 @@ let query store_dir target_filter kind_filter phase_filter digest_filter fix_ver
       end)
     runs;
   if !shown = 0 then Fmt.pr "no matching runs (%d in ledger)@." (List.length runs);
-  exit 0
+  exit (if unreadable = [] then 0 else 2)
 
 let query_cmd =
   let doc =
     "List recorded runs and findings, filtered by target, finding kind \
-     (substring), phase or configuration digest (prefix)."
+     (substring), phase or configuration digest (prefix). A record that \
+     cannot be parsed is reported on stderr, and the command exits 2."
   in
   let target_arg =
     Arg.(value & opt (some string) None & info [ "target" ] ~doc:"Only runs of this target.")

@@ -88,8 +88,13 @@ let load_run t id =
           (Printf.sprintf "ambiguous run prefix %S (%d matches)" id
              (List.length several))
 
+(** Every run record in id order, and one "path: parse error" message per
+    record that could not be read: nothing is dropped silently. *)
 let load_all t =
-  List.filter_map (fun id -> Result.to_option (load_file (run_path t id))) (run_ids t)
+  List.partition_map
+    (fun id ->
+      match load_file (run_path t id) with Ok r -> Either.Left r | Error e -> Either.Right e)
+    (run_ids t)
 
 (* ------------------------------------------------------------------ *)
 (* Bench envelopes                                                     *)

@@ -267,6 +267,46 @@ let test_image_snapshot_independent () =
   Alcotest.check i64 "snapshot unchanged" 1L (Image.read_i64 snap ~addr:0);
   Alcotest.(check bool) "images differ" false (Image.equal img snap)
 
+(* A copy-on-write view copies a page up only when a write changes it. *)
+let test_clean_crash_view_shares_pages () =
+  let d = Device.create ~size:(3 * 4096) () in
+  List.iter (fun addr -> Device.store_i64 d ~addr (Int64.of_int addr)) [ 128; 4100; 9000 ];
+  List.iter (fun addr -> Device.clwb d ~addr) [ 128; 4100; 9000 ];
+  Device.sfence d;
+  (* every cached line now equals its persisted bytes *)
+  let view = Device.crash_view d ~policy:Device.Program_prefix in
+  Alcotest.(check int) "no private pages" 0 (List.length (snd (Image.cow_pages view)));
+  Device.store_i64 d ~addr:4100 7L;
+  let view = Device.crash_view d ~policy:Device.Program_prefix in
+  Alcotest.(check (list int))
+    "only the changed page" [ 4096 ]
+    (List.map fst (snd (Image.cow_pages view)))
+
+let test_identical_write_shares_page () =
+  let img = Image.create ~size:5000 in
+  Image.write img ~addr:4090 (Bytes.make 10 'x');
+  let view = Image.cow img in
+  Image.write view ~addr:4090 (Bytes.make 10 'x');
+  Image.write view ~addr:0 (Bytes.make 64 '\000');
+  Alcotest.(check int) "no private pages" 0 (List.length (snd (Image.cow_pages view)));
+  Image.write view ~addr:4095 (Bytes.of_string "xy");
+  Alcotest.(check (list int))
+    "the write that changes a byte copies that page only" [ 4096 ]
+    (List.map fst (snd (Image.cow_pages view)));
+  Alcotest.(check string) "view reads the write" "xyx"
+    (Bytes.to_string (Image.read view ~addr:4095 ~size:3))
+
+let test_equal_keeps_view () =
+  let img = Image.create ~size:5000 in
+  let view = Image.cow img in
+  Image.write_i64 view ~addr:4096 1L;
+  let other = Image.snapshot view in
+  Alcotest.(check bool) "equal to its snapshot" true (Image.equal view other);
+  Alcotest.(check bool) "differs from its base" false (Image.equal img view);
+  let base, pages = Image.cow_pages view in
+  Alcotest.(check bool) "still reads through its base" true (base == Image.unsafe_bytes img);
+  Alcotest.(check (list int)) "still lists its private page" [ 4096 ] (List.map fst pages)
+
 (* --- stats --- *)
 
 let test_stats_counts () =
@@ -430,6 +470,284 @@ let prop_crash_views_isolated =
       let crashes', volatile' = run_view_case ~views:false case in
       List.for_all2 Image.equal crashes crashes' && Image.equal volatile volatile')
 
+(* The device's data path against a byte-array model of the same
+   persistency semantics. [view] is what loads see and [image] what
+   survives; a store caches its lines, a clflush persists its line and
+   drops it, clflushopt/clwb capture it for the next fence, which applies
+   the captures, then the non-temporal payloads, then drops the lines a
+   clflushopt flushed if they are clean by then. An uncached line's view is
+   its persisted bytes. *)
+type model = {
+  m_size : int;
+  image : bytes;
+  view : bytes;
+  cached : bool array;
+  dirty : bool array;
+  captures : (int, bytes) Hashtbl.t;
+  mutable order : int list; (* lines with a pending capture, newest first *)
+  mutable inval : int list;
+  mutable nt : (int * bytes) list; (* newest first *)
+}
+
+let model_of base =
+  let size = Bytes.length base in
+  let lines = (size + 63) / 64 in
+  {
+    m_size = size;
+    image = Bytes.copy base;
+    view = Bytes.copy base;
+    cached = Array.make lines false;
+    dirty = Array.make lines false;
+    captures = Hashtbl.create 8;
+    order = [];
+    inval = [];
+    nt = [];
+  }
+
+let line_len m line = min 64 (m.m_size - (line * 64))
+
+let model_write m ~addr b ~dirty =
+  Bytes.blit b 0 m.view addr (Bytes.length b);
+  for line = addr / 64 to (addr + Bytes.length b - 1) / 64 do
+    m.cached.(line) <- true;
+    if dirty then m.dirty.(line) <- true
+  done
+
+(* [volatile] flushes, and flushes of uncached lines, do nothing *)
+let model_flush m kind ~line ~volatile =
+  if (not volatile) && line >= 0 && line < Array.length m.cached && m.cached.(line) then begin
+    let base = line * 64 and len = line_len m line in
+    match kind with
+    | Op.Clflush ->
+        Bytes.blit m.view base m.image base len;
+        Hashtbl.remove m.captures line;
+        m.order <- List.filter (( <> ) line) m.order;
+        m.cached.(line) <- false;
+        m.dirty.(line) <- false
+    | Op.Clflushopt | Op.Clwb ->
+        if not (Hashtbl.mem m.captures line) then m.order <- line :: m.order;
+        Hashtbl.replace m.captures line (Bytes.sub m.view base len);
+        m.dirty.(line) <- false;
+        if kind = Op.Clflushopt then m.inval <- line :: m.inval
+  end
+
+let model_flush_addr m kind ~addr =
+  model_flush m kind ~line:(addr / 64) ~volatile:(addr < 0 || addr >= m.m_size)
+
+let model_apply_captures m img =
+  List.iter
+    (fun line -> Bytes.blit (Hashtbl.find m.captures line) 0 img (line * 64) (line_len m line))
+    (List.rev m.order)
+
+let model_apply_nt m img =
+  List.iter (fun (addr, b) -> Bytes.blit b 0 img addr (Bytes.length b)) (List.rev m.nt)
+
+let model_fence m =
+  model_apply_captures m m.image;
+  Hashtbl.reset m.captures;
+  m.order <- [];
+  model_apply_nt m m.image;
+  m.nt <- [];
+  List.iter
+    (fun line -> if m.cached.(line) && not m.dirty.(line) then m.cached.(line) <- false)
+    m.inval;
+  m.inval <- [];
+  Array.iteri
+    (fun line cached ->
+      if not cached then Bytes.blit m.image (line * 64) m.view (line * 64) (line_len m line))
+    m.cached
+
+let model_crash m ~eadr policy =
+  let img = Bytes.copy m.image in
+  (match if eadr then Device.Program_prefix else policy with
+  | Device.Adr -> ()
+  | Device.Adr_with_pending -> model_apply_captures m img
+  | Device.Program_prefix ->
+      model_apply_nt m img;
+      Array.iteri
+        (fun line cached ->
+          if cached then Bytes.blit m.view (line * 64) img (line * 64) (line_len m line))
+        m.cached);
+  img
+
+let flush_kinds = [| Op.Clflush; Op.Clflushopt; Op.Clwb |]
+
+(* An 8-byte address, straddling two lines for odd [a]. *)
+let i64_addr size a =
+  if a mod 2 = 0 then a / 2 mod (size - 7)
+  else min (size - 8) ((a / 2 mod (size / 64) * 64) + 57 + (a mod 7))
+
+(* Runs one op sequence on a fresh pool ([base] = None) or on a device
+   adopting a copy-on-write view of [base], checking every read and the
+   final crash images against the model. Returns the first mismatch, and
+   what a no-op hook must not change. *)
+let run_datapath ~hook ~base (eadr, size, ops) =
+  let d, m =
+    match base with
+    | None -> (Device.create ~eadr ~size (), model_of (Bytes.make size '\000'))
+    | Some img -> (Device.adopt ~eadr (Image.cow img), model_of (Image.read img ~addr:0 ~size))
+  in
+  if hook then Device.set_hook d (Some ignore);
+  let mismatch = ref None in
+  let fail fmt = Printf.ksprintf (fun msg -> if !mismatch = None then mismatch := Some msg) fmt in
+  let read what ~addr got =
+    if not (Bytes.equal got (Bytes.sub m.view addr (Bytes.length got))) then
+      fail "%s at %d, %d bytes" what addr (Bytes.length got)
+  in
+  let rejected what expected f =
+    let before = Stats.copy (Device.stats d) in
+    (match f () with
+    | () -> fail "%s accepted" what
+    | exception e when e = expected -> ()
+    | exception e -> fail "%s raised %s" what (Printexc.to_string e));
+    if Device.stats d <> before then fail "%s counted" what
+  in
+  let oob addr len = Device.Out_of_bounds { addr; size = len; device_size = size } in
+  List.iteri
+    (fun i (kind, (a, b, c)) ->
+      let span len = (a mod (size - len + 1), len) in
+      let payload len = Bytes.init len (fun j -> Char.chr ((c + (j * 31) + i) land 255)) in
+      let v = Int64.of_int ((c * 7919) + b) in
+      match kind with
+      | 0 | 1 ->
+          let addr, len = span (1 + (b mod 100)) in
+          (* every fifth store rewrites the bytes already there *)
+          let p = if b mod 5 = 0 then Bytes.sub m.view addr len else payload len in
+          if kind = 0 then Device.store d ~addr p else Device.store_nt d ~addr p;
+          model_write m ~addr p ~dirty:(kind = 0);
+          if kind = 1 then m.nt <- (addr, Bytes.copy p) :: m.nt
+      | 2 | 3 ->
+          let addr = i64_addr size a in
+          let p = Bytes.create 8 in
+          Bytes.set_int64_le p 0 v;
+          if kind = 2 then Device.store_i64 d ~addr v else Device.store_nt_i64 d ~addr v;
+          model_write m ~addr p ~dirty:(kind = 2);
+          if kind = 3 then m.nt <- (addr, p) :: m.nt
+      | 4 ->
+          let addr, len = span (1 + (b mod 200)) in
+          Device.poison d ~addr ~size:len;
+          model_write m ~addr (Bytes.make len '\xdd') ~dirty:false
+      | 5 ->
+          let kind = flush_kinds.(b mod 3) and addr = a mod (size + 200) in
+          let len = 1 + (c mod 300) in
+          Device.flush_range d ~kind ~addr ~size:len;
+          for line = addr / 64 to (addr + len - 1) / 64 do
+            model_flush_addr m kind ~addr:(line * 64)
+          done
+      | 6 ->
+          let kind = flush_kinds.(b mod 3) in
+          if c mod 4 = 0 then begin
+            let line = a mod ((size / 64) + 4) and volatile = b mod 2 = 0 in
+            Device.flush_line d ~kind ~line ~volatile;
+            model_flush m kind ~line ~volatile
+          end
+          else begin
+            let addr = a mod (size + 200) in
+            (match kind with
+            | Op.Clflush -> Device.clflush d ~addr
+            | Op.Clflushopt -> Device.clflushopt d ~addr
+            | Op.Clwb -> Device.clwb d ~addr);
+            model_flush_addr m kind ~addr
+          end
+      | 7 ->
+          if b mod 2 = 0 then Device.sfence d else Device.mfence d;
+          model_fence m
+      | 8 | 9 ->
+          let addr = i64_addr size a in
+          let current = Bytes.get_int64_le m.view addr in
+          let p = Bytes.create 8 in
+          if kind = 8 then begin
+            let expected = if b mod 2 = 0 then current else v in
+            let ok = Device.cas d ~addr ~expected ~desired:v in
+            if ok <> Int64.equal current expected then fail "cas at %d" addr;
+            Bytes.set_int64_le p 0 v;
+            if ok then model_write m ~addr p ~dirty:true
+          end
+          else begin
+            if not (Int64.equal (Device.fetch_add d ~addr v) current) then
+              fail "fetch_add at %d" addr;
+            Bytes.set_int64_le p 0 (Int64.add current v);
+            model_write m ~addr p ~dirty:true
+          end;
+          model_fence m
+      | 10 | 11 ->
+          (* narrower and wider than the cached set, up to several KB *)
+          let addr, len = span (if c mod 3 = 0 then 1 + (b mod 16) else 1 + (b mod 3000)) in
+          if kind = 10 then read "load" ~addr (Device.load d ~addr ~size:len)
+          else read "peek" ~addr (Device.peek d ~addr ~size:len)
+      | 12 ->
+          let addr = i64_addr size a in
+          let p = Bytes.create 8 in
+          Bytes.set_int64_le p 0 (Device.load_i64 d ~addr);
+          read "load_i64" ~addr p
+      | _ -> (
+          match b mod 9 with
+          | 0 ->
+              rejected "store" (oob (size - 3) 4) (fun () ->
+                  Device.store d ~addr:(size - 3) (payload 4))
+          | 1 -> rejected "load" (oob (-1) 8) (fun () -> ignore (Device.load d ~addr:(-1) ~size:8))
+          | 2 -> rejected "peek" (oob 0 0) (fun () -> ignore (Device.peek d ~addr:0 ~size:0))
+          | 3 -> rejected "poison" (oob size 1) (fun () -> Device.poison d ~addr:size ~size:1)
+          | 4 ->
+              rejected "store_i64" (oob (size - 7) 8) (fun () ->
+                  Device.store_i64 d ~addr:(size - 7) v)
+          | 5 -> rejected "load_i64" (oob (-8) 8) (fun () -> ignore (Device.load_i64 d ~addr:(-8)))
+          | 6 ->
+              rejected "store_nt_i64" (oob (size - 4) 8) (fun () ->
+                  Device.store_nt_i64 d ~addr:(size - 4) v)
+          | 7 ->
+              rejected "cas" (oob (size - 1) 8) (fun () ->
+                  ignore (Device.cas d ~addr:(size - 1) ~expected:0L ~desired:v))
+          | _ -> (
+              match Device.flush_range d ~kind:Op.Clwb ~addr:a ~size:(-(c mod 2)) with
+              | () -> fail "flush_range of size <= 0 accepted"
+              | exception Assert_failure _ -> ())))
+    ops;
+  let crashes = List.map (fun policy -> Device.crash d ~policy) policies in
+  List.iteri
+    (fun i img ->
+      let want = model_crash m ~eadr (List.nth policies i) in
+      if not (Bytes.equal (Image.read img ~addr:0 ~size) want) then
+        fail "crash image under policy %d of [Adr; Adr_with_pending; Program_prefix]" i)
+    crashes;
+  (!mismatch, Stats.copy (Device.stats d), Device.poison_log d, crashes)
+
+let gen_datapath_case =
+  QCheck.Gen.(
+    let op = pair (int_range 0 13) (triple nat nat nat) in
+    quad bool (int_range 1 12287) nat (list_size (int_range 1 80) op)
+    >>= fun (eadr, extra, seed, ops) ->
+    (* no multiple of 64 (hence of 4096) *)
+    let size = 8192 + extra + if extra mod 64 = 0 then 1 else 0 in
+    return (eadr, size, seed, ops))
+
+let arb_datapath_case =
+  QCheck.make
+    ~print:(fun (eadr, size, seed, ops) ->
+      Printf.sprintf "eadr=%b size=%d seed=%d ops=[%s]" eadr size seed
+        (String.concat "; "
+           (List.map (fun (k, (a, b, c)) -> Printf.sprintf "%d:%d,%d,%d" k a b c) ops)))
+    gen_datapath_case
+
+let prop_datapath_model =
+  QCheck.Test.make ~name:"data path matches a byte model, hooked or not" ~count:300
+    arb_datapath_case (fun (eadr, size, seed, ops) ->
+      let random = Random.State.make [| seed |] in
+      let base = Image.create ~size in
+      Image.write base ~addr:0 (Bytes.init size (fun _ -> Char.chr (Random.State.int random 256)));
+      List.for_all
+        (fun base ->
+          let case = (eadr, size, ops) in
+          let plain, stats, poison, crashes = run_datapath ~hook:false ~base case in
+          let hooked, stats', poison', crashes' = run_datapath ~hook:true ~base case in
+          match (plain, hooked) with
+          | Some msg, _ | None, Some msg -> QCheck.Test.fail_reportf "model mismatch: %s" msg
+          | None, None ->
+              stats = stats' && poison = poison'
+              && List.for_all2 Image.equal crashes crashes'
+              || QCheck.Test.fail_report "a no-op hook changed stats, poison log or crash images")
+        [ None; Some base ])
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -486,6 +804,11 @@ let () =
         [
           Alcotest.test_case "snapshot independence" `Quick test_image_snapshot_independent;
           Alcotest.test_case "stats counts" `Quick test_stats_counts;
+          Alcotest.test_case "clean crash view shares pages" `Quick
+            test_clean_crash_view_shares_pages;
+          Alcotest.test_case "identical write shares page" `Quick
+            test_identical_write_shares_page;
+          Alcotest.test_case "equal keeps a view a view" `Quick test_equal_keeps_view;
         ] );
       qsuite "properties"
         [
@@ -495,5 +818,6 @@ let () =
           prop_flush_fence_durability;
           prop_prefix_crash_equals_volatile_view;
           prop_crash_views_isolated;
+          prop_datapath_model;
         ];
     ]

@@ -271,8 +271,10 @@ let test_ledger_atomic_append () =
   (* what a run killed mid-write leaves behind *)
   write (path ^ ".tmp") (String.sub text 0 (String.length text / 2));
   Alcotest.(check (list string)) "a stale temp file is no run" [] (Store.Ledger.run_ids ledger);
-  Alcotest.(check int) "load_all skips the stale temp file" 0
-    (List.length (Store.Ledger.load_all ledger));
+  Alcotest.(check (pair int (list string)))
+    "load_all skips the stale temp file, reporting nothing" (0, [])
+    (let runs, unreadable = Store.Ledger.load_all ledger in
+     (List.length runs, unreadable));
   (* an older, longer record under the same id *)
   write path (text ^ String.make 4096 ' ' ^ "stale tail\n");
   ignore (Store.Ledger.append_run ledger record);
@@ -282,8 +284,39 @@ let test_ledger_atomic_append () =
     (Sys.file_exists (path ^ ".tmp"));
   Alcotest.(check string) "the record was replaced whole" text (Store.Ledger.read_file path);
   match Store.Ledger.load_all ledger with
-  | [ r ] -> Alcotest.(check bool) "and loads back" true (Store.Record.equal record r)
-  | l -> Alcotest.failf "expected one loadable run, got %d" (List.length l)
+  | [ r ], [] -> Alcotest.(check bool) "and loads back" true (Store.Record.equal record r)
+  | l, unreadable ->
+      Alcotest.failf "expected one loadable run, got %d (%d unreadable)" (List.length l)
+        (List.length unreadable)
+
+(* A record that cannot be parsed (a disk error, a hand edit) is reported
+   with its path and parse error, never skipped: [query] shows it on stderr
+   and exits 2. *)
+let test_ledger_reports_unreadable () =
+  let ledger =
+    Store.Ledger.open_
+      ~dir:
+        (Filename.concat (Filename.get_temp_dir_name ())
+           (Printf.sprintf "mumak-store-unreadable-%d" (Unix.getpid ())))
+      ()
+  in
+  let record = run_recorded "hashmap_atomic" in
+  ignore (Store.Ledger.append_run ledger record);
+  let garbage = Store.Ledger.run_path ledger (String.make 32 'f') in
+  let oc = open_out_bin garbage in
+  output_string oc "{\"schema\": \"mumak.store\", trunc";
+  close_out oc;
+  let runs, unreadable = Store.Ledger.load_all ledger in
+  Sys.remove garbage;
+  Alcotest.(check int) "the good record loads" 1 (List.length runs);
+  match unreadable with
+  | [ msg ] ->
+      Alcotest.(check bool)
+        ("the garbage record is reported with its path: " ^ msg)
+        true
+        (String.starts_with ~prefix:(garbage ^ ": ") msg
+        && String.length msg > String.length garbage + 2)
+  | l -> Alcotest.failf "expected one unreadable record, got %d" (List.length l)
 
 (* The ledger's content address includes the trace signature, so its value
    must never move: it is the MD5 of every recorded event's Op.to_string
@@ -694,6 +727,8 @@ let () =
             test_bench_history_roundtrip;
           Alcotest.test_case "stale temp ignored, re-append replaces" `Quick
             test_ledger_atomic_append;
+          Alcotest.test_case "unreadable record reported, not skipped" `Quick
+            test_ledger_reports_unreadable;
           Alcotest.test_case "trace signature = Op.to_string digest" `Quick
             test_trace_signature_pinned;
           Alcotest.test_case "Op.to_string fixed table" `Quick test_op_rendering_pinned;
