@@ -23,7 +23,7 @@ let smoke = Sys.getenv_opt "MUMAK_BENCH_SMOKE" <> None
 (* Per-experiment wall/alloc totals for the envelope's meta stamp, reset by
    [bench_telemetry_begin]. *)
 let bench_clock = ref (Unix.gettimeofday ())
-let bench_alloc = ref (Gc.allocated_bytes ())
+let bench_alloc = ref (Mumak.Metrics.allocated_bytes ())
 
 (* Start an instrumented experiment: turn the collector on and discard
    anything a previous experiment left buffered, so the dump written by
@@ -32,7 +32,7 @@ let bench_telemetry_begin () =
   Telemetry.Collector.enable ();
   ignore (Telemetry.Collector.drain ());
   bench_clock := Unix.gettimeofday ();
-  bench_alloc := Gc.allocated_bytes ()
+  bench_alloc := Mumak.Metrics.allocated_bytes ()
 
 let git_commit =
   lazy
@@ -55,7 +55,7 @@ let bench_meta () =
       ("host_cores", Int (Domain.recommended_domain_count ()));
       ("smoke", Bool smoke);
       ("wall_seconds", Float (Unix.gettimeofday () -. !bench_clock));
-      ("allocated_bytes", Float (Gc.allocated_bytes () -. !bench_alloc));
+      ("allocated_bytes", Float (Mumak.Metrics.allocated_bytes () -. !bench_alloc));
     ]
 
 (* Envelope shared with `mumak validate`: schema "mumak.bench" version 2

@@ -33,9 +33,11 @@ let write_file path contents =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
 
-let run name ops key_range seed version_str grouped strategy_str bugs no_warnings
-    store_level jobs static lint verify_fixes absint trace_out metrics_out progress
-    store_dir =
+(* The --library-version of [analyze] and [optimize]. Hashmap Atomic relies
+   on allocation semantics that changed in 1.8: on a later library its
+   workload runs off the pool, so the combination is a usage error up
+   front instead of an engine error mid-analysis. *)
+let parse_version ~name version_str =
   let version =
     match version_str with
     | "1.6" -> Pmalloc.Version.V1_6
@@ -43,6 +45,14 @@ let run name ops key_range seed version_str grouped strategy_str bugs no_warning
     | "1.12" -> Pmalloc.Version.V1_12
     | v -> usage_error "unknown library version %s (1.6 | 1.8 | 1.12)" v
   in
+  if String.equal name "hashmap_atomic" && not (Pmalloc.Version.supports_hashmap_atomic version)
+  then usage_error "hashmap_atomic needs --library-version 1.6 (got %s)" version_str;
+  version
+
+let run name ops key_range seed version_str grouped strategy_str bugs no_warnings
+    store_level jobs static lint verify_fixes absint trace_out metrics_out progress
+    store_dir =
+  let version = parse_version ~name version_str in
   let workload = Workload.standard ~ops ~key_range ~seed:(Int64.of_int seed) in
   List.iter Bugreg.enable bugs;
   match build_target ~name ~version ~grouped ~workload with
@@ -165,10 +175,9 @@ let static_arg =
     & info [ "static" ]
         ~doc:
           "Run the offline persistency dependency-graph analyzer before fault \
-           injection: records whole traces, mines likely ordering/atomicity \
-           invariants and attaches fix suggestions to findings. Costs four \
-           extra instrumented executions: two workload runs, each recorded \
-           with and without load tracing.")
+           injection: reads the run's one recording, which then also traces \
+           loads, mines likely ordering/atomicity invariants and attaches fix \
+           suggestions to findings. Costs no extra execution.")
 
 let lint_arg =
   Arg.(
@@ -258,13 +267,7 @@ let analyze_cmd =
 
 let optimize name ops key_range seed version_str grouped bugs fit_cost jobs progress
     store_dir =
-  let version =
-    match version_str with
-    | "1.6" -> Pmalloc.Version.V1_6
-    | "1.8" -> Pmalloc.Version.V1_8
-    | "1.12" -> Pmalloc.Version.V1_12
-    | v -> usage_error "unknown library version %s (1.6 | 1.8 | 1.12)" v
-  in
+  let version = parse_version ~name version_str in
   let workload = Workload.standard ~ops ~key_range ~seed:(Int64.of_int seed) in
   List.iter Bugreg.enable bugs;
   match build_target ~name ~version ~grouped ~workload with

@@ -72,20 +72,11 @@ type dangling = {
   d_line_persisted : bool;  (** the line has earlier persist nodes *)
 }
 
-type redundancy_kind = Volatile_flush | Clean_flush | Empty_fence
-
-type redundancy = {
-  r_kind : redundancy_kind;
-  r_line : int;  (** 0 for fences *)
-  r_seq_p : int;
-}
-
 type t = {
   nodes : node array;
   edges : edge list;
   chases : chase list;
   dangling : dangling list;
-  redundant : redundancy list;
   epochs : int;  (** number of fences in the trace *)
   events : int;
 }
@@ -115,11 +106,10 @@ type builder = {
   pending : (int, window) Hashtbl.t;  (* line -> open window *)
   mutable ready : window list;  (* captured, awaiting the next fence; newest first *)
   last_persist : (int, int) Hashtbl.t;  (* line -> newest node id *)
-  flush_counts : (int, int) Hashtbl.t;
+  flushed : (int, unit) Hashtbl.t;  (* lines with a non-volatile flush *)
   mutable nodes_rev : node list;
   mutable edges_rev : edge list;
   mutable chases_rev : chase list;
-  mutable redundant_rev : redundancy list;
   mutable ring : (int * int * int) list;  (* node id, line, raw load seq *)
   mutable prev_load : (int * string * int * int) option;
       (* line, frame path, op_index, raw seq of the previous load *)
@@ -134,11 +124,10 @@ let create_builder () =
     pending = Hashtbl.create 256;
     ready = [];
     last_persist = Hashtbl.create 256;
-    flush_counts = Hashtbl.create 256;
+    flushed = Hashtbl.create 256;
     nodes_rev = [];
     edges_rev = [];
     chases_rev = [];
-    redundant_rev = [];
     ring = [];
     prev_load = None;
     events = 0;
@@ -217,26 +206,15 @@ let feed b (event : Pmtrace.Event.t) =
             capture_window b line
           end)
         lines
-  | Pmem.Op.Flush { line; volatile; dirty; _ } ->
-      if volatile then
-        b.redundant_rev <-
-          { r_kind = Volatile_flush; r_line = line; r_seq_p = b.pseq } :: b.redundant_rev
-      else begin
-        Hashtbl.replace b.flush_counts line
-          (1 + Option.value ~default:0 (Hashtbl.find_opt b.flush_counts line));
-        if not dirty then
-          b.redundant_rev <-
-            { r_kind = Clean_flush; r_line = line; r_seq_p = b.pseq } :: b.redundant_rev;
-        match Hashtbl.find_opt b.pending line with
-        | Some w ->
-            w.w_flush <- Some (event.Pmtrace.Event.seq, b.pseq);
-            capture_window b line
-        | None -> ()
-      end
-  | Pmem.Op.Fence { pending_flushes; pending_nt; _ } ->
-      if pending_flushes = 0 && pending_nt = 0 then
-        b.redundant_rev <-
-          { r_kind = Empty_fence; r_line = 0; r_seq_p = b.pseq } :: b.redundant_rev;
+  | Pmem.Op.Flush { volatile = true; _ } -> ()
+  | Pmem.Op.Flush { line; _ } -> (
+      Hashtbl.replace b.flushed line ();
+      match Hashtbl.find_opt b.pending line with
+      | Some w ->
+          w.w_flush <- Some (event.Pmtrace.Event.seq, b.pseq);
+          capture_window b line
+      | None -> ())
+  | Pmem.Op.Fence _ ->
       let fence_seq = event.Pmtrace.Event.seq in
       List.iter
         (fun w ->
@@ -318,7 +296,7 @@ let finish b =
       d_last_store_p = w.w_last_store_p;
       d_flush_p = (if flushed then Option.map snd w.w_flush else None);
       d_locs = List.rev w.w_locs;
-      d_line_flushed = Hashtbl.mem b.flush_counts w.w_line;
+      d_line_flushed = Hashtbl.mem b.flushed w.w_line;
       d_line_persisted = Hashtbl.mem b.last_persist w.w_line;
     }
   in
@@ -332,7 +310,6 @@ let finish b =
     edges = List.rev b.edges_rev;
     chases = List.rev b.chases_rev;
     dangling;
-    redundant = List.rev b.redundant_rev;
     epochs = b.epoch;
     events = b.events;
   }
@@ -421,6 +398,6 @@ let check t =
   List.rev !problems
 
 let pp ppf t =
-  Fmt.pf ppf "dep graph: %d persists over %d epochs, %d edges, %d chases, %d dangling, %d redundant"
+  Fmt.pf ppf "dep graph: %d persists over %d epochs, %d edges, %d chases, %d dangling"
     (Array.length t.nodes) t.epochs (List.length t.edges) (List.length t.chases)
-    (List.length t.dangling) (List.length t.redundant)
+    (List.length t.dangling)

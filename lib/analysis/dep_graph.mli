@@ -61,20 +61,11 @@ type dangling = {
   d_line_persisted : bool;  (** the line has earlier persist nodes *)
 }
 
-type redundancy_kind = Volatile_flush | Clean_flush | Empty_fence
-
-type redundancy = {
-  r_kind : redundancy_kind;
-  r_line : int;  (** 0 for fences *)
-  r_seq_p : int;
-}
-
 type t = {
   nodes : node array;
   edges : edge list;
   chases : chase list;
   dangling : dangling list;
-  redundant : redundancy list;
   epochs : int;  (** number of fences in the trace *)
   events : int;
 }

@@ -4,10 +4,10 @@
     with work left undone — each with a frame + ordinal location, a concrete
     {!Fix.t}, and the estimated cost of leaving it in place.
 
-    Lint needs no invariant mining and no load-traced recording, so it runs
-    off a single execution; where its detectors overlap the dependency-graph
-    redundancies ({!Dep_graph.redundancy}) the report-level deduplication
-    (same kind, same code path) merges the two.
+    Lint is a view over the persistency fold ({!Persist_fold}) that trace
+    analysis and the static analyzer's redundancy findings also read, so
+    the three classify every flush and fence alike; the report-level
+    deduplication (same kind, same code path) merges their twins.
 
     The trace should carry device-accurate metadata (flush [dirty] bits,
     fence pending counts): recorded traces do by construction, rewritten
@@ -75,33 +75,10 @@ let kind_rank = function
 
 let analyze ?(eadr = false) (events : Pmtrace.Event.t list) =
   Telemetry.Collector.span ~cat:"lint" "analyze" @@ fun () ->
-  (* pass 1: where is each line flushed? (pseq list, ascending) *)
-  let flush_sites = Hashtbl.create 256 in
-  let n_events = ref 0 in
-  let () =
-    let pseq = ref 0 in
-    List.iter
-      (fun (e : Pmtrace.Event.t) ->
-        incr n_events;
-        (match e.Pmtrace.Event.op with Pmem.Op.Load _ -> () | _ -> incr pseq);
-        match e.Pmtrace.Event.op with
-        | Pmem.Op.Flush { line; volatile = false; _ } ->
-            let prior = Option.value ~default:[] (Hashtbl.find_opt flush_sites line) in
-            Hashtbl.replace flush_sites line (!pseq :: prior)
-        | _ -> ())
-      events
-  in
-  Hashtbl.iter (fun line ps -> Hashtbl.replace flush_sites line (List.rev ps)) flush_sites;
-  let flushed_after line p =
-    match Hashtbl.find_opt flush_sites line with
-    | None -> false
-    | Some ps -> List.exists (fun q -> q > p) ps
-  in
-  let ever_flushed line = Hashtbl.mem flush_sites line in
-  (* pass 2: the epoch walk. Findings aggregate per code site — the same
-     static instruction misbehaving in every epoch is one finding whose
-     savings sum over its dynamic instances, matching the granularity of
-     the source-level fix it suggests. *)
+  (* Findings aggregate per code site — the same static instruction
+     misbehaving in every epoch is one finding whose savings sum over its
+     dynamic instances, matching the granularity of the source-level fix it
+     suggests. *)
   let sites : (string, finding) Hashtbl.t = Hashtbl.create 64 in
   (* Deleting an instruction deletes every execution of it, so a delete fix
      is only sound when every dynamic instance of the site was flagged:
@@ -120,8 +97,8 @@ let analyze ?(eadr = false) (events : Pmtrace.Event.t list) =
   and redundant_fences = ref 0
   and missing = ref 0
   and flushes = ref 0
-  and fences = ref 0
-  and epochs = ref 0 in
+  and fences = ref 0 in
+  let fix action seq stack rationale = Some { Fix.action; seq; stack; rationale } in
   let add ?fix ~line ~cycles ~events:ev_saved kind pseq stack detail =
     (match fix with
     | Some { Fix.action = Fix.Delete_flush _; seq; stack = fstack; _ } ->
@@ -133,190 +110,121 @@ let analyze ?(eadr = false) (events : Pmtrace.Event.t list) =
     | Duplicate_flush | Unnecessary_flush | Nt_flush_misuse -> incr redundant_flushes
     | Redundant_fence -> incr redundant_fences
     | Missing_flush -> incr missing);
-    let key =
-      Printf.sprintf "%d|%s" (kind_rank kind)
-        (match stack with
-        | Some c -> Pmtrace.Callstack.capture_to_string c
-        | None -> Printf.sprintf "#%d" pseq)
-    in
+    let key = site_key (string_of_int (kind_rank kind)) stack pseq in
     match Hashtbl.find_opt sites key with
     | Some f ->
         Hashtbl.replace sites key
           { f with l_cycles = f.l_cycles + cycles; l_events = f.l_events + ev_saved }
     | None ->
         Hashtbl.replace sites key
-          {
-            l_kind = kind;
-            l_pseq = pseq;
-            l_stack = stack;
-            l_line = line;
-            l_detail = detail;
-            l_fix = fix;
-            l_cycles = cycles;
-            l_events = ev_saved;
-          }
+          { l_kind = kind; l_pseq = pseq; l_stack = stack; l_line = line; l_detail = detail;
+            l_fix = fix; l_cycles = cycles; l_events = ev_saved }
   in
-  (* per-line volatile-cache mirror: Some (pseq, stack) = dirty since that
-     store; cleared when a flush captures the line *)
-  let dirty = Hashtbl.create 256 in
-  (* capture-flushes of this epoch that a fence has not drained yet:
-     line -> (pseq, stack) of the capturing clflushopt/clwb *)
-  let captured = Hashtbl.create 64 in
-  (* lines written non-temporally this epoch *)
-  let nt_lines = Hashtbl.create 16 in
-  (* dirty stores issued since the last fence: line -> (pseq, stack) *)
-  let epoch_stores = Hashtbl.create 64 in
-  let pseq = ref 0 in
+  let delete_flush ~line kind p stack why detail =
+    add ?fix:(fix (Fix.Delete_flush { line }) p stack why) ~line ~cycles:flush_cycles ~events:1
+      kind p stack detail
+  in
+  let fold = Persist_fold.create () in
+  (* the stack at each persistency index, for anchors named after the fact *)
+  let n_events = List.length events in
+  let stacks = Array.make n_events None in
+  (* fences whose verdict needs the whole trace, newest first: (pseq, stack,
+     nothing to drain, missing-flush candidates sorted by line) *)
+  let fences_rev = ref [] in
   List.iter
     (fun (e : Pmtrace.Event.t) ->
-      (match e.Pmtrace.Event.op with Pmem.Op.Load _ -> () | _ -> incr pseq);
-      let p = !pseq in
-      let stack = e.Pmtrace.Event.stack in
-      match e.Pmtrace.Event.op with
-      | Pmem.Op.Load _ -> ()
-      | Pmem.Op.Store { addr; size; nt } ->
-          List.iter
-            (fun line ->
-              if nt then Hashtbl.replace nt_lines line ()
-              else begin
-                Hashtbl.replace dirty line (p, stack);
-                Hashtbl.replace epoch_stores line (p, stack)
-              end)
-            (Pmem.Addr.lines_spanned ~addr ~size)
-      | Pmem.Op.Flush { kind; line; dirty = was_dirty; volatile } ->
+      let step = Persist_fold.feed fold e in
+      let p = Persist_fold.pseq fold and stack = e.Pmtrace.Event.stack in
+      if step <> Persist_fold.Load then stacks.(p - 1) <- stack;
+      match (step, e.Pmtrace.Event.op) with
+      | _, Pmem.Op.Fence { kind; _ } ->
+          incr fences;
+          bump instance_totals (site_key "N" stack p);
+          (* missing-flush candidates: lines stored to this epoch and still
+             dirty here *)
+          let candidates = ref [] in
+          Persist_fold.stranded fold (fun line sp -> candidates := (line, sp) :: !candidates);
+          (* an RMW's fence orders its own store: never redundant here *)
+          let empty =
+            if kind = Pmem.Op.Rmw then None else Persist_fold.redundancy step e.Pmtrace.Event.op
+          in
+          if empty <> None || !candidates <> [] then
+            fences_rev := (p, stack, empty, List.sort compare !candidates) :: !fences_rev
+      | _, Pmem.Op.Flush { line; _ } -> (
           incr flushes;
           bump instance_totals (site_key "F" stack p);
-          if volatile then
-            add
-              ~fix:
-                {
-                  Fix.action = Fix.Delete_flush { line };
-                  seq = p;
-                  stack;
-                  rationale = "the flushed address is not in the PM pool";
-                }
-              ~line ~cycles:flush_cycles ~events:1 Unnecessary_flush p stack
-              (Printf.sprintf "flush of volatile address (line %d)" line)
-          else if not was_dirty then
-            if Hashtbl.mem nt_lines line then
-              add
-                ~fix:
-                  {
-                    Fix.action = Fix.Delete_flush { line };
-                    seq = p;
-                    stack;
-                    rationale = "non-temporal stores bypass the cache; the fence alone persists them";
-                  }
-                ~line ~cycles:flush_cycles ~events:1 Nt_flush_misuse p stack
+          match (step, Persist_fold.redundancy step e.Pmtrace.Event.op) with
+          | Persist_fold.Clean_nt_flush, _ ->
+              delete_flush ~line Nt_flush_misuse p stack
+                "non-temporal stores bypass the cache; the fence alone persists them"
                 (Printf.sprintf "flush of line %d written only non-temporally this epoch" line)
-            else
-              add
-                ~fix:
-                  {
-                    Fix.action = Fix.Delete_flush { line };
-                    seq = p;
-                    stack;
-                    rationale = "the line holds no unpersisted stores";
-                  }
-                ~line ~cycles:flush_cycles ~events:1 Unnecessary_flush p stack
-                (Printf.sprintf "line %d flushed with nothing written since its last flush" line)
-          else begin
-            (* dirty flush: did it overwrite a capture from this same epoch? *)
-            (match Hashtbl.find_opt captured line with
-            | Some (first_p, first_stack) ->
+          | Persist_fold.Volatile_flush, Some detail ->
+              delete_flush ~line Unnecessary_flush p stack
+                "the flushed address is not in the PM pool" detail
+          | _, Some detail ->
+              delete_flush ~line Unnecessary_flush p stack "the line holds no unpersisted stores"
+                detail
+          | _, None ->
+              (* dirty flush: did it overwrite a capture from this same epoch? *)
+              let first_p = Persist_fold.overwritten fold in
+              if first_p > 0 then begin
+                let first_stack = stacks.(first_p - 1) in
                 (* no fix when both flushes are dynamic instances of the same
                    instruction (a flush in a loop): deleting that source line
                    would delete the live second capture too — the repair is a
                    restructuring this tool cannot express as a trace edit *)
-                let same_site =
-                  match (first_stack, stack) with
-                  | Some a, Some b ->
-                      Pmtrace.Callstack.capture_to_string a
-                      = Pmtrace.Callstack.capture_to_string b
-                  | _ -> false
-                in
-                let fix =
-                  if same_site then None
-                  else
-                    Some
-                      {
-                        Fix.action = Fix.Delete_flush { line };
-                        seq = first_p;
-                        stack = first_stack;
-                        rationale =
-                          "a later flush of the same line re-captures it before any fence \
-                           drains this one";
-                      }
-                in
-                add ?fix ~line ~cycles:flush_cycles ~events:1 Duplicate_flush first_p
-                  first_stack
+                add
+                  ?fix:
+                    (if site_key "F" first_stack first_p = site_key "F" stack p then None
+                     else
+                       fix (Fix.Delete_flush { line }) first_p first_stack
+                         "a later flush of the same line re-captures it before any fence \
+                          drains this one")
+                  ~line ~cycles:flush_cycles ~events:1 Duplicate_flush first_p first_stack
                   (Printf.sprintf
                      "line %d flushed at #%d and again at #%d with no fence between: the first \
                       capture is dead"
                      line first_p p)
-            | None -> ());
-            Hashtbl.remove dirty line;
-            match kind with
-            | Pmem.Op.Clflush ->
-                (* persists immediately: not a capture a later flush can kill *)
-                Hashtbl.remove captured line
-            | Pmem.Op.Clflushopt | Pmem.Op.Clwb -> Hashtbl.replace captured line (p, stack)
-          end
-      | Pmem.Op.Fence { kind; pending_flushes; pending_nt } ->
-          incr fences;
-          incr epochs;
-          bump instance_totals (site_key "N" stack p);
-          (* missing-flush hot spots: lines stored to this epoch, still dirty
-             here, never flushed later — though the program knows how to
-             flush them (it does elsewhere). Suppressed under eADR, where
-             visible stores are durable without flushes. *)
-          let spots = ref [] in
-          if not eadr then
-            Hashtbl.iter
-              (fun line (sp, sstack) ->
-                if Hashtbl.mem dirty line && (not (flushed_after line p)) && ever_flushed line
-                then spots := (line, sp, sstack) :: !spots)
-              epoch_stores;
-          let spots = List.sort compare !spots in
-          (* the spot is anchored at the store that dirtied the line, not at
-             the fence: the store is where the flush belongs, its identity
-             survives trace rewrites, and a fence synthesized by a fix
-             re-observing the same stranded store maps onto the same
-             finding instead of minting a new one *)
-          List.iter
-            (fun (line, sp, sstack) ->
-              add
-                ~fix:
-                  {
-                    Fix.action = Fix.Insert_flush { line };
-                    seq = sp;
-                    stack = sstack;
-                    rationale = "flush the line so the next fence persists the stores";
-                  }
-                ~line ~cycles:0 ~events:0 Missing_flush sp sstack
-                (Printf.sprintf
-                   "store to line %d at #%d is still dirty at the fence at #%d and the line is \
-                    never flushed afterwards, though the program flushes it elsewhere"
-                   line sp p))
-            spots;
-          if
-            kind <> Pmem.Op.Rmw && pending_flushes = 0 && pending_nt = 0
-            && spots = []
-          then
-            add
-              ~fix:
-                {
-                  Fix.action = Fix.Delete_fence;
-                  seq = p;
-                  stack;
-                  rationale = "no flush or NT store to drain";
-                }
-              ~line:0 ~cycles:fence_cycles ~events:1 Redundant_fence p stack
-              "fence with no pending flushes or NT stores";
-          Hashtbl.reset captured;
-          Hashtbl.reset nt_lines;
-          Hashtbl.reset epoch_stores)
+              end)
+      | _ -> ())
     events;
+  (* Fence verdicts, in fence order, once every flush position is known: a
+     candidate is a missing-flush hot spot when its line is never flushed
+     after the fence though the program flushes it elsewhere — never under
+     eADR, where visible stores are durable without flushes. The spot is
+     anchored at the store that dirtied the line, not at the fence: the
+     store is where the flush belongs, its identity survives trace
+     rewrites, and a fence synthesized by a fix re-observing the same
+     stranded store maps onto the same finding instead of minting a new
+     one. *)
+  List.iter
+    (fun (p, stack, empty, candidates) ->
+      let spots =
+        List.filter
+          (fun (line, _) ->
+            let last = Persist_fold.last_flush fold line in
+            (not eadr) && last > 0 && last < p)
+          candidates
+      in
+      List.iter
+        (fun (line, sp) ->
+          add
+            ?fix:
+              (fix (Fix.Insert_flush { line }) sp stacks.(sp - 1)
+                 "flush the line so the next fence persists the stores")
+            ~line ~cycles:0 ~events:0 Missing_flush sp stacks.(sp - 1)
+            (Printf.sprintf
+               "store to line %d at #%d is still dirty at the fence at #%d and the line is \
+                never flushed afterwards, though the program flushes it elsewhere"
+               line sp p))
+        spots;
+      match empty with
+      | Some detail when spots = [] ->
+          add
+            ?fix:(fix Fix.Delete_fence p stack "no flush or NT store to drain")
+            ~line:0 ~cycles:fence_cycles ~events:1 Redundant_fence p stack detail
+      | Some _ | None -> ())
+    (List.rev !fences_rev);
   let deletable (fx : Fix.t) =
     let key shape = site_key shape fx.Fix.stack fx.Fix.seq in
     let sound shape =
@@ -349,8 +257,8 @@ let analyze ?(eadr = false) (events : Pmtrace.Event.t list) =
   let events_saved = List.fold_left (fun acc f -> acc + f.l_events) 0 findings in
   {
     findings;
-    events = !n_events;
-    epochs = !epochs;
+    events = n_events;
+    epochs = !fences;
     flushes = !flushes;
     fences = !fences;
     redundant_flushes = !redundant_flushes;

@@ -10,8 +10,9 @@
     graph feeds the likely-invariant miner, pooled once per configured run
     (the target is deterministic, so repeated recordings would be equal);
     the graph is then scanned for instances that break an accepted
-    invariant, for store windows that never reached durability, and for
-    persistency instructions that do no work — each finding carrying a
+    invariant and for store windows that never reached durability, and
+    the persistency fold ({!Persist_fold}) for persistency instructions
+    that do no work, one finding per code site — each finding carrying a
     concrete {!Fix.t} when one exists. *)
 
 type kind =
@@ -280,30 +281,31 @@ let analyze ?invariants ?(runs = 1) ~support ~confidence ~eadr (events : Pmtrace
                  ap.Invariants.a_loc1 ap.Invariants.a_loc2 ap.Invariants.a_co
                  (Invariants.a_confidence ap) ap.Invariants.a_split))
     invariants.Invariants.atomic_pairs;
-  (* ---- persistency instructions that do no work ---- *)
+  (* ---- persistency instructions that do no work, as the persistency
+          fold classifies them: one finding per (kind, code path) at its
+          first dynamic instance, the one the report keeps ---- *)
+  let fold = Persist_fold.create () and sites = Hashtbl.create 64 in
+  let first kind = function
+    | None -> true
+    | Some c ->
+        let key = (kind, Pmtrace.Callstack.capture_to_string c) in
+        (not (Hashtbl.mem sites key)) && (Hashtbl.replace sites key (); true)
+  in
   List.iter
-    (fun (r : Dep_graph.redundancy) ->
-      match r.Dep_graph.r_kind with
-      | Dep_graph.Volatile_flush ->
-          add
-            ~fix:
-              (fix (Fix.Delete_flush { line = r.Dep_graph.r_line }) r.Dep_graph.r_seq_p
-                 "the flushed address is not in the PM pool")
-            Redundant_flush r.Dep_graph.r_seq_p
-            (Printf.sprintf "flush of volatile address (line %d)" r.Dep_graph.r_line)
-      | Dep_graph.Clean_flush ->
-          add
-            ~fix:
-              (fix (Fix.Delete_flush { line = r.Dep_graph.r_line }) r.Dep_graph.r_seq_p
-                 "the line holds no unpersisted stores")
-            Redundant_flush r.Dep_graph.r_seq_p
-            (Printf.sprintf "line %d flushed with nothing written since its last flush"
-               r.Dep_graph.r_line)
-      | Dep_graph.Empty_fence ->
-          add
-            ~fix:(fix Fix.Delete_fence r.Dep_graph.r_seq_p "no flush or NT store to drain")
-            Redundant_fence r.Dep_graph.r_seq_p "fence with no pending flushes or NT stores")
-    g.Dep_graph.redundant;
+    (fun (e : Pmtrace.Event.t) ->
+      let step = Persist_fold.feed fold e in
+      let p = Persist_fold.pseq fold and stack = e.Pmtrace.Event.stack in
+      match (Persist_fold.redundancy step e.Pmtrace.Event.op, e.Pmtrace.Event.op) with
+      | Some detail, Pmem.Op.Flush { line; _ } when first Redundant_flush stack ->
+          let why =
+            if step = Persist_fold.Volatile_flush then "the flushed address is not in the PM pool"
+            else "the line holds no unpersisted stores"
+          in
+          add ~fix:(fix (Fix.Delete_flush { line }) p why) Redundant_flush p detail
+      | Some detail, Pmem.Op.Fence _ when first Redundant_fence stack ->
+          add ~fix:(fix Fix.Delete_fence p "no flush or NT store to drain") Redundant_fence p detail
+      | _ -> ())
+    events;
   (* Deterministic findings order: invariant tables iterate in hash order,
      so emission order can drift across runs — sort by (anchor, kind,
      detail) instead. *)

@@ -54,10 +54,11 @@ val analyze :
     pools the recording's graph [runs] times (default 1): the target is
     deterministic, so [runs] recordings would give equal graphs. Under
     [eadr] the durability family is suppressed (globally visible stores
-    are durable, paper section 4.3). Findings are sorted by (anchor, kind,
-    detail). [invariants] skips the mining and scans against the given
-    set — how the fix verifier re-checks a rewritten trace under the
-    baseline invariants. *)
+    are durable, paper section 4.3). Redundant flushes and fences are
+    reported once per code site, at the first dynamic instance. Findings
+    are sorted by (anchor, kind, detail). [invariants] skips the mining
+    and scans against the given set — how the fix verifier re-checks a
+    rewritten trace under the baseline invariants. *)
 
 val pp_finding : finding Fmt.t
 val pp : t Fmt.t

@@ -14,22 +14,32 @@ type t = {
 
 let cpu_load t = if t.wall_seconds > 0. then t.cpu_seconds /. t.wall_seconds else 0.
 
+(** Bytes allocated so far by the calling domain, exactly: minor words,
+    the current minor heap's included, plus words allocated directly in
+    the major heap. On OCaml 5.1 [Gc.allocated_bytes] and [Gc.counters]'
+    minor field count the minor heap only at minor collections, so a short
+    section reads near zero or a whole minor heap. *)
+let allocated_bytes () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+
 (* Wall time comes from the monotonic clock ([Telemetry.Clock], backed by
    clock_gettime(CLOCK_MONOTONIC)), so an NTP step during a measured
    section cannot produce negative or absurd phase times. On platforms
    without CLOCK_MONOTONIC the clock falls back to wall time
    (Clock.is_monotonic = false) and elapsed_s clamps at 0, which is the
-   documented degradation. Allocation counters are clamped at 0 like
-   heap_growth_words: Gc.allocated_bytes is monotonic per domain, but the
-   clamp keeps the invariant explicit and future-proof. *)
+   documented degradation. The allocation reads sit right around [f] so
+   the section's count carries only the reads' own few words; it is
+   clamped at 0 like heap_growth_words, which keeps the invariant
+   explicit. *)
 let measure f =
   let wall0 = Telemetry.Clock.now_ns () and cpu0 = Sys.time () in
-  let alloc0 = Gc.allocated_bytes () in
   let heap0 = (Gc.quick_stat ()).Gc.heap_words in
+  let alloc0 = allocated_bytes () in
   let result = f () in
+  let alloc = allocated_bytes () -. alloc0 in
   let wall = Telemetry.Clock.elapsed_s wall0 (Telemetry.Clock.now_ns ()) in
   let cpu = Sys.time () -. cpu0 in
-  let alloc = Gc.allocated_bytes () -. alloc0 in
   let heap = (Gc.quick_stat ()).Gc.heap_words - heap0 in
   ( result,
     {

@@ -190,6 +190,53 @@ let test_static_same_correctness_bugs () =
             (kinds base) (kinds stat)))
     [ "btree_insert_no_tx"; "btree_count_outside_tx" ]
 
+(* --- redundancy findings: one per code site --- *)
+
+let test_static_redundancy_per_site () =
+  let events = Pmtrace.Trace.to_list (record ~loads:true (target_for "btree")) in
+  (* the earliest dynamic instance of every redundant flush and fence site,
+     read straight off the recorded events *)
+  let earliest = Hashtbl.create 64 and pseq = ref 0 in
+  List.iter
+    (fun (e : Pmtrace.Event.t) ->
+      let note kind =
+        match e.Pmtrace.Event.stack with
+        | Some c ->
+            let key = (Analysis.Static.kind_to_string kind, Pmtrace.Callstack.capture_to_string c) in
+            if not (Hashtbl.mem earliest key) then Hashtbl.replace earliest key !pseq
+        | None -> Alcotest.fail "recorded event without a stack"
+      in
+      match e.Pmtrace.Event.op with
+      | Pmem.Op.Load _ -> ()
+      | op -> (
+          incr pseq;
+          match op with
+          | Pmem.Op.Flush { dirty = false; _ } | Pmem.Op.Flush { volatile = true; _ } ->
+              note Analysis.Static.Redundant_flush
+          | Pmem.Op.Fence { pending_flushes = 0; pending_nt = 0; _ } ->
+              note Analysis.Static.Redundant_fence
+          | _ -> ()))
+    events;
+  let got =
+    (Analysis.Static.analyze ~runs:static_config.Mumak.Config.invariant_runs
+       ~support:static_config.Mumak.Config.invariant_support
+       ~confidence:static_config.Mumak.Config.invariant_confidence ~eadr:false events)
+      .Analysis.Static.findings
+    |> List.filter_map (fun (f : Analysis.Static.finding) ->
+           match (f.Analysis.Static.kind, f.Analysis.Static.stack) with
+           | (Analysis.Static.Redundant_flush | Analysis.Static.Redundant_fence), Some c ->
+               Some
+                 ( ( Analysis.Static.kind_to_string f.Analysis.Static.kind,
+                     Pmtrace.Callstack.capture_to_string c ),
+                   f.Analysis.Static.seq )
+           | _ -> None)
+    |> List.sort compare
+  in
+  let want = List.sort compare (Hashtbl.fold (fun k p acc -> (k, p) :: acc) earliest []) in
+  Alcotest.(check bool) "btree has redundant flush or fence sites" true (want <> []);
+  Alcotest.(check (list (pair (pair string string) int)))
+    "one redundancy finding per (kind, site), at its earliest instance" want got
+
 (* --- eADR: only the durability family is suppressed --- *)
 
 let test_static_eadr_drops_durability () =
@@ -244,6 +291,8 @@ let () =
             test_static_seeded_ordering;
           Alcotest.test_case "correctness bugs unchanged by the static phase" `Quick
             test_static_same_correctness_bugs;
+          Alcotest.test_case "redundancy findings one per site" `Quick
+            test_static_redundancy_per_site;
         ] );
       ( "static_eadr_semantics",
         [

@@ -228,6 +228,86 @@ let prop_lint_clean_silent =
       let l = lint_of_blocks (List.map (fun s -> (Clean, s)) slots) in
       l.Analysis.Lint.findings = [])
 
+(* --- cross-detector agreement ---------------------------------------- *)
+
+(* Random op streams — stores (cached and non-temporal), the three flushes
+   (some of volatile addresses), sfence, mfence and RMW fences — whose
+   metadata the device recomputes. *)
+let op_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      ( 4,
+        map3
+          (fun slot size nt -> Pmem.Op.Store { addr = slot * 8; size; nt })
+          (int_bound 40) (oneofl [ 8; 16; 64 ])
+          (frequency [ (3, return false); (1, return true) ]) );
+      ( 4,
+        map3
+          (fun kind line volatile -> Pmem.Op.Flush { kind; line; dirty = false; volatile })
+          (oneofl [ Pmem.Op.Clflush; Pmem.Op.Clflushopt; Pmem.Op.Clwb ])
+          (int_bound 6)
+          (frequency [ (5, return false); (1, return true) ]) );
+      ( 2,
+        map
+          (fun kind -> Pmem.Op.Fence { kind; pending_flushes = 0; pending_nt = 0 })
+          (oneofl [ Pmem.Op.Sfence; Pmem.Op.Mfence; Pmem.Op.Rmw ]) );
+    ]
+
+let prop_detectors_agree =
+  QCheck.Test.make ~name:"trace analysis, lint and static agree on flushes and fences"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map Pmem.Op.to_string ops))
+       QCheck.Gen.(list_size (int_range 1 80) op_gen))
+    (fun ops ->
+      let events =
+        Pmtrace.Replay.normalize_events ~pool_size:(1 lsl 16)
+          (List.mapi (fun i op -> { Pmtrace.Event.seq = i + 1; op; stack = None }) ops)
+      in
+      let config = Mumak.Config.default in
+      let ta = Mumak.Trace_analysis.create config in
+      List.iter (Mumak.Trace_analysis.feed ta) events;
+      let raws = Mumak.Trace_analysis.finish ta in
+      let ta_seqs kind =
+        List.filter_map
+          (fun (r : Mumak.Trace_analysis.raw) ->
+            if r.Mumak.Trace_analysis.kind = kind then Some r.Mumak.Trace_analysis.seq else None)
+          raws
+      in
+      let lint_flushes =
+        List.filter_map
+          (fun (f : Analysis.Lint.finding) ->
+            match f.Analysis.Lint.l_kind with
+            | Analysis.Lint.Unnecessary_flush | Analysis.Lint.Nt_flush_misuse ->
+                Some f.Analysis.Lint.l_pseq
+            | _ -> None)
+          (Analysis.Lint.analyze events).Analysis.Lint.findings
+      in
+      let static = Analysis.Static.analyze ~support:config.Mumak.Config.invariant_support
+          ~confidence:config.Mumak.Config.invariant_confidence ~eadr:false events
+      in
+      let static_seqs kind =
+        List.filter_map
+          (fun (f : Analysis.Static.finding) ->
+            if f.Analysis.Static.kind = kind then Some f.Analysis.Static.seq else None)
+          static.Analysis.Static.findings
+      in
+      let empty_fences =
+        List.filter_map
+          (fun (e : Pmtrace.Event.t) ->
+            match e.Pmtrace.Event.op with
+            | Pmem.Op.Fence { pending_flushes = 0; pending_nt = 0; _ } -> Some e.Pmtrace.Event.seq
+            | _ -> None)
+          events
+      in
+      let sorted = List.sort compare in
+      let redundant = sorted (ta_seqs Mumak.Report.Redundant_flush) in
+      redundant = sorted lint_flushes
+      && redundant = sorted (static_seqs Analysis.Static.Redundant_flush)
+      && sorted (ta_seqs Mumak.Report.Redundant_fence) = empty_fences
+      && sorted (static_seqs Analysis.Static.Redundant_fence) = empty_fences)
+
 (* --- rewrite structural properties --------------------------------- *)
 
 let prop_rewrite_renumber =
@@ -311,7 +391,12 @@ let () =
       ( "differential",
         [ Alcotest.test_case "replay equals live j=1" `Slow test_replay_differential ] );
       ( "lint",
-        [ qt prop_lint_plants; qt prop_lint_clean_silent; qt prop_rewrite_renumber ] );
+        [
+          qt prop_lint_plants;
+          qt prop_lint_clean_silent;
+          qt prop_rewrite_renumber;
+          qt prop_detectors_agree;
+        ] );
       ( "verdicts",
         [
           Alcotest.test_case "seeded missing flush proven" `Slow test_seeded_missing_flush_proven;

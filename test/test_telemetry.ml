@@ -56,6 +56,18 @@ let test_metrics_nonnegative () =
   Alcotest.(check bool) "cpu >= 0" true (m.Mumak.Metrics.cpu_seconds >= 0.);
   Alcotest.(check bool) "alloc >= 0" true (m.Mumak.Metrics.allocated_bytes >= 0.);
   Alcotest.(check bool) "heap growth >= 0" true (m.Mumak.Metrics.heap_growth_words >= 0);
+  (* a section of known size: 1000 cons cells (3 words each) in the minor
+     heap plus a 1001-word array allocated directly in the major heap *)
+  let (), known =
+    Mumak.Metrics.measure (fun () ->
+        ignore (Sys.opaque_identity (List.init 1000 Fun.id));
+        ignore (Sys.opaque_identity (Array.make 1000 0)))
+  in
+  let words = known.Mumak.Metrics.allocated_bytes /. float_of_int (Sys.word_size / 8) in
+  Alcotest.(check bool)
+    (Printf.sprintf "a 4001-word section reads %.0f words" words)
+    true
+    (words >= 4001. && words <= 4001. +. 32.);
   match Mumak.Metrics.to_json m with
   | J.Assoc fields ->
       Alcotest.(check (list string)) "to_json fields"
