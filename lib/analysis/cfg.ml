@@ -43,7 +43,7 @@ type node = {
   mutable first_pseq : int;
       (** smallest persistency index at which any run reached the site —
           the deterministic iteration order of the fixpoint and findings *)
-  mutable runs : int;  (** recordings that visited the site *)
+  mutable runs : int;  (** recordings that reached the site *)
 }
 
 type t = {
@@ -158,7 +158,7 @@ let signature t =
 let equal a b = String.equal (signature a) (signature b)
 
 (** [witness t key] — a concrete path from the automaton entry to [key]
-    (BFS over merged edges, successors visited in sorted order, so the
+    (BFS over merged edges, successors explored in sorted order, so the
     witness is deterministic). The path is realizable in the merged
     automaton even when no single recording walked it. Returns the node
     keys entry-first, or [[]] when [key] is unreachable. *)

@@ -30,7 +30,7 @@ type node = {
   mutable succs : string list;  (** sorted, deduplicated successor keys *)
   mutable first_pseq : int;
       (** smallest persistency index at which any run reached the site *)
-  mutable runs : int;  (** number of recordings that visited the site *)
+  mutable runs : int;  (** number of recordings that reached the site *)
 }
 
 type t = {

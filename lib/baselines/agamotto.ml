@@ -75,7 +75,6 @@ let analyze ?budget_s (kv : Kv_target.t) =
                     match Mumak.Fp_tree.insert tree capture with
                     | `Existing _ -> ()
                     | `Added point ->
-                        point.Mumak.Fp_tree.visited <- true;
                         let image =
                           Pmem.Device.crash device ~policy:Pmem.Device.Program_prefix
                         in

@@ -11,8 +11,7 @@ type strategy =
       (** record the workload once, materialize every failure point's crash
           image offline from that single recording in one batched
           prefix-incremental replay pass, and stream the oracle over the
-          images; live re-execution remains only as a per-point fallback
-          for points the recording cannot reach (the default) *)
+          images; the target never runs again (the default) *)
   | Reexecute
       (** re-run the workload once per failure point, as the original Mumak
           does (cost-faithful: the reference the differentials compare
@@ -50,13 +49,13 @@ type t = {
       (** minimum fraction of instances that must satisfy a candidate
           atomicity invariant for it to be reported when violated *)
   jobs : int;
-      (** worker domains for the [Replay] and [Reexecute] injection loops.
+      (** worker domains for the injection schedule both strategies share.
           Each fault injection is independent — a materialization pass over
           the shared immutable recording, or a re-execution against its own
           device — so the loop is embarrassingly parallel; [jobs > 1]
-          partitions the failure-point leaves round-robin over that many
-          domains and merges the records deterministically (sorted by
-          discovery ordinal). [1] (the default) is the sequential loop. *)
+          deals the failure points round-robin by discovery ordinal over
+          that many domains and merges the records deterministically
+          (sorted by ordinal). [1] (the default) injects inline. *)
   lint : bool;
       (** run the epoch-based anti-pattern detectors (redundant/duplicate
           flushes, redundant fences, missing-flush hot spots) over a

@@ -289,7 +289,6 @@ let analyze ?(config = Config.default) (target : Target.t) =
               Telemetry.Collector.span ~cat:"phase" "build_tree" (fun () ->
                   Fault_injection.build_tree ~extra_listener:ta_feed config target)
             in
-            Telemetry.Progress.set_total (Fp_tree.size tree);
             Telemetry.Progress.phase "inject";
             ( Telemetry.Collector.span ~cat:"phase" "injection" (fun () ->
                   Fault_injection.inject_reexecute config target tree),
@@ -299,20 +298,18 @@ let analyze ?(config = Config.default) (target : Target.t) =
             (* Replay-first: the shared recording stands in for every live
                execution. One walk over it feeds the trace analysis (the
                same stream the live strategy feeds it) and the failure-point
-               enumeration; the tree is rebuilt from the points, and crash
-               images stream out of one batched materialization pass per
-               worker. *)
+               enumeration, whose tree is injected on; crash images stream
+               out of one batched materialization pass per worker. *)
             let r = Lazy.force view in
             let en = Fault_injection.enumeration config in
             Pmtrace.Replay.iter r (fun e ->
                 Trace_analysis.feed ta e;
                 Fault_injection.enumerate_step en e);
-            let points = Fault_injection.enumerated en in
             Telemetry.Progress.phase "inject";
             ( Telemetry.Collector.span ~cat:"phase" "injection" (fun () ->
-                  Fault_injection.inject_replay config target ~recording:r ~points),
+                  Fault_injection.inject_replay config target ~recording:r en),
               Pmtrace.Replay.stats r,
-              Some points ))
+              Some (Fault_injection.enumerated en) ))
   in
   (* GC counters are domain-local: fold what the injection workers
      allocated into the phase total measured on this domain. *)
@@ -597,8 +594,11 @@ let analyze ?(config = Config.default) (target : Target.t) =
       injections = List.length fi_result.Fault_injection.records;
       executions =
         fi_result.Fault_injection.executions
-        + (if config.Config.resolve_stacks && config.Config.strategy <> Config.Replay then 1
-           else 0)
+        + (match config.Config.strategy with
+          | Config.Replay -> 0
+          | Config.Reexecute ->
+              (* the tree-building run, and the stack-resolution run *)
+              1 + if config.Config.resolve_stacks then 1 else 0)
         + if Lazy.is_val recording then 1 else 0;
       trace_events = Trace_analysis.event_count ta;
       pm_stats;

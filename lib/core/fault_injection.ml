@@ -21,10 +21,10 @@ type record = {
 type result = {
   tree : Fp_tree.t;
   records : record list; (* sorted by failure-point ordinal *)
-  executions : int; (* workload executions performed *)
+  executions : int; (* injection executions performed (none under replay) *)
   worker_metrics : Metrics.t list;
       (* per-worker-domain resource usage of the parallel injection phase;
-         empty for the sequential loop *)
+         empty when the schedule ran inline *)
 }
 
 exception Crash_now
@@ -56,13 +56,14 @@ let fp_listener ~granularity ~on_fp =
 (* The offline failure-point detector as a step function over recorded
    events (which must carry stacks). Mirroring [fp_listener] and
    [Fp_tree.insert] exactly, it assigns the ordinals {!build_tree} assigns
-   on a live execution of the same workload — which is what lets the
-   replay strategy address the live tree offline. *)
+   on a live execution of the same workload, and its tree is the one the
+   replay strategy injects on. *)
 type enumeration = {
   fires : Pmem.Op.t -> bool;
   tree : Fp_tree.t;
   mutable pseq : int;  (** persistency index: count of non-[Load] events *)
-  mutable found : (int * int * Pmtrace.Callstack.capture) list;  (** newest first *)
+  mutable found : (int * Fp_tree.point) list;
+      (** each new point with the pseq of its first occurrence, newest first *)
 }
 
 let enumeration config =
@@ -75,10 +76,11 @@ let enumerate_step en (e : Pmtrace.Event.t) =
     | None -> ()
     | Some capture -> (
         match Fp_tree.insert en.tree capture with
-        | `Added p -> en.found <- (p.Fp_tree.ordinal, en.pseq, capture) :: en.found
+        | `Added p -> en.found <- (en.pseq, p) :: en.found
         | `Existing _ -> ())
 
-let enumerated en = List.rev en.found
+let enumerated en =
+  List.rev_map (fun (pseq, p) -> (p.Fp_tree.ordinal, pseq, p.Fp_tree.capture)) en.found
 
 (** [(ordinal, pseq, capture)] of each unique failure point of [events]:
     its discovery ordinal, the persistency index of its first dynamic
@@ -122,38 +124,65 @@ let judge config (target : Target.t) point view =
   Telemetry.Progress.tick ~bug ();
   { point; oracle; image_diff = (if bug then Some (Provenance.image_diff view) else None) }
 
-(* One injection execution: crash at the first dynamic occurrence of an
-   unvisited failure point. Returns the injected point and its crash
-   image, or None if the run reached no such point. With [ordinal], only
-   that point is crashed at: ordinals are assigned in discovery order, so
-   this is the occurrence — hence the program-prefix image — the standard
-   loop crashes at when that point's turn comes; the replay strategy uses
-   it for points its recording does not reach. *)
-let reexecute ?ordinal config (target : Target.t) tree =
-  let args = Option.map (fun o -> [ ("ordinal", Telemetry.Json.Int o) ]) ordinal in
-  Telemetry.Collector.span ~cat:"inject" ~hist:"injection_exec_ns" ?args "exec" @@ fun () ->
+(* The injection schedule both strategies share (paper section 4.1: one
+   fault per unique failure point, in discovery order). The tree's points
+   are dealt round-robin by discovery ordinal over [Config.jobs] worker
+   domains (inline when there is one); [crash] injects one share and
+   returns its records with the executions it cost. The tree is only read
+   while the shares run, and the ambient framer and transaction state are
+   domain-local, so the workers share no mutable state. Records merge back
+   sorted by ordinal — the deterministic-merge rule that makes the result
+   identical for any worker count. *)
+let schedule config tree ~crash =
+  let points = Fp_tree.points tree in
+  Telemetry.Progress.set_total (List.length points);
+  (* never spawn more domains than there are points to inject *)
+  let jobs = max 1 (min config.Config.jobs (List.length points)) in
+  let shares, worker_metrics =
+    if jobs = 1 then ([ crash points ], [])
+    else
+      List.init jobs (fun w ->
+          Domain.spawn (fun () ->
+              Metrics.measure (fun () ->
+                  crash (List.filter (fun p -> p.Fp_tree.ordinal mod jobs = w) points))))
+      |> List.map Domain.join |> List.split
+  in
+  {
+    tree;
+    records =
+      List.sort
+        (fun a b -> compare a.point.Fp_tree.ordinal b.point.Fp_tree.ordinal)
+        (List.concat_map fst shares);
+    executions = List.fold_left (fun n (_, e) -> n + e) 0 shares;
+    worker_metrics;
+  }
+
+(* One targeted injection execution: re-run the workload and crash at the
+   first dynamic occurrence of the point with [ordinal] — ordinals are
+   assigned in discovery order, so this is the occurrence, hence the
+   program-prefix image, the point was discovered at. Returns the crash
+   image, or None if the run never reached the point. *)
+let reexecute config (target : Target.t) tree ~ordinal =
+  Telemetry.Collector.span ~cat:"inject" ~hist:"injection_exec_ns"
+    ~args:[ ("ordinal", Telemetry.Json.Int ordinal) ]
+    "exec"
+  @@ fun () ->
   let device = Pmem.Device.create ~eadr:config.Config.eadr ~size:target.Target.pool_size () in
   let tracer = Pmtrace.Tracer.create ~collect:false device in
-  let injected = ref None in
-  let wanted (point : Fp_tree.point) =
-    (not point.Fp_tree.visited)
-    && match ordinal with Some o -> point.Fp_tree.ordinal = o | None -> true
-  in
+  let image = ref None in
   Pmtrace.Tracer.add_listener tracer
     (fp_listener ~granularity:config.Config.granularity ~on_fp:(fun capture ->
-         if !injected = None then
+         if !image = None then
            match Fp_tree.find tree capture with
-           | Some point when wanted point ->
-               point.Fp_tree.visited <- true;
+           | Some point when point.Fp_tree.ordinal = ordinal ->
                (* the image is captured here, before the crash unwinds, so
                   cleanup code cannot pollute the post-failure state *)
-               injected :=
+               image :=
                  Some
-                   ( point,
-                     Telemetry.Collector.span ~cat:"inject" ~hist:"crash_image_ns"
-                       ~args:[ ("ordinal", Telemetry.Json.Int point.Fp_tree.ordinal) ]
-                       "crash_image" (fun () ->
-                         Pmem.Device.crash device ~policy:Pmem.Device.Program_prefix) );
+                   (Telemetry.Collector.span ~cat:"inject" ~hist:"crash_image_ns"
+                      ~args:[ ("ordinal", Telemetry.Json.Int ordinal) ]
+                      "crash_image" (fun () ->
+                        Pmem.Device.crash device ~policy:Pmem.Device.Program_prefix));
                raise Crash_now
            | Some _ | None -> ()));
   (try
@@ -162,165 +191,53 @@ let reexecute ?ordinal config (target : Target.t) tree =
    with
   | Crash_now -> ()
   | Fun.Finally_raised Crash_now -> ()
-  | _ when !injected <> None ->
+  | _ when !image <> None ->
       (* unwinding code (e.g. a transaction abort) may fail after the
          simulated crash; the run is over either way *)
       ());
   Pmtrace.Tracer.detach tracer;
-  !injected
+  !image
 
-(* Drive the injection loop over [tree] until every leaf is visited or an
-   execution makes no progress. Returns records in execution order. *)
-let reexecute_loop config (target : Target.t) tree =
-  let records = ref [] and executions = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && Fp_tree.unvisited_count tree > 0 do
-    incr executions;
-    match reexecute config target tree with
-    | None -> continue_ := false (* nondeterminism guard: no progress *)
-    | Some (point, image) ->
-        records := judge config target point (Pmem.Image.cow image) :: !records
-  done;
-  (List.rev !records, !executions)
-
-(* The deterministic-merge rule: reports are ordered by failure-point
-   discovery ordinal, so the result is identical regardless of how the
-   leaves were scheduled over workers. *)
-let sort_records =
-  List.sort (fun a b -> compare a.point.Fp_tree.ordinal b.point.Fp_tree.ordinal)
-
-(* Each worker owns a private copy of the tree (rebuilt from the serialized
-   form, which preserves ordinals) with every leaf outside its round-robin
-   share pre-marked visited, so the standard loop only injects its own
-   assignment. Workers share no mutable state: each execution creates its
-   own device and tracer, and the ambient framer/transaction state is
-   domain-local. *)
-let inject_parallel config (target : Target.t) tree ~jobs =
-  let serialized = Fp_tree.serialize tree in
-  let worker w () =
-    Metrics.measure (fun () ->
-        let local = Fp_tree.deserialize serialized in
-        Fp_tree.iter local (fun p ->
-            if p.Fp_tree.ordinal mod jobs <> w then p.Fp_tree.visited <- true);
-        reexecute_loop config target local)
-  in
-  let domains = List.init jobs (fun w -> Domain.spawn (worker w)) in
-  let results = List.map Domain.join domains in
-  let worker_metrics = List.map snd results in
-  (* Re-anchor worker records on the master tree's points (the worker trees
-     are projections of it) and mark the master leaves visited. *)
-  let records =
-    List.concat_map
-      (fun ((recs, _), _) ->
-        List.map
-          (fun r ->
-            match Fp_tree.find tree r.point.Fp_tree.capture with
-            | Some master ->
-                master.Fp_tree.visited <- true;
-                { r with point = master }
-            | None -> assert false)
-          recs)
-      results
-  in
-  let executions = List.fold_left (fun acc ((_, e), _) -> acc + e) 0 results in
-  { tree; records = sort_records records; executions; worker_metrics }
-
-(** The paper's injection loop: re-execute the workload until every leaf of
-    the tree is visited, injecting one fault per execution (steps 6-9 of
-    Figure 1, [Config.Reexecute]). With [Config.jobs > 1] the loop runs on
-    that many worker domains — each fault injection is an independent
-    re-execution, so the leaves are partitioned round-robin by ordinal and
-    the per-worker records merged back in ordinal order, making the result
-    byte-for-byte identical to the sequential schedule. *)
+(** The paper's injection loop ([Config.Reexecute], steps 6-9 of Figure
+    1): one targeted re-execution per failure point of [tree]. A point its
+    run misses is counted in ["fp.unreached"] and the rest of the share
+    still runs. *)
 let inject_reexecute config (target : Target.t) tree =
-  (* never spawn more domains than there are leaves to inject *)
-  let jobs = max 1 (min config.Config.jobs (max 1 (Fp_tree.size tree))) in
-  if jobs = 1 then begin
-    let records, executions = reexecute_loop config target tree in
-    { tree; records = sort_records records; executions; worker_metrics = [] }
-  end
-  else inject_parallel config target tree ~jobs
-
-(** Replay-first injection ([Config.Replay], the default): rebuild the
-    failure-point tree from [points] (the recording's {!enumerated}
-    failure points), materialize every point's crash image in one batched
-    prefix-incremental replay pass per worker
-    ({!Pmtrace.Replay.materialize}), and stream the recovery oracle over
-    the images — no image is ever retained and the target is never
-    re-executed on the replayed path. Points the replay pass cannot reach
-    (nondeterminism with respect to the recording) fall back to one live
-    targeted re-execution each. *)
-let inject_replay config (target : Target.t) ~recording ~points =
-  (* Re-inserting the captures in discovery order reproduces the ordinals
-     the enumeration reported — the same ordinals a live [build_tree]
-     assigns on this deterministic workload. *)
-  let tree = Fp_tree.create () in
-  let pts =
-    List.map
-      (fun (ordinal, pseq, capture) ->
-        match Fp_tree.insert tree capture with
-        | `Added p ->
-            assert (p.Fp_tree.ordinal = ordinal);
-            (ordinal, pseq, p)
-        | `Existing _ -> assert false)
-      points
-  in
-  let by_ordinal = Hashtbl.create (max 16 (List.length pts)) in
-  List.iter (fun (o, _, p) -> Hashtbl.replace by_ordinal o p) pts;
-  (* One materialization pass over a share of the points: crash images
-     stream straight into the oracle, so at most one image is live at a
-     time. The recording is immutable and safely shared across domains. *)
-  let materialize_share mine =
-    let out = ref [] in
-    let unreached =
-      Pmtrace.Replay.materialize recording
-        ~points:(List.map (fun (o, pseq, _) -> (o, pseq)) mine)
-        ~f:(fun ~key image ->
-          (* the image is already a copy-on-write view of the shared
-             prefix: recovery adopts it directly, no pool copy per point *)
-          out := judge config target (Hashtbl.find by_ordinal key) image :: !out)
-    in
-    (List.rev !out, unreached)
-  in
-  let jobs = max 1 (min config.Config.jobs (max 1 (List.length pts))) in
-  let replayed, unreached, worker_metrics =
-    if jobs = 1 then
-      let records, unreached = materialize_share pts in
-      (records, unreached, [])
-    else begin
-      let worker w () =
-        Metrics.measure (fun () ->
-            materialize_share (List.filter (fun (o, _, _) -> o mod jobs = w) pts))
+  schedule config tree ~crash:(fun share ->
+      let records =
+        List.filter_map
+          (fun point ->
+            match reexecute config target tree ~ordinal:point.Fp_tree.ordinal with
+            | Some image -> Some (judge config target point (Pmem.Image.cow image))
+            | None ->
+                Telemetry.Collector.count "fp.unreached" 1;
+                None)
+          share
       in
-      let domains = List.init jobs (fun w -> Domain.spawn (worker w)) in
-      let results = List.map Domain.join domains in
-      ( List.concat_map (fun ((recs, _), _) -> recs) results,
-        List.concat_map (fun ((_, unr), _) -> unr) results,
-        List.map snd results )
-    end
-  in
-  (* Visit state is committed on the spawning domain after the join. *)
-  List.iter (fun r -> r.point.Fp_tree.visited <- true) replayed;
-  (* Fallback: a point the recording never reached is injected live, one
-     targeted re-execution each (expected never to fire on deterministic
-     targets — the counter makes any divergence visible). *)
-  let fallback_records = ref [] and fallback_execs = ref 0 in
-  List.iter
-    (fun ordinal ->
-      Telemetry.Collector.count "fp.replay_fallback" 1;
-      incr fallback_execs;
-      match reexecute ~ordinal config target tree with
-      | None -> Telemetry.Collector.count "fp.unreached" 1
-      | Some (point, image) ->
-          fallback_records :=
-            judge config target point (Pmem.Image.cow image) :: !fallback_records)
-    (List.sort compare unreached);
-  {
-    tree;
-    records = sort_records (replayed @ List.rev !fallback_records);
-    executions = !fallback_execs;
-    worker_metrics;
-  }
+      (records, List.length share))
+
+(** Replay-first injection ([Config.Replay], the default) on the
+    enumeration's own tree: each share's crash images come out of one
+    batched prefix-incremental materialization pass over the shared,
+    immutable recording ({!Pmtrace.Replay.materialize}) and stream straight
+    into the oracle, so at most one image per worker is live and the target
+    is never re-executed. The enumeration walked this recording, so every
+    point is reached. *)
+let inject_replay config (target : Target.t) ~recording en =
+  (* the enumeration's points by ordinal: ordinals are dense, 0 first *)
+  let found = Array.of_list (List.rev en.found) in
+  schedule config en.tree ~crash:(fun share ->
+      let records = ref [] in
+      let unreached =
+        Pmtrace.Replay.materialize recording
+          ~points:(List.map (fun p -> (p.Fp_tree.ordinal, fst found.(p.Fp_tree.ordinal))) share)
+          ~f:(fun ~key image ->
+            (* the image is already a copy-on-write view of the rolling
+               prefix: recovery adopts it directly *)
+            records := judge config target (snd found.(key)) image :: !records)
+      in
+      assert (unreached = []);
+      (!records, 0))
 
 let bug_records result = List.filter (fun r -> Oracle.is_bug r.oracle) result.records
 

@@ -24,10 +24,14 @@ type result = {
       (** always sorted by failure-point discovery ordinal — the
           deterministic-merge rule that makes reports identical no matter
           how injections were scheduled over worker domains *)
-  executions : int;  (** workload executions performed *)
+  executions : int;
+      (** injection executions performed: one per point under
+          [Config.Reexecute], none under [Config.Replay]. The tree-building
+          run is not among them. *)
   worker_metrics : Metrics.t list;
       (** per-worker-domain resource usage of the parallel injection phase
-          ([Config.jobs] entries); empty for the sequential loop *)
+          ([Config.jobs] entries, clamped to the point count); empty when
+          the schedule ran inline *)
 }
 
 exception Crash_now
@@ -56,7 +60,8 @@ type enumeration
 (** The offline failure-point detector over one recorded event stream, as
     a step function: feed events in order with {!enumerate_step}, read the
     points with {!enumerated}. Lets one walk over a recording feed the
-    detector next to other consumers. *)
+    detector next to other consumers; {!inject_replay} then injects on the
+    failure-point tree it built. *)
 
 val enumeration : Config.t -> enumeration
 
@@ -69,48 +74,40 @@ val enumerated : enumeration -> (int * int * Pmtrace.Callstack.capture) list
     discovery ordinal, the persistency index of its first dynamic
     occurrence, and the call stack it fires under. The ordinals coincide
     with the ones {!build_tree} assigns on a live execution of the same
-    deterministic workload, so points enumerated offline address the live
-    tree. *)
+    deterministic workload. *)
 
 val offline_points :
   Config.t -> Pmtrace.Event.t list -> (int * int * Pmtrace.Callstack.capture) list
 (** {!enumerated} after feeding every event of the list. *)
 
+(** {1 Injection}
+
+    Both strategies run one schedule: one fault per failure point, the
+    points dealt round-robin by discovery ordinal over [Config.jobs] worker
+    domains (inline when [jobs] is 1, never more domains than points), and
+    the records merged back in ordinal order — byte-for-byte the result of
+    any other worker count (asserted by the differential tests). The
+    schedule sets the {!Telemetry.Progress} total to the point count, and
+    recovery always runs on a copy-on-write view of the crash image, so a
+    flagged record carries its image diff. *)
+
 val inject_reexecute : Config.t -> Target.t -> Fp_tree.t -> result
-(** The paper's injection loop: re-execute the workload until every leaf is
-    visited, one fault per execution (steps 6–9 of Figure 1). Recovery runs
-    on a copy-on-write view of each crash image, so flagged records carry
-    their image diff. With
-    [Config.jobs > 1] the leaves are partitioned round-robin by ordinal
-    over that many worker domains, each re-executing against its own
-    private device/tracer/tree, and the records merged back in ordinal
-    order — byte-for-byte the sequential result (asserted by the
-    differential tests). *)
+(** The paper's injection loop ([Config.Reexecute], steps 6–9 of Figure 1):
+    one targeted re-execution per failure point of the tree, crashing at
+    the first dynamic occurrence of that point. A point whose run misses it
+    is counted in the ["fp.unreached"] telemetry counter and left out of
+    the records; the rest of the share still runs. *)
 
 val inject_replay :
-  Config.t ->
-  Target.t ->
-  recording:Pmtrace.Replay.t ->
-  points:(int * int * Pmtrace.Callstack.capture) list ->
-  result
-(** Replay-first injection ([Config.Replay], the default): rebuild the
-    failure-point tree from [points], the recording's {!enumerated}
-    failure points (same ordinals a live {!build_tree} assigns on the
-    deterministic workload), materialize
-    every point's crash image in one batched prefix-incremental replay pass
-    per worker ({!Pmtrace.Replay.materialize}), and stream the recovery
-    oracle over the images — constant image memory, and the target is never
-    re-executed on the replayed path. With [Config.jobs > 1] the points are
-    partitioned round-robin by ordinal over that many domains, each running
-    its own materialization pass over the shared immutable recording, and
-    the records merged back in ordinal order. A flagged record's image diff
-    is taken inside the materialization callback, while its view is
-    valid.
-
-    Points the replay pass cannot reach (nondeterminism with respect to the
-    recording, recovery-side faults) fall back to one live targeted
-    re-execution each, counted in [result.executions] and the
-    ["fp.replay_fallback"] telemetry counter. *)
+  Config.t -> Target.t -> recording:Pmtrace.Replay.t -> enumeration -> result
+(** Replay-first injection ([Config.Replay], the default) on the failure
+    points the enumeration found walking [recording]: each worker
+    materializes its share's crash images in one batched prefix-incremental
+    pass over the shared immutable recording ({!Pmtrace.Replay.materialize})
+    and streams the recovery oracle over them — constant image memory, and
+    the target is never re-executed. The enumeration walked the same
+    recording, so every point is reached; one that is not is an assertion
+    failure. *)
 
 val bug_records : result -> record list
 

@@ -7,12 +7,12 @@
     the membership test during the injection phase cheap (the search-heavy
     operation, as the paper notes).
 
-    The tree serialises to a plain text format — the analogue of the file
-    Mumak passes between the tree-construction and injection executions. *)
+    Where Mumak writes the tree to a file between the tree-construction and
+    injection executions, here the injection workers share the one
+    in-memory tree, which injection only reads. *)
 
 type point = {
   capture : Pmtrace.Callstack.capture;
-  mutable visited : bool;
   ordinal : int; (* discovery order, stable across runs *)
 }
 
@@ -52,7 +52,7 @@ let insert t capture =
   match List.assoc_opt capture.Pmtrace.Callstack.op_index node.points with
   | Some p -> `Existing p
   | None ->
-      let p = { capture; visited = false; ordinal = t.size } in
+      let p = { capture; ordinal = t.size } in
       node.points <- (capture.Pmtrace.Callstack.op_index, p) :: node.points;
       t.size <- t.size + 1;
       `Added p
@@ -71,42 +71,7 @@ let iter t f =
   in
   go t.root
 
-let unvisited_count t =
-  let n = ref 0 in
-  iter t (fun p -> if not p.visited then incr n);
-  !n
-
 let points t =
   let acc = ref [] in
   iter t (fun p -> acc := p :: !acc);
   List.sort (fun a b -> compare a.ordinal b.ordinal) !acc
-
-(** {1 Serialization} — one line per failure point. *)
-
-let serialize t =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun p ->
-      Buffer.add_string buf (string_of_int p.capture.Pmtrace.Callstack.op_index);
-      Buffer.add_char buf '|';
-      Buffer.add_string buf (String.concat ">" p.capture.Pmtrace.Callstack.path);
-      Buffer.add_char buf '\n')
-    (points t);
-  Buffer.contents buf
-
-let deserialize s =
-  let t = create () in
-  String.split_on_char '\n' s
-  |> List.iter (fun line ->
-         if String.length line > 0 then
-           match String.index_opt line '|' with
-           | None -> invalid_arg "Fp_tree.deserialize: missing separator"
-           | Some i ->
-               let op_index = int_of_string (String.sub line 0 i) in
-               let path =
-                 String.sub line (i + 1) (String.length line - i - 1)
-                 |> String.split_on_char '>'
-                 |> List.filter (fun s -> s <> "")
-               in
-               ignore (insert t { Pmtrace.Callstack.path; op_index }));
-  t

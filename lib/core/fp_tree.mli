@@ -3,11 +3,11 @@
     Each root-to-leaf path is a unique call stack leading to a failure
     point; a leaf additionally carries the per-frame instruction index that
     distinguishes, say, line 2 from line 3 of the same function. One fault
-    is injected per leaf. *)
+    is injected per leaf. Injection only reads a built tree, so its worker
+    domains share one. *)
 
 type point = {
   capture : Pmtrace.Callstack.capture;
-  mutable visited : bool;
   ordinal : int;  (** discovery order, stable across runs *)
 }
 
@@ -22,15 +22,5 @@ val insert : t -> Pmtrace.Callstack.capture -> [ `Added of point | `Existing of 
 val find : t -> Pmtrace.Callstack.capture -> point option
 (** Membership lookup — the hot operation of the injection phase. *)
 
-val iter : t -> (point -> unit) -> unit
-
-val unvisited_count : t -> int
-
 val points : t -> point list
 (** All points in discovery order. *)
-
-val serialize : t -> string
-(** One line per failure point — the analogue of the file the original
-    Mumak passes between the tree-construction and injection executions. *)
-
-val deserialize : string -> t

@@ -88,8 +88,7 @@ val materialize :
     event at that index applies, exactly where live injection crashes — and
     is not retained here, so callers can stream oracle checks in constant
     image memory. Stops as soon as the last wanted image is out. Returns
-    the keys of points never reached (empty for any in-range pseq set);
-    the engine re-executes those live. *)
+    the keys of points never reached (empty for any in-range pseq set). *)
 
 val stats_match : t -> Pmem.Stats.t -> bool
 (** Do the replayed device counters equal the recorded run's?  [loads] is

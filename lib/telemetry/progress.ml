@@ -77,8 +77,9 @@ let phase name =
     maybe_render ()
   end
 
-(** Total injections expected (the failure-point count), for percentage
-    and ETA; unknown (replay strategy) shows a plain counter. *)
+(** Total injections expected (the failure-point count, set by the
+    injection schedule of either strategy), for percentage and ETA; while
+    unset the line shows a plain counter. *)
 let set_total n = if Atomic.get active then Atomic.set total n
 
 (** One injection completed; [bug] marks oracle-flagged faults so the

@@ -17,8 +17,9 @@ val phase : string -> unit
     the progress line). *)
 
 val set_total : int -> unit
-(** Total injections expected (the failure-point count), for percentage
-    and ETA; unknown (replay strategy) shows a plain counter. *)
+(** Total injections expected (the failure-point count, set by the
+    injection schedule of either strategy), for percentage and ETA; while
+    unset the line shows a plain counter. *)
 
 val tick : ?bug:bool -> unit -> unit
 (** One injection completed; [bug] marks oracle-flagged faults so the

@@ -1,6 +1,6 @@
 (* Property tests for the failure-point tree: deduplication, leaf counting,
-   and deterministic traversal order — the invariants the parallel injection
-   scheduler's serialize/partition/merge cycle depends on. *)
+   deterministic traversal order and ordinals by first insertion — the
+   invariants the injection schedule's deal-by-ordinal and merge depend on. *)
 
 let cap path op_index = { Pmtrace.Callstack.path; op_index }
 
@@ -18,6 +18,11 @@ let build caps =
   let t = Mumak.Fp_tree.create () in
   List.iter (fun (path, i) -> ignore (Mumak.Fp_tree.insert t (cap path i))) caps;
   t
+
+let key p =
+  ( p.Mumak.Fp_tree.ordinal,
+    p.Mumak.Fp_tree.capture.Pmtrace.Callstack.path,
+    p.Mumak.Fp_tree.capture.Pmtrace.Callstack.op_index )
 
 let prop_double_insert_never_grows =
   QCheck.Test.make ~name:"inserting the same capture twice never grows size" ~count:300
@@ -48,39 +53,44 @@ let prop_traversal_order_deterministic =
     (fun caps ->
       let t = build caps in
       (* [points] is sorted by discovery ordinal: rebuilding from the same
-         insertion sequence — or from the serialized form — must reproduce
-         the identical traversal and serialization *)
+         insertion sequence must reproduce the identical traversal *)
       let ordinals = List.map (fun p -> p.Mumak.Fp_tree.ordinal) (Mumak.Fp_tree.points t) in
       let t2 = build caps in
-      let roundtrip = Mumak.Fp_tree.deserialize (Mumak.Fp_tree.serialize t) in
       ordinals = List.init (Mumak.Fp_tree.size t) Fun.id
-      && Mumak.Fp_tree.serialize t = Mumak.Fp_tree.serialize t2
-      && Mumak.Fp_tree.serialize t = Mumak.Fp_tree.serialize roundtrip)
+      && List.map key (Mumak.Fp_tree.points t) = List.map key (Mumak.Fp_tree.points t2))
 
-let prop_serialize_preserves_ordinals =
-  QCheck.Test.make
-    ~name:"deserialize preserves capture/ordinal pairs (the parallel-partition invariant)"
+(* The replay strategy injects on the tree its offline enumeration builds,
+   and re-execution on the one a live run builds: the two agree because a
+   point's ordinal is the rank of its capture's first insertion. *)
+let prop_ordinal_is_first_insertion_rank =
+  QCheck.Test.make ~name:"ordinal is the first-insertion rank (the deal-by-ordinal invariant)"
     ~count:300 capture_list
     (fun caps ->
       let t = build caps in
-      let t' = Mumak.Fp_tree.deserialize (Mumak.Fp_tree.serialize t) in
-      let key p =
-        ( p.Mumak.Fp_tree.ordinal,
-          p.Mumak.Fp_tree.capture.Pmtrace.Callstack.path,
-          p.Mumak.Fp_tree.capture.Pmtrace.Callstack.op_index )
+      let first_seen =
+        List.fold_left (fun acc c -> if List.mem c acc then acc else c :: acc) [] caps
+        |> List.rev
       in
-      List.map key (Mumak.Fp_tree.points t) = List.map key (Mumak.Fp_tree.points t'))
+      List.map key (Mumak.Fp_tree.points t)
+      = List.mapi (fun ordinal (path, i) -> (ordinal, path, i)) first_seen)
 
 let prop_find_after_insert =
-  QCheck.Test.make ~name:"every inserted capture is found; unvisited count tracks visits"
-    ~count:200 capture_list
+  QCheck.Test.make ~name:"every inserted capture is found at its own point" ~count:200
+    capture_list
     (fun caps ->
       let t = build caps in
-      List.for_all (fun (path, i) -> Mumak.Fp_tree.find t (cap path i) <> None) caps
-      && begin
-           Mumak.Fp_tree.iter t (fun p -> p.Mumak.Fp_tree.visited <- true);
-           Mumak.Fp_tree.unvisited_count t = 0
-         end)
+      List.for_all
+        (fun (path, i) ->
+          match Mumak.Fp_tree.find t (cap path i) with
+          | Some p -> Pmtrace.Callstack.capture_equal p.Mumak.Fp_tree.capture (cap path i)
+          | None -> false)
+        caps
+      && List.for_all
+           (fun p ->
+             match Mumak.Fp_tree.find t p.Mumak.Fp_tree.capture with
+             | Some q -> q == p
+             | None -> false)
+           (Mumak.Fp_tree.points t))
 
 let () =
   Alcotest.run "fp_tree"
@@ -91,7 +101,7 @@ let () =
             prop_double_insert_never_grows;
             prop_leaf_count_is_unique_paths;
             prop_traversal_order_deterministic;
-            prop_serialize_preserves_ordinals;
+            prop_ordinal_is_first_insertion_rank;
             prop_find_after_insert;
           ] );
     ]

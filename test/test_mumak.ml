@@ -33,17 +33,27 @@ let test_fp_tree_insert_find () =
   Alcotest.(check bool) "find a" true (Mumak.Fp_tree.find t a <> None);
   Alcotest.(check bool) "find miss" true
     (Mumak.Fp_tree.find t (cap [ "main" ] 1) = None);
-  Alcotest.(check int) "all unvisited" 3 (Mumak.Fp_tree.unvisited_count t)
+  Alcotest.(check int) "all three listed" 3 (List.length (Mumak.Fp_tree.points t))
 
-let test_fp_tree_serialize_roundtrip () =
+(* The injection schedule deals points by ordinal: the n-th new capture
+   gets ordinal n, and [points] lists them in that order. *)
+let test_fp_tree_discovery_ordinals () =
   let t = Mumak.Fp_tree.create () in
-  ignore (Mumak.Fp_tree.insert t (cap [ "main"; "put" ] 3));
-  ignore (Mumak.Fp_tree.insert t (cap [ "main"; "put"; "split" ] 7));
-  ignore (Mumak.Fp_tree.insert t (cap [] 1));
-  let t' = Mumak.Fp_tree.deserialize (Mumak.Fp_tree.serialize t) in
-  Alcotest.(check int) "size preserved" (Mumak.Fp_tree.size t) (Mumak.Fp_tree.size t');
-  Alcotest.(check string) "stable serialisation" (Mumak.Fp_tree.serialize t)
-    (Mumak.Fp_tree.serialize t')
+  let a = cap [ "main"; "put" ] 3 and b = cap [ "main"; "put"; "split" ] 7 in
+  let c = cap [] 1 in
+  List.iter (fun x -> ignore (Mumak.Fp_tree.insert t x)) [ a; b; a; c; b ];
+  Alcotest.(check (list (pair int string)))
+    "points in discovery order"
+    [ (0, "main>put@3"); (1, "main>put>split@7"); (2, "@1") ]
+    (List.map
+       (fun p ->
+         let c = p.Mumak.Fp_tree.capture in
+         ( p.Mumak.Fp_tree.ordinal,
+           String.concat ">" c.Pmtrace.Callstack.path
+           ^ "@" ^ string_of_int c.Pmtrace.Callstack.op_index ))
+       (Mumak.Fp_tree.points t));
+  Alcotest.(check (option int)) "find returns the first insertion's point" (Some 1)
+    (Option.map (fun p -> p.Mumak.Fp_tree.ordinal) (Mumak.Fp_tree.find t b))
 
 let prop_fp_tree_uniqueness =
   QCheck.Test.make ~name:"tree deduplicates captures" ~count:100
@@ -244,10 +254,12 @@ let test_replay_reexecute_equivalence () =
   Alcotest.(check bool) "reexecute runs many executions" true
     (r.Mumak.Engine.executions > s.Mumak.Engine.executions)
 
-(* What each preset costs in target executions: one. Replay records the
-   workload once and every phase reads that recording — static analysis
-   and fix verification with its loads, everything else its load-free
-   view. *)
+(* What each preset costs in target executions. Every Replay preset costs
+   one: it records the workload once and every phase reads that recording —
+   static analysis and fix verification with its loads, everything else its
+   load-free view. The faithful Reexecute preset pays the paper's cost: the
+   tree-building run, one run per failure point and the stack-resolution
+   run. *)
 let test_executions_per_preset () =
   List.iter
     (fun (label, config, expected) ->
@@ -255,13 +267,16 @@ let test_executions_per_preset () =
         Targets.of_montage ~variant:`Lockfree ~workload:(wl ~ops:20 ~key_range:10 ()) ()
       in
       let r = Mumak.Engine.analyze ~config target in
-      Alcotest.(check int) (label ^ ": executions") expected r.Mumak.Engine.executions)
+      Alcotest.(check int) (label ^ ": executions") (expected r) r.Mumak.Engine.executions)
     [
-      ("default", Mumak.Config.default, 1);
-      ("lint only", { Mumak.Config.default with Mumak.Config.lint = true }, 1);
-      ("linting", Mumak.Config.linting, 1);
-      ("optimizing", Mumak.Config.optimizing, 1);
-      ("static_analysis", Mumak.Config.static_analysis, 1);
+      ("default", Mumak.Config.default, Fun.const 1);
+      ("lint only", { Mumak.Config.default with Mumak.Config.lint = true }, Fun.const 1);
+      ("linting", Mumak.Config.linting, Fun.const 1);
+      ("optimizing", Mumak.Config.optimizing, Fun.const 1);
+      ("static_analysis", Mumak.Config.static_analysis, Fun.const 1);
+      ( "faithful",
+        Mumak.Config.faithful,
+        fun (r : Mumak.Engine.result) -> r.Mumak.Engine.failure_points + 2 );
     ]
 
 let test_store_granularity_blowup () =
@@ -327,7 +342,7 @@ let () =
       ( "fp-tree",
         [
           Alcotest.test_case "insert/find" `Quick test_fp_tree_insert_find;
-          Alcotest.test_case "serialize roundtrip" `Quick test_fp_tree_serialize_roundtrip;
+          Alcotest.test_case "discovery ordinals" `Quick test_fp_tree_discovery_ordinals;
           QCheck_alcotest.to_alcotest prop_fp_tree_uniqueness;
         ] );
       ( "trace-analysis-properties",

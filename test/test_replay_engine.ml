@@ -8,10 +8,12 @@
    and for the clean suite, [Replay jobs=1], [Replay jobs=4] and
    [Reexecute] must produce byte-identical report signatures, identical
    failure-point and injection counts — and the replay runs must cost
-   exactly one target execution (any live fallback would show up in the
-   count). Every fault-injection finding's image diff — taken at the
-   oracle's verdict under both strategies — must be present and identical
-   too. [Reexecute] at jobs=4 is test_parallel's business.
+   exactly one target execution. Every fault-injection finding's image
+   diff — taken at the oracle's verdict under both strategies — must be
+   present and identical too. [Reexecute] at jobs=4 is test_parallel's
+   business; one store-level clean input runs [Replay jobs=1],
+   [Replay jobs=3] and [Reexecute jobs=3], so both strategies' parallel
+   shares are compared at the other granularity too.
 
    Layer 2 — the same differential under configuration overlays: the
    merged-trace abstract interpreter ([absint]) on two clean targets and
@@ -94,15 +96,17 @@ let fi_image_diffs (r : Mumak.Engine.result) =
     r.Mumak.Engine.provenance
 
 (* [overlay] is the configuration every engine runs under, with only the
-   strategy and the worker count replaced. *)
-let differential ?(overlay = Mumak.Config.default) ~bugs name make_target =
+   strategy and the worker count replaced from [engines], whose first two
+   are replay runs. *)
+let differential ?(overlay = Mumak.Config.default) ?(engines = strategies) ~bugs name
+    make_target =
   Bugreg.with_enabled bugs (fun () ->
       let results =
         List.map
           (fun (label, strategy, jobs) ->
             let config = { overlay with Mumak.Config.strategy; jobs } in
             (label, Mumak.Engine.analyze ~config (make_target ())))
-          strategies
+          engines
       in
       let (_, base), rest = (List.hd results, List.tl results) in
       List.iter
@@ -130,23 +134,23 @@ let differential ?(overlay = Mumak.Config.default) ~bugs name make_target =
                   label d)
             (fi_image_diffs r))
         results;
-      (* replay never re-executes: one recording, no fallback, and the free
-         stack resolution rides on it — under every overlay *)
+      (* replay never re-executes: one recording, and the free stack
+         resolution rides on it — under every overlay *)
       let executions = 1 in
-      Alcotest.(check int)
-        (name ^ ": replay j=1 executions")
-        executions base.Mumak.Engine.executions;
-      (match results with
-      | _ :: (_, par) :: _ ->
+      (match (engines, results) with
+      | [ (seq_label, _, _); (par_label, _, jobs); _ ], [ _; (_, par); _ ] ->
           Alcotest.(check int)
-            (name ^ ": replay j=4 executions")
+            (Printf.sprintf "%s: %s executions" name seq_label)
+            executions base.Mumak.Engine.executions;
+          Alcotest.(check int)
+            (Printf.sprintf "%s: %s executions" name par_label)
             executions par.Mumak.Engine.executions;
-          if par.Mumak.Engine.failure_points >= 4 then
+          if par.Mumak.Engine.failure_points >= jobs then
             Alcotest.(check int)
-              (name ^ ": replay j=4 used four worker domains")
-              4
+              (Printf.sprintf "%s: %s used %d worker domains" name par_label jobs)
+              jobs
               (List.length par.Mumak.Engine.worker_metrics)
-      | _ -> Alcotest.fail "expected a replay j=4 result");
+      | _ -> Alcotest.fail "expected two replay runs and a reexecute run");
       base)
 
 let test_full_seeded_matrix () =
@@ -177,7 +181,21 @@ let test_clean_targets () =
          Targets.of_montage ~variant:`Buffered ~workload:(wl ~ops:40 ()) ()));
   ignore
     (differential ~bugs:[] "pmemkv.cmap" (fun () ->
-         Targets.of_pmemkv ~engine:Kvstores.Pmemkv.Cmap ~workload:(wl ~ops:40 ()) ()))
+         Targets.of_pmemkv ~engine:Kvstores.Pmemkv.Cmap ~workload:(wl ~ops:40 ()) ()));
+  (* store-level granularity: both strategies' parallel shares *)
+  ignore
+    (differential
+       ~overlay:{ Mumak.Config.default with Mumak.Config.granularity = Mumak.Config.Store_level }
+       ~engines:
+         [
+           ("replay j=1", Mumak.Config.Replay, 1);
+           ("replay j=3", Mumak.Config.Replay, 3);
+           ("reexecute j=3", Mumak.Config.Reexecute, 3);
+         ]
+       ~bugs:[] "wort (store level)"
+       (fun () ->
+         Targets.of_app (app "wort") ~version:Pmalloc.Version.V1_12
+           ~workload:(wl ~ops:20 ~key_range:10 ()) ()))
 
 (* --- layer 2: the differential under configuration overlays --- *)
 

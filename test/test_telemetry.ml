@@ -371,7 +371,8 @@ let test_engine_dump () =
       | None -> Alcotest.fail "no injection_exec_ns histogram"
       | Some h ->
           Alcotest.(check int) "one exec sample per injection execution"
-            (r.Mumak.Engine.executions - 1) (* minus the resolve_stacks run *)
+            (r.Mumak.Engine.executions - 2) (* minus the tree-building and
+                                                resolve_stacks runs *)
             h.H.count);
       Alcotest.(check bool) "oracle latency histogram present" true
         (List.mem_assoc "oracle_ns" dump.C.histograms);
