@@ -107,15 +107,10 @@ let write_bench ~experiment ~target ~config ~rows ~signature =
       Fmt.pr "appended envelope to %s@." (Store.Ledger.bench_path ledger)
   | _ -> ()
 
-let phase_metrics (r : Mumak.Engine.result) =
-  Telemetry.Json.Assoc
-    (("total", Mumak.Metrics.to_json r.Mumak.Engine.metrics)
-    :: List.map
-         (fun (phase, m) -> (Mumak.Report.phase_to_string phase, Mumak.Metrics.to_json m))
-         r.Mumak.Engine.phase_metrics)
-
 (* One phase's measurement; raises [Not_found] if the phase did not run. *)
-let phase_metric (r : Mumak.Engine.result) phase = List.assoc phase r.Mumak.Engine.phase_metrics
+let phase_metric (r : Mumak.Engine.result) phase =
+  (List.find (fun e -> e.Mumak.Phase.phase = phase) r.Mumak.Engine.phase_metrics)
+    .Mumak.Phase.metrics
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: taxonomy coverage matrix                                   *)
@@ -657,7 +652,7 @@ let scaling () =
                 ( "signature_matches_sequential",
                   Telemetry.Json.Bool
                     (Mumak.Report.signature r.Mumak.Engine.report = !signature) );
-                ("metrics", phase_metrics r);
+                ("metrics", Mumak.Phase.to_json r.Mumak.Engine.phase_metrics);
               ]
             :: !rows)
         jobs_list;
@@ -829,7 +824,7 @@ let lint_bench () =
           ("replay_wall_seconds", Telemetry.Json.Float t_replay);
           ( "replay_speedup",
             Telemetry.Json.Float (if t_replay > 0. then t_record /. t_replay else 0.) );
-          ("metrics", phase_metrics r);
+          ("metrics", Mumak.Phase.to_json r.Mumak.Engine.phase_metrics);
         ]
       :: !rows
   in
@@ -930,7 +925,7 @@ let replay_bench () =
             ("reexecute_executions", Telemetry.Json.Int base.Mumak.Engine.executions);
             ("replay_executions", Telemetry.Json.Int r.Mumak.Engine.executions);
             ("signatures_equal", Telemetry.Json.Bool sound);
-            ("metrics", phase_metrics r);
+            ("metrics", Mumak.Phase.to_json r.Mumak.Engine.phase_metrics);
           ]
         :: !rows)
     clean;
@@ -1088,7 +1083,7 @@ let optimize_bench () =
           ("verification_wall_seconds", Telemetry.Json.Float t_opt);
           ("executions", Telemetry.Json.Int r.Mumak.Engine.executions);
           ("signature_matches_baseline", Telemetry.Json.Bool sound);
-          ("metrics", phase_metrics r);
+          ("metrics", Mumak.Phase.to_json r.Mumak.Engine.phase_metrics);
         ]
       :: !rows
   in

@@ -49,91 +49,99 @@ let parse_version ~name version_str =
   then usage_error "hashmap_atomic needs --library-version 1.6 (got %s)" version_str;
   version
 
-let run name ops key_range seed version_str grouped strategy_str bugs no_warnings
-    store_level jobs static lint verify_fixes absint trace_out metrics_out progress
-    store_dir =
+(* The steps [analyze] and [optimize] share: build the target (an unknown
+   target or library version is a usage error), activate --progress, run
+   the engine (an engine exception exits 2), print the result with
+   [print], and append the run to the ledger in [store_dir]. *)
+let drive ~name ~ops ~key_range ~seed ~version_str ~grouped ~bugs ~progress ~store_dir ~config
+    ~print =
   let version = parse_version ~name version_str in
   let workload = Workload.standard ~ops ~key_range ~seed:(Int64.of_int seed) in
   List.iter Bugreg.enable bugs;
-  match build_target ~name ~version ~grouped ~workload with
-  | None ->
-      usage_error "unknown target %s; available: %a" name
-        Fmt.(list ~sep:comma string)
-        registry_names
-  | Some target ->
-      let jobs = max 1 jobs in
-      let strategy =
-        match strategy_str with
-        | "replay" -> Mumak.Config.Replay
-        | "reexecute" -> Mumak.Config.Reexecute
-        | s -> usage_error "unknown strategy %s (replay | reexecute)" s
+  let target =
+    match build_target ~name ~version ~grouped ~workload with
+    | Some target -> target
+    | None ->
+        usage_error "unknown target %s; available: %a" name
+          Fmt.(list ~sep:comma string)
+          registry_names
+  in
+  if progress then Telemetry.Progress.activate ();
+  let result =
+    try Mumak.Engine.analyze ~config target
+    with exn ->
+      Fmt.epr "mumak: engine error: %s@." (Printexc.to_string exn);
+      exit 2
+  in
+  print result;
+  Option.iter
+    (fun dir ->
+      (* The workload descriptor is part of the run's content address:
+         anything that changes what the target executed (including which
+         seeded bugs were armed) must change the run id. *)
+      let workload_desc =
+        Printf.sprintf "standard:ops=%d,keys=%d,seed=%d,version=%s,grouped=%b%s" ops key_range
+          seed version_str grouped
+          (match bugs with [] -> "" | l -> ",bugs=" ^ String.concat "+" (List.sort compare l))
       in
-      let config =
-        {
-          Mumak.Config.default with
-          Mumak.Config.strategy;
-          report_warnings = not no_warnings;
-          granularity =
-            (if store_level then Mumak.Config.Store_level
-             else Mumak.Config.Persistency_instruction);
-          static;
-          jobs;
-          (* --verify-fixes without --lint would verify static fixes only;
-             implying lint keeps the CLI contract simple: verification always
-             covers every fix suggestion the run produced *)
-          lint = lint || verify_fixes;
-          verify_fixes;
-          absint;
-        }
-      in
-      if trace_out <> None || metrics_out <> None then Telemetry.Collector.enable ();
-      if progress then Telemetry.Progress.activate ();
-      let result =
-        try Mumak.Engine.analyze ~config target
-        with exn ->
-          Fmt.epr "mumak: engine error: %s@." (Printexc.to_string exn);
-          exit 2
-      in
-      if trace_out <> None || metrics_out <> None then begin
-        let dump = Telemetry.Collector.drain () in
-        Option.iter
-          (fun path -> write_file path (Telemetry.Chrome_trace.to_string dump))
-          trace_out;
-        Option.iter
-          (fun path -> write_file path (Telemetry.Jsonl.to_string dump))
-          metrics_out
-      end;
-      Fmt.pr "%a@." Mumak.Engine.pp_result result;
-      (match result.Mumak.Engine.static with
-      | Some s ->
-          Fmt.pr "static analysis: %d raw findings, invariants pooled over %d run(s)@."
-            (List.length s.Analysis.Static.findings)
-            s.Analysis.Static.runs
-      | None -> ());
-      Fmt.pr "first bug at injection: %s@."
-        (match result.Mumak.Engine.first_bug_injection with
-        | Some n -> string_of_int n
-        | None -> "none found");
-      (match store_dir with
-      | None -> ()
-      | Some dir ->
-          (* The workload descriptor is part of the run's content address:
-             anything that changes what the target executed (including which
-             seeded bugs were armed) must change the run id. *)
-          let workload_desc =
-            Printf.sprintf "standard:ops=%d,keys=%d,seed=%d,version=%s,grouped=%b%s" ops
-              key_range seed version_str grouped
-              (match bugs with
-              | [] -> ""
-              | l -> ",bugs=" ^ String.concat "+" (List.sort compare l))
-          in
-          let record =
-            Store.Record.of_result ~target:name ~workload:workload_desc ~config result
-          in
-          let ledger = Store.Ledger.open_ ~dir () in
-          let id = Store.Ledger.append_run ledger record in
-          Fmt.pr "recorded run %s in %s@." id dir);
-      exit (if Mumak.Report.bugs result.Mumak.Engine.report <> [] then 1 else 0)
+      let record = Store.Record.of_result ~target:name ~workload:workload_desc ~config result in
+      let id = Store.Ledger.append_run (Store.Ledger.open_ ~dir ()) record in
+      Fmt.pr "recorded run %s in %s@." id dir)
+    store_dir;
+  result
+
+let run name ops key_range seed version_str grouped strategy_str bugs no_warnings
+    store_level jobs static lint verify_fixes absint trace_out metrics_out progress
+    store_dir =
+  let strategy =
+    match strategy_str with
+    | "replay" -> Mumak.Config.Replay
+    | "reexecute" -> Mumak.Config.Reexecute
+    | s -> usage_error "unknown strategy %s (replay | reexecute)" s
+  in
+  let config =
+    {
+      Mumak.Config.default with
+      Mumak.Config.strategy;
+      report_warnings = not no_warnings;
+      granularity =
+        (if store_level then Mumak.Config.Store_level
+         else Mumak.Config.Persistency_instruction);
+      static;
+      jobs = max 1 jobs;
+      (* --verify-fixes without --lint would verify static fixes only;
+         implying lint keeps the CLI contract simple: verification always
+         covers every fix suggestion the run produced *)
+      lint = lint || verify_fixes;
+      verify_fixes;
+      absint;
+    }
+  in
+  let telemetry = trace_out <> None || metrics_out <> None in
+  if telemetry then Telemetry.Collector.enable ();
+  let print result =
+    if telemetry then begin
+      let dump = Telemetry.Collector.drain () in
+      Option.iter (fun path -> write_file path (Telemetry.Chrome_trace.to_string dump)) trace_out;
+      Option.iter (fun path -> write_file path (Telemetry.Jsonl.to_string dump)) metrics_out
+    end;
+    Fmt.pr "%a@." Mumak.Engine.pp_result result;
+    (match result.Mumak.Engine.static with
+    | Some s ->
+        Fmt.pr "static analysis: %d raw findings, invariants pooled over %d run(s)@."
+          (List.length s.Analysis.Static.findings)
+          s.Analysis.Static.runs
+    | None -> ());
+    Fmt.pr "first bug at injection: %s@."
+      (match result.Mumak.Engine.first_bug_injection with
+      | Some n -> string_of_int n
+      | None -> "none found")
+  in
+  let result =
+    drive ~name ~ops ~key_range ~seed ~version_str ~grouped ~bugs ~progress ~store_dir ~config
+      ~print
+  in
+  exit (if Mumak.Report.bugs result.Mumak.Engine.report <> [] then 1 else 0)
 
 let name_arg =
   let doc = "Target application to analyse." in
@@ -267,59 +275,32 @@ let analyze_cmd =
 
 let optimize name ops key_range seed version_str grouped bugs fit_cost jobs progress
     store_dir =
-  let version = parse_version ~name version_str in
-  let workload = Workload.standard ~ops ~key_range ~seed:(Int64.of_int seed) in
-  List.iter Bugreg.enable bugs;
-  match build_target ~name ~version ~grouped ~workload with
-  | None ->
-      usage_error "unknown target %s; available: %a" name
-        Fmt.(list ~sep:comma string)
-        registry_names
-  | Some target ->
-      let config = { Mumak.Config.optimizing with fit_cost; jobs = max 1 jobs } in
-      if progress then Telemetry.Progress.activate ();
-      let result =
-        try Mumak.Engine.analyze ~config target
-        with exn ->
-          Fmt.epr "mumak: engine error: %s@." (Printexc.to_string exn);
-          exit 2
-      in
-      Fmt.pr "%a@." Mumak.Engine.pp_result result;
-      (match result.Mumak.Engine.opt with
-      | None -> ()
-      | Some o ->
-          let shipped = Analysis.Opt.shipped o in
-          (* the scriptable summary line CI gates on *)
-          Fmt.pr "optimize: proven=%d ineffective=%d harmful=%d shipped=%d@."
-            o.Analysis.Opt.proven o.Analysis.Opt.ineffective o.Analysis.Opt.harmful
-            (List.length shipped);
-          List.iteri
-            (fun i (b : Analysis.Opt.bundle) ->
-              Fmt.pr "bundle %d: [%s] %s — saves %d event(s) / %d modelled cycle(s)@." (i + 1)
-                b.Analysis.Opt.b_plan.Analysis.Opt.p_rule
-                (Analysis.Fix.to_string b.Analysis.Opt.b_plan.Analysis.Opt.p_fix)
-                b.Analysis.Opt.b_measured_events b.Analysis.Opt.b_measured_cycles;
-              List.iter
-                (fun e -> Fmt.pr "    edit: %s@." (Pmtrace.Replay.edit_to_string e))
-                b.Analysis.Opt.b_plan.Analysis.Opt.p_edits)
-            shipped);
-      (match store_dir with
-      | None -> ()
-      | Some dir ->
-          let workload_desc =
-            Printf.sprintf "standard:ops=%d,keys=%d,seed=%d,version=%s,grouped=%b%s" ops
-              key_range seed version_str grouped
-              (match bugs with
-              | [] -> ""
-              | l -> ",bugs=" ^ String.concat "+" (List.sort compare l))
-          in
-          let record =
-            Store.Record.of_result ~target:name ~workload:workload_desc ~config result
-          in
-          let ledger = Store.Ledger.open_ ~dir () in
-          let id = Store.Ledger.append_run ledger record in
-          Fmt.pr "recorded run %s in %s@." id dir);
-      exit 0
+  let config = { Mumak.Config.optimizing with fit_cost; jobs = max 1 jobs } in
+  let print result =
+    Fmt.pr "%a@." Mumak.Engine.pp_result result;
+    match result.Mumak.Engine.opt with
+    | None -> ()
+    | Some o ->
+        let shipped = Analysis.Opt.shipped o in
+        (* the scriptable summary line CI gates on *)
+        Fmt.pr "optimize: proven=%d ineffective=%d harmful=%d shipped=%d@."
+          o.Analysis.Opt.proven o.Analysis.Opt.ineffective o.Analysis.Opt.harmful
+          (List.length shipped);
+        List.iteri
+          (fun i (b : Analysis.Opt.bundle) ->
+            Fmt.pr "bundle %d: [%s] %s — saves %d event(s) / %d modelled cycle(s)@." (i + 1)
+              b.Analysis.Opt.b_plan.Analysis.Opt.p_rule
+              (Analysis.Fix.to_string b.Analysis.Opt.b_plan.Analysis.Opt.p_fix)
+              b.Analysis.Opt.b_measured_events b.Analysis.Opt.b_measured_cycles;
+            List.iter
+              (fun e -> Fmt.pr "    edit: %s@." (Pmtrace.Replay.edit_to_string e))
+              b.Analysis.Opt.b_plan.Analysis.Opt.p_edits)
+          shipped
+  in
+  ignore
+    (drive ~name ~ops ~key_range ~seed ~version_str ~grouped ~bugs ~progress ~store_dir ~config
+       ~print);
+  exit 0
 
 let fit_cost_arg =
   Arg.(

@@ -119,4 +119,3 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let dedup fixes = List.sort_uniq compare fixes

@@ -63,6 +63,3 @@ val compare : t -> t -> int
     or worker counts. Rationale is not compared. *)
 
 val equal : t -> t -> bool
-
-val dedup : t list -> t list
-(** Sorted ({!compare}) with duplicate edits removed. *)

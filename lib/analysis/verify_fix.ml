@@ -63,11 +63,10 @@ let finding_key kind stack pseq =
 
 let candidate_key c = finding_key c.c_kind c.c_stack c.c_pseq
 
-(** The concrete trace edits a {!Fix.t} stands for at one anchor. An
-    inserted flush gets a fence right behind it: under the buffered
-    persistency model a flush only reaches durability at a fence, so the
-    flush alone would leave the window exactly as dangling as before. *)
-let edits_at (fix : Fix.t) ?at_op ?(with_fence = true) pseq =
+(** The concrete trace edits a {!Fix.t} stands for at one anchor; with
+    [with_fence] an inserted flush gets a fence right behind it (see
+    {!expand_fix}). *)
+let edits_at (fix : Fix.t) ?at_op ~with_fence pseq =
   match fix.Fix.action with
   | Fix.Insert_flush { line } ->
       (* a flush-the-store fix follows the store it repairs: when the
@@ -96,8 +95,6 @@ let edits_at (fix : Fix.t) ?at_op ?(with_fence = true) pseq =
       ]
   | Fix.Convert_to_clwb _ ->
       [ Pmtrace.Replay.Set_flush_kind { pseq; kind = Pmem.Op.Clwb } ]
-
-let edits_of_fix (fix : Fix.t) = edits_at fix fix.Fix.seq
 
 (* A fix names a code site, not a dynamic instruction: every event whose
    capture (innermost path + ordinal) equals the fix's anchor is the same

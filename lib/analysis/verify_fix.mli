@@ -55,23 +55,20 @@ type t = {
           1 + candidates *)
 }
 
-val edits_of_fix : Fix.t -> Pmtrace.Replay.edit list
-(** The concrete trace edits a fix stands for at its anchor instance. An
-    inserted flush gets a fence right behind it: under the buffered
-    persistency model a flush only reaches durability at a fence, so the
-    flush alone would leave the window exactly as dangling as before. *)
-
 val expand_fix : Fix.t -> Pmtrace.Event.t list -> Pmtrace.Replay.edit list
 (** A fix names a code site, not a dynamic instruction: [expand_fix fix
     events] is the fix's edits applied at every dynamic instance of its
     anchor site (every event sharing the anchor's capture) — what the
-    verifier rewrites, mirroring a source-level repair. Two refinements
-    over {!edits_of_fix} at each instance: an inserted flush targets the
-    cache line *that instance's* store dirtied (the same source line
-    touches different lines per activation), and its paired fence is
-    elided when a recorded fence already follows the instance — the later
-    fence drains the inserted flush, while a synthesized one would split
-    the persist epoch and break the program's own atomicity batching. *)
+    verifier rewrites, mirroring a source-level repair. An inserted flush
+    gets a fence right behind it: under the buffered persistency model a
+    flush only reaches durability at a fence, so the flush alone would
+    leave the window exactly as dangling as before. Two refinements at
+    each instance: an inserted flush targets the cache line *that
+    instance's* store dirtied (the same source line touches different
+    lines per activation), and its paired fence is elided when a recorded
+    fence already follows the instance — the later fence drains the
+    inserted flush, while a synthesized one would split the persist epoch
+    and break the program's own atomicity batching. *)
 
 (** {2 Shared recheck machinery}
 

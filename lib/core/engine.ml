@@ -6,12 +6,11 @@ type result = {
   report : Report.t;
   failure_points : int;
   injections : int;
-  executions : int;  (** instrumented workload executions performed *)
+  executions : int;  (** target executions: the sum of [phase_metrics] *)
   trace_events : int;
   pm_stats : Pmem.Stats.t;
   metrics : Metrics.t;  (** the sum of [phase_metrics] *)
-  phase_metrics : (Report.phase * Metrics.t) list;
-      (** resource usage of each phase that ran, in execution order *)
+  phase_metrics : Phase.entry list;  (** the phase table, in execution order *)
   static : Analysis.Static.t option;
       (** the static analyzer's output (graph, invariants, raw findings)
           when [Config.static] was on *)
@@ -118,6 +117,13 @@ let verify_candidates config (target : Target.t) ~invariants recording candidate
     ~oracle:(image_oracle config target) ~points recording candidates
 
 let analyze ?(config = Config.default) (target : Target.t) =
+  (* Every step below runs as one phase of the table: named, traced,
+     measured, and charged with the target executions it made, which the
+     counted target's [run] tallies on whatever domain it runs. *)
+  let table = Phase.create () in
+  let phase ?workers p f = Phase.run table ?workers p f in
+  let optional on p f = if on then Some (phase p f) else None in
+  let target = Phase.counted table target in
   let report = Report.create ~target:target.Target.name in
   let ta = Trace_analysis.create config in
   let ta_feed event _stack = Trace_analysis.feed ta event in
@@ -128,8 +134,7 @@ let analyze ?(config = Config.default) (target : Target.t) =
      pointer chases); every other consumer reads its load-free view, which
      equals a load-free recording because a store, flush or fence has the
      same stack ordinal either way. Both are created lazily inside the
-     first phase that needs them (so their cost lands in that phase's
-     metrics); the recording counts as one instrumented execution. *)
+     first phase that needs them, which pays for them. *)
   let recording =
     lazy
       (Pmtrace.Replay.record
@@ -138,159 +143,114 @@ let analyze ?(config = Config.default) (target : Target.t) =
          (fun ~device ~framer -> target.Target.run ~device ~framer))
   in
   let view = lazy (Pmtrace.Replay.load_free (Lazy.force recording)) in
-  let measured name f =
-    let v, m = Metrics.measure (fun () -> Telemetry.Collector.span ~cat:"phase" name f) in
-    (v, Some m)
+  (* Offline static analysis over the recording — dependency graph,
+     invariant mining and fix suggestions. *)
+  let static_result =
+    optional config.Config.static Report.Static_analysis (fun () ->
+        Analysis.Static.analyze ~runs:config.Config.invariant_runs
+          ~support:config.Config.invariant_support
+          ~confidence:config.Config.invariant_confidence ~eadr:config.Config.eadr
+          (Pmtrace.Replay.events (Lazy.force recording)))
   in
-  (* Phase 0 (optional): offline static analysis over the recording —
-     dependency graph, invariant mining and fix suggestions. *)
-  let static_result, sa_metrics =
-    if not config.Config.static then (None, None)
-    else begin
-      Telemetry.Progress.phase "static";
-      let s, m =
-        measured "static_analysis" (fun () ->
-            Analysis.Static.analyze ~runs:config.Config.invariant_runs
-              ~support:config.Config.invariant_support
-              ~confidence:config.Config.invariant_confidence ~eadr:config.Config.eadr
-              (Pmtrace.Replay.events (Lazy.force recording)))
-      in
-      (Some s, m)
-    end
+  let invariants = Option.map (fun s -> s.Analysis.Static.invariants) static_result in
+  (* Merge [invariant_runs] copies of the recording into one control-flow
+     automaton and abstract-interpret it with the per-line persistency
+     lattice — merged-path findings plus per-site safety proofs. A
+     deterministic target records identically every run, so duplicating
+     the recording's events reproduces what [invariant_runs] fresh
+     recordings would feed the CFG merge (which is idempotent under
+     duplication — a qcheck law) without a single extra execution. *)
+  let absint_result =
+    optional config.Config.absint Report.Abs_interp (fun () ->
+        let evs = Pmtrace.Replay.events (Lazy.force view) in
+        let a =
+          Analysis.Absint.analyze ~eadr:config.Config.eadr
+            (List.init (max 1 config.Config.invariant_runs) (fun _ -> evs))
+        in
+        Telemetry.Collector.count "absint.nodes"
+          (Analysis.Cfg.node_count a.Analysis.Absint.cfg);
+        Telemetry.Collector.count "absint.findings" (List.length a.Analysis.Absint.findings);
+        Telemetry.Collector.count "absint.proven_sites" (Analysis.Absint.proven_count a);
+        a)
   in
-  (* Phase 0b (optional): merge [invariant_runs] copies of the recording
-     into one control-flow automaton and abstract-interpret it with the
-     per-line persistency lattice — merged-path findings plus per-site
-     safety proofs. *)
-  let absint_result, ai_metrics =
-    if not config.Config.absint then (None, None)
-    else begin
-      Telemetry.Progress.phase "absint";
-      let a, m =
-        measured "absint" (fun () ->
-            (* A deterministic target records identically every run, so
-               duplicating the recording's events reproduces what
-               [invariant_runs] fresh recordings would feed the CFG merge
-               (which is idempotent under duplication — a qcheck law)
-               without a single extra execution. *)
-            let evs = Pmtrace.Replay.events (Lazy.force view) in
-            Analysis.Absint.analyze ~eadr:config.Config.eadr
-              (List.init (max 1 config.Config.invariant_runs) (fun _ -> evs)))
-      in
-      Telemetry.Collector.count "absint.nodes"
-        (Analysis.Cfg.node_count a.Analysis.Absint.cfg);
-      Telemetry.Collector.count "absint.findings" (List.length a.Analysis.Absint.findings);
-      Telemetry.Collector.count "absint.proven_sites" (Analysis.Absint.proven_count a);
-      (Some a, m)
-    end
-  in
-  (* Phase 0c (optional): anti-pattern lint over the recording's load-free
-     view, plus replay-backed verification of every fix suggestion (static
-     and lint) over the recording itself — trace interpretations, never
-     target re-executions. *)
-  let lint_result, fix_verdicts, lv_metrics =
-    if not (config.Config.lint || config.Config.verify_fixes) then (None, None, None)
-    else begin
-      Telemetry.Progress.phase "lint";
-      let (lint_r, verdicts), m =
-        measured "lint" (fun () ->
-            let lint_r =
-              Analysis.Lint.analyze ~eadr:config.Config.eadr
-                (Pmtrace.Replay.events (Lazy.force view))
-            in
-            Telemetry.Collector.count "lint.findings"
-              (List.length lint_r.Analysis.Lint.findings);
-            Telemetry.Collector.count "lint.events_saved" lint_r.Analysis.Lint.events_saved;
-            if not config.Config.verify_fixes then (lint_r, None)
-            else begin
-              let static_candidates =
-                match static_result with
-                | None -> []
-                | Some s ->
-                    List.filter_map
-                      (fun (f : Analysis.Static.finding) ->
-                        Option.map
-                          (fun fx ->
-                            {
-                              Analysis.Verify_fix.c_source = Analysis.Verify_fix.Static_finding;
-                              c_kind = Analysis.Static.kind_to_string f.Analysis.Static.kind;
-                              c_stack = f.Analysis.Static.stack;
-                              c_pseq = f.Analysis.Static.seq;
-                              c_fix = fx;
-                            })
-                          f.Analysis.Static.fix)
-                      s.Analysis.Static.findings
-              in
-              let lint_candidates =
+  (* Anti-pattern lint over the recording's load-free view, plus
+     replay-backed verification of every fix suggestion (static and lint)
+     over the recording itself — trace interpretations, never target
+     re-executions. *)
+  let lint_phase =
+    optional (config.Config.lint || config.Config.verify_fixes) Report.Lint (fun () ->
+        let lint_r =
+          Analysis.Lint.analyze ~eadr:config.Config.eadr (Pmtrace.Replay.events (Lazy.force view))
+        in
+        Telemetry.Collector.count "lint.findings" (List.length lint_r.Analysis.Lint.findings);
+        Telemetry.Collector.count "lint.events_saved" lint_r.Analysis.Lint.events_saved;
+        if not config.Config.verify_fixes then (lint_r, None)
+        else begin
+          let candidate c_source c_kind c_stack c_pseq =
+            Option.map (fun c_fix -> { Analysis.Verify_fix.c_source; c_kind; c_stack; c_pseq; c_fix })
+          in
+          let static_candidates =
+            match static_result with
+            | None -> []
+            | Some s ->
                 List.filter_map
-                  (fun (f : Analysis.Lint.finding) ->
-                    Option.map
-                      (fun fx ->
-                        {
-                          Analysis.Verify_fix.c_source = Analysis.Verify_fix.Lint_finding;
-                          c_kind = Analysis.Lint.kind_to_string f.Analysis.Lint.l_kind;
-                          c_stack = f.Analysis.Lint.l_stack;
-                          c_pseq = f.Analysis.Lint.l_pseq;
-                          c_fix = fx;
-                        })
-                      f.Analysis.Lint.l_fix)
-                  lint_r.Analysis.Lint.findings
-              in
-              let invariants =
-                Option.map (fun s -> s.Analysis.Static.invariants) static_result
-              in
-              ( lint_r,
-                Some
-                  (verify_candidates config target ~invariants (Lazy.force recording)
-                     (static_candidates @ lint_candidates)) )
-            end)
-      in
-      (Some lint_r, verdicts, m)
-    end
-  in
-  (* Phase 0d (optional): the optimizer — synthesize persist-transformation
-     plans over the recording's load-free view, price them with the cost
-     model, and verify each candidate by replay at all failure points of
-     its rewritten trace under both crash views. Pure trace
-     interpretation: the phase adds zero target executions. *)
-  let opt_result, opt_metrics =
-    if not config.Config.optimize then (None, None)
-    else begin
-      Telemetry.Progress.phase "optimize";
-      measured "optimize" (fun () ->
-          let noload = Lazy.force view in
-          let weights =
-            if config.Config.fit_cost then
-              Analysis.Cost.fit
-                (Analysis.Cost.measure ~pool_size:target.Target.pool_size
-                   (Pmtrace.Replay.events noload))
-            else Analysis.Cost.static_weights
+                  (fun (f : Analysis.Static.finding) ->
+                    candidate Analysis.Verify_fix.Static_finding
+                      (Analysis.Static.kind_to_string f.Analysis.Static.kind)
+                      f.Analysis.Static.stack f.Analysis.Static.seq f.Analysis.Static.fix)
+                  s.Analysis.Static.findings
           in
-          let invariants =
-            Option.map (fun s -> s.Analysis.Static.invariants) static_result
+          let lint_candidates =
+            List.filter_map
+              (fun (f : Analysis.Lint.finding) ->
+                candidate Analysis.Verify_fix.Lint_finding
+                  (Analysis.Lint.kind_to_string f.Analysis.Lint.l_kind)
+                  f.Analysis.Lint.l_stack f.Analysis.Lint.l_pseq f.Analysis.Lint.l_fix)
+              lint_r.Analysis.Lint.findings
           in
-          Some
-            (Analysis.Opt.optimize ?invariants ?absint:absint_result ~weights
-               ~support:config.Config.invariant_support
-               ~confidence:config.Config.invariant_confidence ~eadr:config.Config.eadr
-               ~oracle:(image_oracle config target)
-               ~points:(Fault_injection.offline_points config)
-               noload))
-    end
+          ( lint_r,
+            Some
+              (verify_candidates config target ~invariants (Lazy.force recording)
+                 (static_candidates @ lint_candidates)) )
+        end)
   in
-  (* Phase 1+2: instrumented execution(s), failure-point tree, injection.
-     Under [Replay] the recording's failure points come out too. *)
-  let (fi_result, pm_stats, replay_points), fi_phase =
-    Metrics.measure (fun () ->
+  let lint_result = Option.map fst lint_phase in
+  let fix_verdicts = Option.bind lint_phase snd in
+  (* The optimizer — synthesize persist-transformation plans over the
+     recording's load-free view, price them with the cost model, and verify
+     each candidate by replay at all failure points of its rewritten trace
+     under both crash views. Pure trace interpretation: the phase adds zero
+     target executions. *)
+  let opt_result =
+    optional config.Config.optimize Report.Optimize (fun () ->
+        let noload = Lazy.force view in
+        let weights =
+          if config.Config.fit_cost then
+            Analysis.Cost.fit
+              (Analysis.Cost.measure ~pool_size:target.Target.pool_size
+                 (Pmtrace.Replay.events noload))
+          else Analysis.Cost.static_weights
+        in
+        Analysis.Opt.optimize ?invariants ?absint:absint_result ~weights
+          ~support:config.Config.invariant_support
+          ~confidence:config.Config.invariant_confidence ~eadr:config.Config.eadr
+          ~oracle:(image_oracle config target)
+          ~points:(Fault_injection.offline_points config)
+          noload)
+  in
+  (* Instrumented execution(s), failure-point tree, injection. Under
+     [Replay] the recording's failure points come out too. *)
+  let fi_result, pm_stats, replay_points =
+    phase Report.Fault_injection
+      ~workers:(fun (fi, _, _) -> fi.Fault_injection.worker_metrics)
+      (fun () ->
         match config.Config.strategy with
         | Config.Reexecute ->
-            Telemetry.Progress.phase "build-tree";
             let tree, stats =
-              Telemetry.Collector.span ~cat:"phase" "build_tree" (fun () ->
+              Telemetry.Collector.span ~cat:"step" "build_tree" (fun () ->
                   Fault_injection.build_tree ~extra_listener:ta_feed config target)
             in
-            Telemetry.Progress.phase "inject";
-            ( Telemetry.Collector.span ~cat:"phase" "injection" (fun () ->
+            ( Telemetry.Collector.span ~cat:"step" "injection" (fun () ->
                   Fault_injection.inject_reexecute config target tree),
               stats,
               None )
@@ -305,304 +265,268 @@ let analyze ?(config = Config.default) (target : Target.t) =
             Pmtrace.Replay.iter r (fun e ->
                 Trace_analysis.feed ta e;
                 Fault_injection.enumerate_step en e);
-            Telemetry.Progress.phase "inject";
-            ( Telemetry.Collector.span ~cat:"phase" "injection" (fun () ->
+            ( Telemetry.Collector.span ~cat:"step" "injection" (fun () ->
                   Fault_injection.inject_replay config target ~recording:r en),
               Pmtrace.Replay.stats r,
               Some (Fault_injection.enumerated en) ))
   in
-  (* GC counters are domain-local: fold what the injection workers
-     allocated into the phase total measured on this domain. *)
-  let fi_metrics =
-    Metrics.absorb_workers fi_phase fi_result.Fault_injection.worker_metrics
+  (* Close the streaming trace analysis and attach stacks to its findings.
+     Under [Replay] the recording already carries a stack on every event
+     and a finding's seq is its event's 1-based position, so each stack is
+     read off by index for free; re-execution pays one extra minimal
+     execution. *)
+  let raw_findings, resolved =
+    phase Report.Trace_analysis (fun () ->
+        let raw_findings = Trace_analysis.finish ta in
+        let resolved =
+          if not config.Config.resolve_stacks then Hashtbl.create 0
+          else
+            Telemetry.Collector.span ~cat:"step" "resolve_stacks" (fun () ->
+                let wanted = List.map (fun r -> r.Trace_analysis.seq) raw_findings in
+                match config.Config.strategy with
+                | Config.Replay ->
+                    let r = Lazy.force view in
+                    let resolved = Hashtbl.create (List.length wanted) in
+                    List.iter
+                      (fun seq ->
+                        if seq >= 1 && seq <= Pmtrace.Replay.length r then
+                          match (Pmtrace.Replay.event r (seq - 1)).Pmtrace.Event.stack with
+                          | Some c -> Hashtbl.replace resolved seq c
+                          | None -> ())
+                      wanted;
+                    resolved
+                | Config.Reexecute -> resolve_stacks target ~wanted)
+        in
+        (raw_findings, resolved))
   in
-  (* Phase 3: close the streaming trace analysis. *)
-  Telemetry.Progress.phase "trace-analysis";
-  let raw_findings, ta_metrics =
-    measured "trace_analysis" (fun () -> Trace_analysis.finish ta)
-  in
-  (* Attach stacks to trace findings. Under [Replay] the recording already
-     carries a stack on every event and a finding's seq is its event's
-     1-based position, so each stack is read off by index for free;
-     re-execution pays one extra minimal execution. *)
-  let resolved =
-    if config.Config.resolve_stacks then begin
-      Telemetry.Progress.phase "resolve-stacks";
-      Telemetry.Collector.span ~cat:"phase" "resolve_stacks" (fun () ->
-          let wanted = List.map (fun r -> r.Trace_analysis.seq) raw_findings in
-          match config.Config.strategy with
-          | Config.Replay ->
-              let r = Lazy.force view in
-              let resolved = Hashtbl.create (List.length wanted) in
-              List.iter
-                (fun seq ->
-                  if seq >= 1 && seq <= Pmtrace.Replay.length r then
-                    match (Pmtrace.Replay.event r (seq - 1)).Pmtrace.Event.stack with
-                    | Some c -> Hashtbl.replace resolved seq c
-                    | None -> ())
-                wanted;
-              resolved
-          | _ -> resolve_stacks target ~wanted)
-    end
-    else Hashtbl.create 0
-  in
-  (* Combine: fault-injection bugs first, then static and lint findings (so
-     the fix-carrying version of a finding wins deduplication against its
-     trace-analysis twin), then trace-analysis findings. Findings carrying a
-     fix are indexed by the fix's edit identity so verification verdicts can
-     be attached to them afterwards. *)
-  let fix_findings : (string, Report.finding) Hashtbl.t = Hashtbl.create 16 in
-  let add_with_fix (finding : Report.finding) =
-    ignore (Report.add report finding);
-    match finding.Report.fix with
-    | Some fx -> Hashtbl.replace fix_findings (Analysis.Fix.key fx) finding
-    | None -> ()
-  in
-  List.iter
-    (fun r -> ignore (Report.add report (oracle_finding r)))
-    (Fault_injection.bug_records fi_result);
-  (match static_result with
-  | None -> ()
-  | Some s ->
-      List.iter
-        (fun (f : Analysis.Static.finding) ->
-          let kind = static_kind_to_report f.Analysis.Static.kind in
-          let is_warning = Report.kind_is_warning kind in
-          if (not is_warning) || config.Config.report_warnings then
-            add_with_fix
+  let trace_signature, provenance =
+    phase Report.Report (fun () ->
+        (* Combine: fault-injection bugs first, then static and lint
+           findings (so the fix-carrying version of a finding wins
+           deduplication against its trace-analysis twin), then
+           trace-analysis findings. Findings carrying a fix are indexed by
+           the fix's edit identity so verification verdicts can be attached
+           to them afterwards. *)
+        let fix_findings : (string, Report.finding) Hashtbl.t = Hashtbl.create 16 in
+        let add (finding : Report.finding) =
+          if config.Config.report_warnings || not (Report.kind_is_warning finding.Report.kind)
+          then begin
+            ignore (Report.add report finding);
+            match finding.Report.fix with
+            | Some fx -> Hashtbl.replace fix_findings (Analysis.Fix.key fx) finding
+            | None -> ()
+          end
+        in
+        let fi_bugs = Fault_injection.bug_records fi_result in
+        List.iter (fun r -> add (oracle_finding r)) fi_bugs;
+        Option.iter
+          (fun s ->
+            List.iter
+              (fun (f : Analysis.Static.finding) ->
+                add
+                  {
+                    Report.kind = static_kind_to_report f.Analysis.Static.kind;
+                    phase = Report.Static_analysis;
+                    stack = f.Analysis.Static.stack;
+                    seq = Some f.Analysis.Static.seq;
+                    detail = f.Analysis.Static.detail;
+                    fix = f.Analysis.Static.fix;
+                  })
+              s.Analysis.Static.findings)
+          static_result;
+        (* Abstract-interpretation findings ride after the static ones so a
+           fix-carrying static finding at the same site wins deduplication
+           (the report key is kind + code path, phase-blind by design). *)
+        Option.iter
+          (fun a ->
+            List.iter
+              (fun (f : Analysis.Absint.finding) ->
+                add
+                  {
+                    Report.kind = absint_kind_to_report f.Analysis.Absint.f_kind;
+                    phase = Report.Abs_interp;
+                    stack = f.Analysis.Absint.f_site;
+                    seq = Some f.Analysis.Absint.f_pseq;
+                    detail = f.Analysis.Absint.f_detail;
+                    fix = None;
+                  })
+              a.Analysis.Absint.findings)
+          absint_result;
+        (match lint_result with
+        | Some l when config.Config.lint ->
+            List.iter
+              (fun (f : Analysis.Lint.finding) ->
+                add
+                  {
+                    Report.kind = lint_kind_to_report f.Analysis.Lint.l_kind;
+                    phase = Report.Lint;
+                    stack = f.Analysis.Lint.l_stack;
+                    seq = Some f.Analysis.Lint.l_pseq;
+                    detail = f.Analysis.Lint.l_detail;
+                    fix = f.Analysis.Lint.l_fix;
+                  })
+              l.Analysis.Lint.findings
+        | Some _ | None -> ());
+        List.iter
+          (fun (r : Trace_analysis.raw) ->
+            add
               {
-                Report.kind;
-                phase = Report.Static_analysis;
-                stack = f.Analysis.Static.stack;
-                seq = Some f.Analysis.Static.seq;
-                detail = f.Analysis.Static.detail;
-                fix = f.Analysis.Static.fix;
+                Report.kind = r.Trace_analysis.kind;
+                phase = Report.Trace_analysis;
+                stack = Hashtbl.find_opt resolved r.Trace_analysis.seq;
+                seq = Some r.Trace_analysis.seq;
+                detail = r.Trace_analysis.detail;
+                fix = None;
               })
-        s.Analysis.Static.findings);
-  (* Abstract-interpretation findings ride after the static ones so a
-     fix-carrying static finding at the same site wins deduplication (the
-     report key is kind + code path, phase-blind by design). *)
-  (match absint_result with
-  | None -> ()
-  | Some a ->
-      List.iter
-        (fun (f : Analysis.Absint.finding) ->
-          let kind = absint_kind_to_report f.Analysis.Absint.f_kind in
-          let is_warning = Report.kind_is_warning kind in
-          if (not is_warning) || config.Config.report_warnings then
-            ignore
-              (Report.add report
-                 {
-                   Report.kind;
-                   phase = Report.Abs_interp;
-                   stack = f.Analysis.Absint.f_site;
-                   seq = Some f.Analysis.Absint.f_pseq;
-                   detail = f.Analysis.Absint.f_detail;
-                   fix = None;
-                 }))
-        a.Analysis.Absint.findings);
-  (match lint_result with
-  | Some l when config.Config.lint ->
-      List.iter
-        (fun (f : Analysis.Lint.finding) ->
-          let kind = lint_kind_to_report f.Analysis.Lint.l_kind in
-          let is_warning = Report.kind_is_warning kind in
-          if (not is_warning) || config.Config.report_warnings then
-            add_with_fix
-              {
-                Report.kind;
-                phase = Report.Lint;
-                stack = f.Analysis.Lint.l_stack;
-                seq = Some f.Analysis.Lint.l_pseq;
-                detail = f.Analysis.Lint.l_detail;
-                fix = f.Analysis.Lint.l_fix;
-              })
-        l.Analysis.Lint.findings
-  | Some _ | None -> ());
-  List.iter
-    (fun (r : Trace_analysis.raw) ->
-      let is_warning = Report.kind_is_warning r.Trace_analysis.kind in
-      if (not is_warning) || config.Config.report_warnings then
-        ignore
-          (Report.add report
-             {
-               Report.kind = r.Trace_analysis.kind;
-               phase = Report.Trace_analysis;
-               stack = Hashtbl.find_opt resolved r.Trace_analysis.seq;
-               seq = Some r.Trace_analysis.seq;
-               detail = r.Trace_analysis.detail;
-               fix = None;
-             }))
-    raw_findings;
-  (* Attach the replay-backed verdicts to the findings whose fixes they
-     judged (an annotation side-table: arrives post-dedup, leaves the
-     report signature untouched). *)
-  (match fix_verdicts with
-  | None -> ()
-  | Some v ->
-      List.iter
-        (fun (o : Analysis.Verify_fix.outcome) ->
-          let fix = o.Analysis.Verify_fix.o_candidate.Analysis.Verify_fix.c_fix in
-          match Hashtbl.find_opt fix_findings (Analysis.Fix.key fix) with
-          | Some finding ->
-              Report.annotate report finding
-                (Analysis.Verify_fix.verdict_to_string o.Analysis.Verify_fix.o_verdict
-                ^ " — " ^ o.Analysis.Verify_fix.o_detail)
-          | None -> ())
-        v.Analysis.Verify_fix.outcomes);
-  (* Provenance: causal evidence per finding, captured before the result is
-     sealed. Fault-injection records carry their crash-vs-recovered image
-     diffs, taken at the oracle's verdict under either strategy. When a
-     phase read the recording's load-free view (the replay strategy — i.e.
-     the default — or any offline phase but the static analyzer) the trace
-     windows and failure-point persistency indices are read off it by
-     event position; without it the evidence degrades to witness, verdict
-     and image diff. *)
-  let read_view = if Lazy.is_val view then Some (Lazy.force view) else None in
-  let trace_signature =
-    match read_view with
-    | Some r -> Pmtrace.Replay.digest r
-    | None ->
-        Digest.to_hex
-          (Digest.string
-             (Printf.sprintf "%s#%d#%d#%d#%d" target.Target.name
-                (Trace_analysis.event_count ta) pm_stats.Pmem.Stats.stores
-                (Pmem.Stats.flushes pm_stats) (Pmem.Stats.fences pm_stats)))
-  in
-  let provenance =
-    let window_at anchor_index =
-      match read_view with
-      | Some r when anchor_index >= 0 && anchor_index < Pmtrace.Replay.length r ->
-          let lo = max 0 (anchor_index - Provenance.window_radius) in
-          let hi =
-            min (Pmtrace.Replay.length r - 1) (anchor_index + Provenance.window_radius)
+          raw_findings;
+        (* Attach the replay-backed verdicts to the findings whose fixes
+           they judged (an annotation side-table: arrives post-dedup, leaves
+           the report signature untouched). *)
+        Option.iter
+          (fun v ->
+            List.iter
+              (fun (o : Analysis.Verify_fix.outcome) ->
+                let fix = o.Analysis.Verify_fix.o_candidate.Analysis.Verify_fix.c_fix in
+                Option.iter
+                  (fun finding ->
+                    Report.annotate report finding
+                      (Analysis.Verify_fix.verdict_to_string o.Analysis.Verify_fix.o_verdict
+                      ^ " — " ^ o.Analysis.Verify_fix.o_detail))
+                  (Hashtbl.find_opt fix_findings (Analysis.Fix.key fix)))
+              v.Analysis.Verify_fix.outcomes)
+          fix_verdicts;
+        (* Provenance: causal evidence per finding. Fault-injection records
+           carry their crash-vs-recovered image diffs, taken at the oracle's
+           verdict under either strategy. When a phase read the recording's
+           load-free view (the replay strategy — i.e. the default — or any
+           offline phase but the static analyzer) the trace windows and
+           failure-point persistency indices are read off it by event
+           position; without it the evidence degrades to witness, verdict
+           and image diff. *)
+        let read_view = if Lazy.is_val view then Some (Lazy.force view) else None in
+        let trace_signature =
+          match read_view with
+          | Some r -> Pmtrace.Replay.digest r
+          | None ->
+              Digest.to_hex
+                (Digest.string
+                   (Printf.sprintf "%s#%d#%d#%d#%d" target.Target.name
+                      (Trace_analysis.event_count ta) pm_stats.Pmem.Stats.stores
+                      (Pmem.Stats.flushes pm_stats) (Pmem.Stats.fences pm_stats)))
+        in
+        let window_at anchor_index =
+          match read_view with
+          | Some r when anchor_index >= 0 && anchor_index < Pmtrace.Replay.length r ->
+              let lo = max 0 (anchor_index - Provenance.window_radius) in
+              let hi =
+                min (Pmtrace.Replay.length r - 1) (anchor_index + Provenance.window_radius)
+              in
+              List.init
+                (hi - lo + 1)
+                (fun k ->
+                  let i = lo + k in
+                  let e = Pmtrace.Replay.event r i in
+                  Printf.sprintf "%c #%d %s"
+                    (if i = anchor_index then '>' else ' ')
+                    e.Pmtrace.Event.seq
+                    (Pmem.Op.to_string e.Pmtrace.Event.op))
+          | _ -> []
+        in
+        (* persistency index of each failure-point ordinal: the replay
+           strategy's own enumeration, or — when only an offline phase read
+           the view — the same step function walked over it *)
+        let pseq_of_ordinal = Hashtbl.create 64 in
+        let points =
+          match (replay_points, read_view) with
+          | Some points, _ -> points
+          | None, Some r ->
+              let en = Fault_injection.enumeration config in
+              Pmtrace.Replay.iter r (Fault_injection.enumerate_step en);
+              Fault_injection.enumerated en
+          | None, None -> []
+        in
+        List.iter (fun (ordinal, pseq, _) -> Hashtbl.replace pseq_of_ordinal ordinal pseq) points;
+        let fi_evidence = Hashtbl.create 16 in
+        List.iter
+          (fun (rc : Fault_injection.record) ->
+            let p = rc.Fault_injection.point in
+            Hashtbl.replace fi_evidence
+              (Pmtrace.Callstack.capture_to_string p.Fp_tree.capture)
+              rc)
+          fi_bugs;
+        let provenance_of (f : Report.finding) =
+          let signature = Report.finding_signature f in
+          let stack =
+            Option.map
+              (fun (c : Pmtrace.Callstack.capture) ->
+                (c.Pmtrace.Callstack.path, c.Pmtrace.Callstack.op_index))
+              f.Report.stack
           in
-          List.init
-            (hi - lo + 1)
-            (fun k ->
-              let i = lo + k in
-              let e = Pmtrace.Replay.event r i in
-              Printf.sprintf "%c #%d %s"
-                (if i = anchor_index then '>' else ' ')
-                e.Pmtrace.Event.seq
-                (Pmem.Op.to_string e.Pmtrace.Event.op))
-      | _ -> []
-    in
-    (* persistency index of each failure-point ordinal: the replay
-       strategy's own enumeration, or — when only an offline phase read the
-       view — the same step function walked over it *)
-    let pseq_of_ordinal = Hashtbl.create 64 in
-    let points =
-      match (replay_points, read_view) with
-      | Some points, _ -> points
-      | None, Some r ->
-          let en = Fault_injection.enumeration config in
-          Pmtrace.Replay.iter r (Fault_injection.enumerate_step en);
-          Fault_injection.enumerated en
-      | None, None -> []
-    in
-    List.iter (fun (ordinal, pseq, _) -> Hashtbl.replace pseq_of_ordinal ordinal pseq) points;
-    let fi_bugs = Fault_injection.bug_records fi_result in
-    let fi_evidence = Hashtbl.create 16 in
-    List.iter
-      (fun (rc : Fault_injection.record) ->
-        let p = rc.Fault_injection.point in
-        Hashtbl.replace fi_evidence
-          (Pmtrace.Callstack.capture_to_string p.Fp_tree.capture)
-          rc)
-      fi_bugs;
-    List.map
-      (fun (f : Report.finding) ->
-        let signature = Report.finding_signature f in
-        let stack =
-          Option.map
-            (fun (c : Pmtrace.Callstack.capture) ->
-              (c.Pmtrace.Callstack.path, c.Pmtrace.Callstack.op_index))
-            f.Report.stack
+          let fi_record =
+            match (f.Report.phase, f.Report.stack) with
+            | Report.Fault_injection, Some c ->
+                Hashtbl.find_opt fi_evidence (Pmtrace.Callstack.capture_to_string c)
+            | _ -> None
+          in
+          let failure_point =
+            Option.map
+              (fun (rc : Fault_injection.record) ->
+                let p = rc.Fault_injection.point in
+                {
+                  Provenance.fp_path = p.Fp_tree.capture.Pmtrace.Callstack.path;
+                  fp_op_index = p.Fp_tree.capture.Pmtrace.Callstack.op_index;
+                  fp_ordinal = p.Fp_tree.ordinal;
+                  fp_pseq = Hashtbl.find_opt pseq_of_ordinal p.Fp_tree.ordinal;
+                })
+              fi_record
+          in
+          let anchor_index =
+            match (failure_point, f.Report.seq) with
+            | Some { Provenance.fp_pseq = Some pseq; _ }, _ ->
+                (* load-free recording: pseq = 1-based event position *)
+                Some (pseq - 1)
+            | _, Some seq ->
+                (* a recording's seq is its event's 1-based position *)
+                Some (seq - 1)
+            | _ -> None
+          in
+          let witness, verdict =
+            match fi_record with
+            | Some rc ->
+                let o = Oracle.to_string rc.Fault_injection.oracle in
+                (o, Some o)
+            | None -> (f.Report.detail, Report.annotation report f)
+          in
+          {
+            Provenance.p_finding = Provenance.id_of_signature signature;
+            p_signature = signature;
+            p_kind = Report.kind_to_string f.Report.kind;
+            p_phase = Report.phase_to_string f.Report.phase;
+            p_detail = f.Report.detail;
+            p_stack = stack;
+            p_seq = f.Report.seq;
+            p_failure_point = failure_point;
+            p_window = (match anchor_index with Some i -> window_at i | None -> []);
+            p_witness = witness;
+            p_verdict = verdict;
+            p_fix = Option.map Analysis.Fix.to_string f.Report.fix;
+            p_image_diff =
+              Option.bind fi_record (fun (rc : Fault_injection.record) ->
+                  rc.Fault_injection.image_diff);
+          }
         in
-        let fi_record =
-          match (f.Report.phase, f.Report.stack) with
-          | Report.Fault_injection, Some c ->
-              Hashtbl.find_opt fi_evidence (Pmtrace.Callstack.capture_to_string c)
-          | _ -> None
-        in
-        let failure_point =
-          Option.map
-            (fun (rc : Fault_injection.record) ->
-              let p = rc.Fault_injection.point in
-              {
-                Provenance.fp_path = p.Fp_tree.capture.Pmtrace.Callstack.path;
-                fp_op_index = p.Fp_tree.capture.Pmtrace.Callstack.op_index;
-                fp_ordinal = p.Fp_tree.ordinal;
-                fp_pseq = Hashtbl.find_opt pseq_of_ordinal p.Fp_tree.ordinal;
-              })
-            fi_record
-        in
-        let anchor_index =
-          match (failure_point, f.Report.seq) with
-          | Some { Provenance.fp_pseq = Some pseq; _ }, _ ->
-              (* load-free recording: pseq = 1-based event position *)
-              Some (pseq - 1)
-          | _, Some seq ->
-              (* a recording's seq is its event's 1-based position *)
-              Some (seq - 1)
-          | _ -> None
-        in
-        let window = match anchor_index with Some i -> window_at i | None -> [] in
-        let witness, verdict =
-          match fi_record with
-          | Some rc ->
-              let o = Oracle.to_string rc.Fault_injection.oracle in
-              (o, Some o)
-          | None -> (f.Report.detail, Report.annotation report f)
-        in
-        {
-          Provenance.p_finding = Provenance.id_of_signature signature;
-          p_signature = signature;
-          p_kind = Report.kind_to_string f.Report.kind;
-          p_phase = Report.phase_to_string f.Report.phase;
-          p_detail = f.Report.detail;
-          p_stack = stack;
-          p_seq = f.Report.seq;
-          p_failure_point = failure_point;
-          p_window = window;
-          p_witness = witness;
-          p_verdict = verdict;
-          p_fix = Option.map Analysis.Fix.to_string f.Report.fix;
-          p_image_diff =
-            Option.bind fi_record (fun (rc : Fault_injection.record) ->
-                rc.Fault_injection.image_diff);
-        })
-      (Report.ordered report)
+        (trace_signature, List.map provenance_of (Report.ordered report)))
   in
-  let phase_metrics =
-    List.filter_map
-      (fun (name, m) -> Option.map (fun m -> (name, m)) m)
-      [
-        (Report.Static_analysis, sa_metrics);
-        (Report.Abs_interp, ai_metrics);
-        (Report.Lint, lv_metrics);
-        (Report.Optimize, opt_metrics);
-        (Report.Fault_injection, Some fi_metrics);
-        (Report.Trace_analysis, ta_metrics);
-      ]
-  in
+  let phase_metrics = Phase.entries table in
   let result =
     {
       report;
       failure_points = Fp_tree.size fi_result.Fault_injection.tree;
       injections = List.length fi_result.Fault_injection.records;
-      executions =
-        fi_result.Fault_injection.executions
-        + (match config.Config.strategy with
-          | Config.Replay -> 0
-          | Config.Reexecute ->
-              (* the tree-building run, and the stack-resolution run *)
-              1 + if config.Config.resolve_stacks then 1 else 0)
-        + if Lazy.is_val recording then 1 else 0;
+      executions = Phase.executions phase_metrics;
       trace_events = Trace_analysis.event_count ta;
       pm_stats;
-      metrics = Metrics.sum (List.map snd phase_metrics);
+      metrics = Phase.total phase_metrics;
       phase_metrics;
       static = static_result;
       absint = absint_result;

@@ -6,18 +6,25 @@ type result = {
   report : Report.t;
   failure_points : int;  (** unique leaves of the failure-point tree *)
   injections : int;  (** faults injected (= recoveries run) *)
-  executions : int;  (** instrumented workload executions performed *)
+  executions : int;
+      (** target executions performed: the sum of [phase_metrics]'
+          executions, each counted as it ran *)
   trace_events : int;  (** PM instructions observed *)
   pm_stats : Pmem.Stats.t;
       (** device counters of the first instrumented execution (real
           store/flush/fence totals, under either strategy) *)
   metrics : Metrics.t;  (** total resource usage: the sum of [phase_metrics] *)
-  phase_metrics : (Report.phase * Metrics.t) list;
-      (** resource usage of each phase that ran, in execution order:
+  phase_metrics : Phase.entry list;
+      (** the phase table: every step of the analysis, in execution order,
+          with its resource usage and the target executions it made —
           [Static_analysis], [Abs_interp], [Lint] (lint and fix
-          verification), [Optimize], [Fault_injection] (with the worker
-          domains' allocations) and [Trace_analysis]. The shared recording
-          is paid by the first phase that reads it. *)
+          verification), [Optimize], [Fault_injection] (the tree-building
+          run under [Reexecute], the worker domains' allocations
+          included), [Trace_analysis] (stack resolution included) and
+          [Report] (combining the findings, the trace digest and
+          provenance). Only the optional phases that are switched on
+          appear. The shared recording is paid by the first phase that
+          reads it. *)
   static : Analysis.Static.t option;
       (** the static analyzer's output (graph, invariants, raw findings)
           when [Config.static] was on *)

@@ -21,7 +21,6 @@ type record = {
 type result = {
   tree : Fp_tree.t;
   records : record list; (* sorted by failure-point ordinal *)
-  executions : int; (* injection executions performed (none under replay) *)
   worker_metrics : Metrics.t list;
       (* per-worker-domain resource usage of the parallel injection phase;
          empty when the schedule ran inline *)
@@ -128,11 +127,11 @@ let judge config (target : Target.t) point view =
    fault per unique failure point, in discovery order). The tree's points
    are dealt round-robin by discovery ordinal over [Config.jobs] worker
    domains (inline when there is one); [crash] injects one share and
-   returns its records with the executions it cost. The tree is only read
-   while the shares run, and the ambient framer and transaction state are
-   domain-local, so the workers share no mutable state. Records merge back
-   sorted by ordinal — the deterministic-merge rule that makes the result
-   identical for any worker count. *)
+   returns its records. The tree is only read while the shares run, and
+   the ambient framer and transaction state are domain-local, so the
+   workers share no mutable state. Records merge back sorted by ordinal —
+   the deterministic-merge rule that makes the result identical for any
+   worker count. *)
 let schedule config tree ~crash =
   let points = Fp_tree.points tree in
   Telemetry.Progress.set_total (List.length points);
@@ -152,8 +151,7 @@ let schedule config tree ~crash =
     records =
       List.sort
         (fun a b -> compare a.point.Fp_tree.ordinal b.point.Fp_tree.ordinal)
-        (List.concat_map fst shares);
-    executions = List.fold_left (fun n (_, e) -> n + e) 0 shares;
+        (List.concat_map Fun.id shares);
     worker_metrics;
   }
 
@@ -203,18 +201,13 @@ let reexecute config (target : Target.t) tree ~ordinal =
     run misses is counted in ["fp.unreached"] and the rest of the share
     still runs. *)
 let inject_reexecute config (target : Target.t) tree =
-  schedule config tree ~crash:(fun share ->
-      let records =
-        List.filter_map
-          (fun point ->
-            match reexecute config target tree ~ordinal:point.Fp_tree.ordinal with
-            | Some image -> Some (judge config target point (Pmem.Image.cow image))
-            | None ->
-                Telemetry.Collector.count "fp.unreached" 1;
-                None)
-          share
-      in
-      (records, List.length share))
+  schedule config tree ~crash:
+    (List.filter_map (fun point ->
+         match reexecute config target tree ~ordinal:point.Fp_tree.ordinal with
+         | Some image -> Some (judge config target point (Pmem.Image.cow image))
+         | None ->
+             Telemetry.Collector.count "fp.unreached" 1;
+             None))
 
 (** Replay-first injection ([Config.Replay], the default) on the
     enumeration's own tree: each share's crash images come out of one
@@ -237,7 +230,7 @@ let inject_replay config (target : Target.t) ~recording en =
             records := judge config target (snd found.(key)) image :: !records)
       in
       assert (unreached = []);
-      (!records, 0))
+      !records)
 
 let bug_records result = List.filter (fun r -> Oracle.is_bug r.oracle) result.records
 

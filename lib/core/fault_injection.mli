@@ -24,10 +24,6 @@ type result = {
       (** always sorted by failure-point discovery ordinal — the
           deterministic-merge rule that makes reports identical no matter
           how injections were scheduled over worker domains *)
-  executions : int;
-      (** injection executions performed: one per point under
-          [Config.Reexecute], none under [Config.Replay]. The tree-building
-          run is not among them. *)
   worker_metrics : Metrics.t list;
       (** per-worker-domain resource usage of the parallel injection phase
           ([Config.jobs] entries, clamped to the point count); empty when

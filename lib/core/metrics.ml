@@ -75,20 +75,17 @@ let absorb_workers phase workers =
     heap_growth_words = phase.heap_growth_words + w.heap_growth_words;
   }
 
-(** Machine encoding of a measurement; {!pp} renders these same fields, so
-    the human-readable result line and the bench/JSONL emitters cannot
-    drift. *)
-let to_json t =
-  Telemetry.Json.Assoc
-    [
-      ("wall_seconds", Telemetry.Json.Float t.wall_seconds);
-      ("cpu_seconds", Telemetry.Json.Float t.cpu_seconds);
-      ("cpu_load", Telemetry.Json.Float (cpu_load t));
-      ("allocated_bytes", Telemetry.Json.Float t.allocated_bytes);
-      ("heap_growth_words", Telemetry.Json.Int t.heap_growth_words);
-    ]
+(** Machine encoding of a measurement; {!to_json} and {!pp} render these
+    same fields, so the human-readable result line and the bench/JSONL
+    emitters cannot drift. *)
+let fields t =
+  [
+    ("wall_seconds", Telemetry.Json.Float t.wall_seconds);
+    ("cpu_seconds", Telemetry.Json.Float t.cpu_seconds);
+    ("cpu_load", Telemetry.Json.Float (cpu_load t));
+    ("allocated_bytes", Telemetry.Json.Float t.allocated_bytes);
+    ("heap_growth_words", Telemetry.Json.Int t.heap_growth_words);
+  ]
 
-let pp ppf t =
-  match to_json t with
-  | Telemetry.Json.Assoc fields -> Telemetry.Json.pp_kv ppf fields
-  | _ -> assert false
+let to_json t = Telemetry.Json.Assoc (fields t)
+let pp ppf t = Telemetry.Json.pp_kv ppf (fields t)

@@ -49,7 +49,8 @@ let kind_to_string = function
   | Missing_flush_warning -> "missing flush (warning)"
   | Missing_fence_warning -> "missing fence (warning)"
 
-type phase = Fault_injection | Trace_analysis | Static_analysis | Abs_interp | Lint | Optimize
+type phase =
+  | Fault_injection | Trace_analysis | Static_analysis | Abs_interp | Lint | Optimize | Report
 
 let phase_to_string = function
   | Fault_injection -> "fault_injection"
@@ -58,6 +59,7 @@ let phase_to_string = function
   | Abs_interp -> "abs_interp"
   | Lint -> "lint"
   | Optimize -> "optimize"
+  | Report -> "report"
 
 type finding = {
   kind : kind;
@@ -113,6 +115,7 @@ let phase_rank = function
   | Abs_interp -> 3
   | Lint -> 4
   | Optimize -> 5
+  | Report -> 6
 
 let kind_rank = function
   | Unrecoverable_state -> 0
@@ -161,8 +164,6 @@ let warnings t = List.filter (fun f -> kind_is_warning f.kind) (findings t)
 let correctness_bugs t = List.filter (fun f -> kind_is_correctness f.kind) (bugs t)
 let performance_bugs t = List.filter (fun f -> not (kind_is_correctness f.kind)) (bugs t)
 
-let merge ~into src = List.iter (fun f -> ignore (add into f)) (findings src)
-
 (** One finding's entry in {!signature}: the dedup key with the full detail
     text — the stable per-finding identity the results store keys
     provenance records and cross-run diffs on. *)
@@ -188,7 +189,8 @@ let pp_finding ppf f =
     | Static_analysis -> "SA"
     | Abs_interp -> "AI"
     | Lint -> "LINT"
-    | Optimize -> "OPT")
+    | Optimize -> "OPT"
+    | Report -> "REP")
     (kind_to_string f.kind) f.detail
     (match f.stack with
     | Some c -> "\n    at " ^ Pmtrace.Callstack.capture_to_string c

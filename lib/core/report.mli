@@ -27,8 +27,11 @@ val kind_to_string : kind -> string
 
 (** The pipeline phase that produced a finding or a measurement
     ([Engine.result.phase_metrics]). The optimizer reports bundles, not
-    findings, so only its measurement carries [Optimize]. *)
-type phase = Fault_injection | Trace_analysis | Static_analysis | Abs_interp | Lint | Optimize
+    findings, so only its measurement carries [Optimize]; [Report] is the
+    step that combines the findings and builds their provenance, and
+    carries no finding either. *)
+type phase =
+  | Fault_injection | Trace_analysis | Static_analysis | Abs_interp | Lint | Optimize | Report
 
 val phase_to_string : phase -> string
 
@@ -62,8 +65,6 @@ val bugs : t -> finding list
 val warnings : t -> finding list
 val correctness_bugs : t -> finding list
 val performance_bugs : t -> finding list
-
-val merge : into:t -> t -> unit
 
 val finding_signature : finding -> string
 (** One finding's entry in {!signature}: the dedup key plus the full detail

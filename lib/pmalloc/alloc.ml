@@ -39,7 +39,6 @@ let attach pool =
 let pool t = t.pool
 let chunk_count t = (Pool.layout t.pool).Layout.chunk_count
 let used_chunks t = t.used_chunks
-let free_chunks t = chunk_count t - t.used_chunks
 
 (* Find [n] consecutive free chunks, next-fit with wrap-around. *)
 let find_run t n =

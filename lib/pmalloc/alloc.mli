@@ -21,7 +21,6 @@ val attach : Pool.t -> t
 val pool : t -> Pool.t
 val chunk_count : t -> int
 val used_chunks : t -> int
-val free_chunks : t -> int
 
 val alloc : ?zero:bool -> t -> bytes:int -> int
 (** Allocate at least [bytes] (chunk-rounded); returns the address.

@@ -8,7 +8,6 @@ type t = Arena.t
 let create () = Arena.create ()
 let add t e = Arena.add t e
 let length t = Arena.length t
-let clear t = Arena.clear t
 
 (** [iter t f] applies [f] to every event in execution order. *)
 let iter t f = Arena.iter t f
@@ -18,11 +17,6 @@ let fold t init f = Arena.fold t init f
 
 let to_list t = Arena.to_list t
 let arena t = t
-
-(** Approximate resident size of the trace in words, for the Table 2
-    resource accounting: the packed arena storage plus interned paths
-    (formerly ~13 boxed words per event). *)
-let approx_size_words t = Arena.words t
 
 (* ------------------------------------------------------------------ *)
 (* Serialization: the analogue of the trace file the original Mumak    *)

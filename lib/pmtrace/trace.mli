@@ -11,7 +11,6 @@ val add : t -> Event.t -> unit
 (** Append one event (O(1); the trace keeps insertion order). *)
 
 val length : t -> int
-val clear : t -> unit
 
 val iter : t -> (Event.t -> unit) -> unit
 (** [iter t f] applies [f] to every event in execution order. *)
@@ -24,10 +23,6 @@ val to_list : t -> Event.t list
 
 val arena : t -> Arena.t
 (** The packed backing store (a zero-copy view, shared with the trace). *)
-
-val approx_size_words : t -> int
-(** Approximate resident size of the trace in words, for the Table 2
-    resource accounting. *)
 
 val serialize : t -> string
 (** [serialize t] renders the trace, one event per line, in execution

@@ -53,9 +53,6 @@ let detach t =
 
 let add_listener t l = t.listeners <- t.listeners @ [ l ]
 
-let set_collect t flag = t.collect <- flag
-let set_with_stacks t flag = t.with_stacks <- flag
-
 (** [with_frame t label f] runs [f] with [label] pushed on the traced call
     stack; applications under test use this at function entry. *)
 let with_frame t label f = Callstack.with_frame t.stack label f

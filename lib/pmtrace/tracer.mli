@@ -22,9 +22,6 @@ val detach : t -> unit
 
 val add_listener : t -> (Event.t -> Callstack.t -> unit) -> unit
 
-val set_collect : t -> bool -> unit
-val set_with_stacks : t -> bool -> unit
-
 val with_frame : t -> string -> (unit -> 'a) -> 'a
 (** Run the callback with a frame pushed on the traced call stack. *)
 

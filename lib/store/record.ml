@@ -38,7 +38,9 @@ type t = {
   executions : int;
   trace_events : int;
   first_bug_injection : int option;
-  metrics : Json.t;  (** resource usage: the total, then each phase that ran *)
+  metrics : Json.t;
+      (** the phase table ({!Mumak.Phase.to_json}): resource usage and
+          target executions, the total first, then each phase that ran *)
   phases : (string * Json.t) list;  (** optional phase summaries, by name *)
   findings : finding list;  (** {!Mumak.Report.ordered} order *)
   provenance : Mumak.Provenance.t list;  (** parallel to [findings] *)
@@ -85,13 +87,6 @@ let finding_of_provenance (p : Mumak.Provenance.t) =
 let of_result ~target ~workload ~(config : Mumak.Config.t)
     (result : Mumak.Engine.result) =
   let trace_signature = result.Mumak.Engine.trace_signature in
-  let metrics =
-    Json.Assoc
-      (("total", Mumak.Metrics.to_json result.Mumak.Engine.metrics)
-      :: List.map
-           (fun (phase, m) -> (Mumak.Report.phase_to_string phase, Mumak.Metrics.to_json m))
-           result.Mumak.Engine.phase_metrics)
-  in
   let phases =
     List.concat
       [
@@ -121,7 +116,7 @@ let of_result ~target ~workload ~(config : Mumak.Config.t)
     executions = result.Mumak.Engine.executions;
     trace_events = result.Mumak.Engine.trace_events;
     first_bug_injection = result.Mumak.Engine.first_bug_injection;
-    metrics;
+    metrics = Mumak.Phase.to_json result.Mumak.Engine.phase_metrics;
     phases;
     findings = List.map finding_of_provenance result.Mumak.Engine.provenance;
     provenance = result.Mumak.Engine.provenance;

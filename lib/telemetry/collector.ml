@@ -163,9 +163,6 @@ type dump = {
   dump_main_track : int;  (** the track to label "main" *)
 }
 
-let empty_dump =
-  { spans = []; counters = []; histograms = []; base_ns = 0; dump_main_track = 0 }
-
 (** Collect and clear every domain's buffer. Spans still open (a drain in
     the middle of a phase) are closed at the drain timestamp so every
     recorded end has a begin and vice versa. Counters merge by sum,

@@ -64,8 +64,6 @@ type dump = {
   dump_main_track : int;  (** the track to label "main" *)
 }
 
-val empty_dump : dump
-
 val drain : unit -> dump
 (** Collect and clear every domain's buffer. Spans still open (a drain in
     the middle of a phase) are closed at the drain timestamp so every

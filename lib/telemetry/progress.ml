@@ -15,7 +15,11 @@ let total = Atomic.make 0
 let done_count = Atomic.make 0
 let bug_count = Atomic.make 0
 let first_bug = Atomic.make 0 (* tick ordinal of the first bug; 0 = none yet *)
+
+(* The injecting phase's start and end, which time the rate and the ETA;
+   each reads 0 until that boundary is reached. *)
 let start_ns = Atomic.make 0
+let stop_ns = Atomic.make 0
 let last_render_ns = Atomic.make 0
 let rendered = Atomic.make false
 let render_mu = Mutex.create ()
@@ -30,14 +34,20 @@ let activate () =
   Atomic.set done_count 0;
   Atomic.set bug_count 0;
   Atomic.set first_bug 0;
-  Atomic.set start_ns (Clock.now_ns ());
+  Atomic.set start_ns 0;
+  Atomic.set stop_ns 0;
   Atomic.set last_render_ns 0;
   Atomic.set rendered false;
   Atomic.set active true
 
 let render_line () =
   let d = Atomic.get done_count and t = Atomic.get total in
-  let elapsed = Clock.elapsed_s (Atomic.get start_ns) (Clock.now_ns ()) in
+  let elapsed =
+    match (Atomic.get start_ns, Atomic.get stop_ns) with
+    | 0, _ -> 0.
+    | start, 0 -> Clock.elapsed_s start (Clock.now_ns ())
+    | start, stop -> Clock.elapsed_s start stop
+  in
   let rate = if elapsed > 0. then float_of_int d /. elapsed else 0. in
   let eta =
     if t > 0 && rate > 0. && d < t then
@@ -67,14 +77,21 @@ let maybe_render () =
     then render_line ()
   end
 
-(** Announce the pipeline phase currently running (shown as a prefix of
-    the progress line). *)
-let phase name =
-  if Atomic.get active then begin
+(** Run [f] as the named pipeline phase, shown as the progress line's
+    prefix; the [injecting] phase's start and end time the rate and the
+    ETA. *)
+let phase ?(injecting = false) name f =
+  if not (Atomic.get active) then f ()
+  else begin
     Mutex.lock render_mu;
     phase_name := name;
     Mutex.unlock render_mu;
-    maybe_render ()
+    if injecting then begin
+      Atomic.set stop_ns 0;
+      Atomic.set start_ns (Clock.now_ns ())
+    end;
+    maybe_render ();
+    Fun.protect f ~finally:(fun () -> if injecting then Atomic.set stop_ns (Clock.now_ns ()))
   end
 
 (** Total injections expected (the failure-point count, set by the

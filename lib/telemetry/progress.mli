@@ -12,9 +12,12 @@
 
 val activate : unit -> unit
 
-val phase : string -> unit
-(** Announce the pipeline phase currently running (shown as a prefix of
-    the progress line). *)
+val phase : ?injecting:bool -> string -> (unit -> 'a) -> 'a
+(** [phase name f] runs [f] as the named pipeline phase, shown as the
+    progress line's prefix. The injections/sec rate and the ETA are timed
+    over the phase run with [~injecting:true]: from its start, and frozen
+    at its end, so phases before and after it do not dilute the rate.
+    When the reporter is off this is exactly [f ()]. *)
 
 val set_total : int -> unit
 (** Total injections expected (the failure-point count, set by the

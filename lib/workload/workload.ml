@@ -68,10 +68,5 @@ let generate spec =
 let standard ~ops ~key_range ~seed =
   generate { default_spec with ops; key_range; seed }
 
-let op_to_string = function
-  | Put (k, v) -> Printf.sprintf "put %Ld=%Ld" k v
-  | Get k -> Printf.sprintf "get %Ld" k
-  | Delete k -> Printf.sprintf "del %Ld" k
-
 let count_puts ops =
   List.length (List.filter (function Put _ -> true | Get _ | Delete _ -> false) ops)

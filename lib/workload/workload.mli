@@ -27,6 +27,4 @@ val generate : spec -> op list
 val standard : ops:int -> key_range:int -> seed:int64 -> op list
 (** The evaluation mix: equal thirds of puts, gets and deletes. *)
 
-val op_to_string : op -> string
-
 val count_puts : op list -> int

@@ -441,6 +441,91 @@ let test_telemetry_inert () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* The phase table: the one source of the analysis's figures           *)
+(* ------------------------------------------------------------------ *)
+
+let btree_600 () =
+  Targets.of_app (app "btree") ~version:Pmalloc.Version.V1_12
+    ~workload:(Workload.standard ~ops:600 ~key_range:200 ~seed:42L)
+    ()
+
+(* Every step of the analysis runs inside a phase: an outer measurement of
+   [Engine.analyze] allocates within 0.5% of the table's sum. Sequential,
+   because the outer measurement cannot see worker domains. *)
+let test_table_covers_analysis () =
+  List.iter
+    (fun (label, config) ->
+      let target = btree_600 () in
+      let r, outer = Mumak.Metrics.measure (fun () -> Mumak.Engine.analyze ~config target) in
+      let outer = outer.Mumak.Metrics.allocated_bytes
+      and table = r.Mumak.Engine.metrics.Mumak.Metrics.allocated_bytes in
+      let gap = (outer -. table) /. outer in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f of %.0f bytes outside the table (%.2f%%)" label
+           (outer -. table) outer (100. *. gap))
+        true
+        (Float.abs gap <= 0.005))
+    [
+      ("default", Mumak.Config.default);
+      ("faithful", { Mumak.Config.faithful with Mumak.Config.jobs = 1 });
+    ]
+
+(* The main track's phase spans are the table's entries, in order. *)
+let test_phase_spans_are_the_table () =
+  List.iter
+    (fun (label, config) ->
+      with_collector (fun () ->
+          let r = Mumak.Engine.analyze ~config (btree_target ()) in
+          let dump = C.drain () in
+          let spans =
+            List.filter_map
+              (fun (s : Telemetry.Span.t) ->
+                if s.Telemetry.Span.track = dump.C.dump_main_track && s.Telemetry.Span.cat = "phase"
+                then Some s.Telemetry.Span.name
+                else None)
+              dump.C.spans
+          in
+          Alcotest.(check (list string))
+            (label ^ ": phase spans")
+            (List.map
+               (fun e -> Mumak.Report.phase_to_string e.Mumak.Phase.phase)
+               r.Mumak.Engine.phase_metrics)
+            spans))
+    [
+      ("default", Mumak.Config.default);
+      ("faithful -j 4", { Mumak.Config.faithful with Mumak.Config.jobs = 4 });
+      ( "every optional phase",
+        { Mumak.Config.optimizing with Mumak.Config.static = true; verify_fixes = true } );
+    ]
+
+(* [executions] counts what the target really ran: a wrapper around its
+   [run] sees the same number, on every preset. *)
+let test_executions_are_counted_runs () =
+  List.iter
+    (fun (label, config) ->
+      let target = btree_target () in
+      let runs = Atomic.make 0 in
+      let counted =
+        {
+          target with
+          Mumak.Target.run =
+            (fun ~device ~framer ->
+              Atomic.incr runs;
+              target.Mumak.Target.run ~device ~framer);
+        }
+      in
+      let r = Mumak.Engine.analyze ~config counted in
+      Alcotest.(check int) (label ^ ": executions") (Atomic.get runs) r.Mumak.Engine.executions)
+    [
+      ("default", Mumak.Config.default);
+      ("static_analysis", Mumak.Config.static_analysis);
+      ("linting", Mumak.Config.linting);
+      ("optimizing", Mumak.Config.optimizing);
+      ("faithful", Mumak.Config.faithful);
+      ("faithful -j 4", { Mumak.Config.faithful with Mumak.Config.jobs = 4 });
+    ]
+
+(* ------------------------------------------------------------------ *)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -478,5 +563,12 @@ let () =
           Alcotest.test_case "phase spans, worker tracks, counters" `Slow
             test_engine_dump;
           Alcotest.test_case "telemetry on/off differential" `Slow test_telemetry_inert;
+        ] );
+      ( "phase-table",
+        [
+          Alcotest.test_case "covers the whole analysis" `Slow test_table_covers_analysis;
+          Alcotest.test_case "phase spans are the table" `Slow test_phase_spans_are_the_table;
+          Alcotest.test_case "executions are counted runs" `Slow
+            test_executions_are_counted_runs;
         ] );
     ]
