@@ -18,7 +18,6 @@ type t = {
   pool : Pool.t;
   mirror : Bytes.t; (* volatile copy of the bitmap *)
   mutable next_fit : int; (* chunk index where the next search starts *)
-  mutable used_chunks : int;
 }
 
 exception Out_of_space of { requested_chunks : int }
@@ -32,13 +31,28 @@ let attach pool =
   let mirror =
     Pool.read_bytes pool ~off:layout.Layout.bitmap_off ~len:layout.Layout.chunk_count
   in
-  let used = ref 0 in
-  Bytes.iter (fun c -> if c <> free_byte then incr used) mirror;
-  { pool; mirror; next_fit = 0; used_chunks = !used }
+  { pool; mirror; next_fit = 0 }
 
 let pool t = t.pool
 let chunk_count t = (Pool.layout t.pool).Layout.chunk_count
-let used_chunks t = t.used_chunks
+
+(* The bitmap is mostly free, so its scans skip all-free words eight bytes
+   at a time and look at single bytes only inside a word that holds a mark.
+   [skip_free b i] is the first index from the word-aligned [i] on that is
+   not inside an all-free word. *)
+let rec skip_free b i =
+  if i + 8 <= Bytes.length b && Bytes.get_int64_ne b i = 0L then skip_free b (i + 8) else i
+
+let used_chunks t =
+  let m = t.mirror in
+  let rec words i used =
+    let i = skip_free m i in
+    if i >= Bytes.length m then used else bytes i (min (Bytes.length m) (i + 8)) used
+  and bytes i stop used =
+    if i >= stop then words stop used
+    else bytes (i + 1) stop (if Bytes.get m i = free_byte then used else used + 1)
+  in
+  words 0 0
 
 (* Find [n] consecutive free chunks, next-fit with wrap-around. *)
 let find_run t n =
@@ -90,7 +104,6 @@ let alloc ?(zero = false) t ~bytes =
   | Some c0 ->
       write_marks t ~c0 ~n ~mark_start:start_byte ~mark_rest:cont_byte;
       t.next_fit <- c0 + n;
-      t.used_chunks <- t.used_chunks + n;
       let addr = Layout.chunk_addr (Pool.layout t.pool) c0 in
       let zero_fill = zero || Pool.version t.pool = Version.V1_6 in
       if zero_fill then begin
@@ -132,26 +145,29 @@ let free t addr =
     invalid_arg "Pmalloc.Alloc.free: not the start of an allocation";
   let n = run_length t c0 in
   write_marks t ~c0 ~n ~mark_start:free_byte ~mark_rest:free_byte;
-  t.used_chunks <- t.used_chunks - n;
   if c0 < t.next_fit then t.next_fit <- c0
 
 (** Structural validation of the persisted bitmap: every continuation byte
     must follow a start or another continuation, and byte values must be in
     range. Used by recovery procedures as part of their consistency
-    oracle. *)
+    oracle. Reports the first error in index order. *)
 let check pool =
   let layout = Pool.layout pool in
   let bitmap =
     Pool.read_bytes pool ~off:layout.Layout.bitmap_off ~len:layout.Layout.chunk_count
   in
-  let error = ref None in
-  for i = 0 to Bytes.length bitmap - 1 do
-    if !error = None then
+  let rec words i =
+    let i = skip_free bitmap i in
+    if i >= Bytes.length bitmap then Ok () else bytes i (min (Bytes.length bitmap) (i + 8))
+  and bytes i stop =
+    if i >= stop then words stop
+    else
       match Bytes.get bitmap i with
-      | c when c = free_byte || c = start_byte -> ()
+      | c when c = free_byte || c = start_byte -> bytes (i + 1) stop
       | c when c = cont_byte ->
           if i = 0 || Bytes.get bitmap (i - 1) = free_byte then
-            error := Some (Printf.sprintf "orphan continuation chunk at index %d" i)
-      | c -> error := Some (Printf.sprintf "invalid bitmap byte %d at index %d" (Char.code c) i)
-  done;
-  match !error with None -> Ok () | Some e -> Error e
+            Error (Printf.sprintf "orphan continuation chunk at index %d" i)
+          else bytes (i + 1) stop
+      | c -> Error (Printf.sprintf "invalid bitmap byte %d at index %d" (Char.code c) i)
+  in
+  words 0

@@ -16,11 +16,15 @@ type t
 exception Out_of_space of { requested_chunks : int }
 
 val attach : Pool.t -> t
-(** Build the volatile mirror from the persisted bitmap. *)
+(** Build the volatile mirror from the persisted bitmap (one read of the
+    whole bitmap). *)
 
 val pool : t -> Pool.t
 val chunk_count : t -> int
+
 val used_chunks : t -> int
+(** Chunks the mirror marks as allocated (starts and continuations),
+    counted from the mirror on each call. *)
 
 val alloc : ?zero:bool -> t -> bytes:int -> int
 (** Allocate at least [bytes] (chunk-rounded); returns the address.
@@ -37,4 +41,5 @@ val is_allocation_start : t -> int -> bool
 
 val check : Pool.t -> (unit, string) result
 (** Structural validation of the persisted bitmap (no orphan continuation
-    chunks, no invalid marks). Used by recovery procedures. *)
+    chunks, no invalid marks), reading it once. Returns the first
+    structural error in index order. Used by recovery procedures. *)

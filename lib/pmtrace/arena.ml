@@ -21,6 +21,8 @@ type t = {
   mutable paths : string list array; (* interning index -> call path *)
   mutable npaths : int;
   mutable path_words : int; (* resident size of the interned paths *)
+  mutable last_path : string list; (* the path interned last ... *)
+  mutable last_id : int; (* ... and its id, -1 before the first *)
 }
 
 let alloc cap = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (cap * slots)
@@ -33,6 +35,8 @@ let create ?(capacity = 256) () =
     paths = Array.make 16 [];
     npaths = 0;
     path_words = 0;
+    last_path = [];
+    last_id = -1;
   }
 
 let length t = t.len
@@ -50,7 +54,7 @@ let flush_kind_of_code = function
 let fence_kind_code = function Pmem.Op.Sfence -> 0 | Pmem.Op.Mfence -> 1 | Pmem.Op.Rmw -> 2
 let fence_kind_of_code = function 0 -> Pmem.Op.Sfence | 1 -> Pmem.Op.Mfence | _ -> Pmem.Op.Rmw
 
-let intern t path =
+let lookup t path =
   match Hashtbl.find_opt t.ids path with
   | Some id -> id
   | None ->
@@ -68,6 +72,17 @@ let intern t path =
         t.path_words
         + List.fold_left (fun acc s -> acc + 3 + 2 + ((String.length s + 7) / 8)) 0 path;
       id
+
+(* Consecutive events of one frame activation carry the same physical path
+   ({!Callstack.capture}), so they skip the hash of the whole list. *)
+let intern t path =
+  if t.last_id >= 0 && path == t.last_path then t.last_id
+  else begin
+    let id = lookup t path in
+    t.last_path <- path;
+    t.last_id <- id;
+    id
+  end
 
 let ensure_capacity t =
   let cap = Bigarray.Array1.dim t.data / slots in

@@ -2,7 +2,7 @@
     int-indexed call-path interning and a payload slab.
 
     A boxed {!Event.t} costs ~13 words per event before counting its stack
-    capture, whose [string list] path is freshly allocated per event and
+    capture, whose [string list] path (one per frame activation) would be
     retained for the lifetime of the trace. The arena packs each event into
     seven integers and interns call paths, so equal paths are stored once
     and every event references them by index; events are decoded back into
@@ -22,7 +22,9 @@ val length : t -> int
 
 val add : t -> Event.t -> unit
 (** Append one event (amortized O(1)). The event's stack path, if any, is
-    interned: structurally equal paths share one stored copy. *)
+    interned: structurally equal paths share one stored copy. A path
+    physically equal to the previous event's (consecutive events of one
+    frame activation) reuses its id without hashing the list. *)
 
 val get : t -> int -> Event.t
 (** [get t i] decodes the [i]-th event (0-based, insertion order). Decoded

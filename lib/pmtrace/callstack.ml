@@ -10,8 +10,16 @@
 (* [op_index] counts every PM instruction of the activation, loads
    included; [persist_index] counts only the others. Loads are traced on
    demand, so a store, flush or fence is addressed by [persist_index]: the
-   same whether or not the recording traced loads. *)
-type frame = { label : string; mutable op_index : int; mutable persist_index : int }
+   same whether or not the recording traced loads. [path] is the
+   activation's call path, outermost label first, built when it or an
+   activation inside it is first captured ([[]] until then, as a path is
+   never empty), so every event of one activation shares it. *)
+type frame = {
+  label : string;
+  mutable op_index : int;
+  mutable persist_index : int;
+  mutable path : string list;
+}
 
 type t = {
   mutable frames : frame list; (* innermost first *)
@@ -24,7 +32,7 @@ type t = {
    distinct instruction identities. *)
 let root_label = "_start"
 
-let new_frame label = { label; op_index = 0; persist_index = 0 }
+let new_frame label = { label; op_index = 0; persist_index = 0; path = [] }
 let create () = { frames = [ new_frame root_label ]; at_load = false }
 let depth t = List.length t.frames - 1
 
@@ -59,8 +67,15 @@ let tick t ~load =
     current instruction index as the "address" of the leaf instruction. *)
 type capture = { path : string list; op_index : int }
 
+(* A missing memo extends the enclosing frame's. *)
+let rec path_of = function
+  | [] -> []
+  | (f : frame) :: enclosing ->
+      (match f.path with [] -> f.path <- path_of enclosing @ [ f.label ] | _ -> ());
+      f.path
+
 let capture t =
-  let path = List.rev_map (fun f -> f.label) t.frames in
+  let path = path_of t.frames in
   let op_index =
     match t.frames with
     | [] -> 0

@@ -41,7 +41,9 @@ val capture : t -> capture
     ordinal among all instructions of the activation; any other
     instruction's is its ordinal among the activation's non-load
     instructions, so stores, flushes and fences keep the address a
-    load-free execution gives them when loads are traced too. *)
+    load-free execution gives them when loads are traced too. The path is
+    built once per activation, on its first capture, and shared by every
+    later capture in it. *)
 
 val capture_to_string : capture -> string
 val capture_equal : capture -> capture -> bool

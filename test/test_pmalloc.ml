@@ -340,6 +340,147 @@ let prop_tx_random_rollback =
       let after = List.map (fun s -> Pool.read_i64 pool ~off:(a + (s * 8))) slots in
       before = after)
 
+(* --- bitmap scans against a byte-at-a-time reference --- *)
+
+(* [Alloc.check]'s contract, one byte at a time: the first orphan
+   continuation or invalid mark in index order. *)
+let reference_check bitmap =
+  let error = ref None in
+  Bytes.iteri
+    (fun i c ->
+      if Option.is_none !error then
+        match Char.code c with
+        | 0 | 1 -> ()
+        | 2 ->
+            if i = 0 || Bytes.get bitmap (i - 1) = '\000' then
+              error := Some (Printf.sprintf "orphan continuation chunk at index %d" i)
+        | b -> error := Some (Printf.sprintf "invalid bitmap byte %d at index %d" b i))
+    bitmap;
+  match !error with None -> Ok () | Some e -> Error e
+
+let reference_used bitmap = Bytes.fold_left (fun n c -> if c = '\000' then n else n + 1) 0 bitmap
+
+let read_bitmap pool =
+  let layout = Pool.layout pool in
+  Pool.read_bytes pool ~off:layout.Layout.bitmap_off ~len:layout.Layout.chunk_count
+
+(* Bitmap pieces aimed at the word scan's edges; word boundaries are
+   counted from the first bitmap byte. *)
+type piece =
+  | Free of int (* that many free bytes *)
+  | Free_words of int (* up to a word boundary, then that many all-free words *)
+  | Run of int (* a start and [n - 1] continuations *)
+  | Straddle of int * int (* a run of [n] starting [r < n] bytes before a word boundary *)
+  | Orphan (* a free byte, then a continuation *)
+  | Word_orphan (* an all-free word, then a continuation opening the next word *)
+  | Invalid of int (* a mark out of range *)
+
+let render ~len pieces =
+  let b = Buffer.create len in
+  let free k = Buffer.add_string b (String.make k '\000') in
+  let to_word () = free ((8 - (Buffer.length b land 7)) land 7) in
+  let run n =
+    Buffer.add_char b '\001';
+    Buffer.add_string b (String.make (n - 1) '\002')
+  in
+  List.iter
+    (function
+      | Free k -> free k
+      | Free_words k ->
+          to_word ();
+          free (8 * k)
+      | Run n -> run n
+      | Straddle (r, n) ->
+          to_word ();
+          free (8 - r);
+          run n
+      | Orphan ->
+          free 1;
+          Buffer.add_char b '\002'
+      | Word_orphan ->
+          to_word ();
+          free 8;
+          Buffer.add_char b '\002'
+      | Invalid v -> Buffer.add_char b (Char.chr v))
+    pieces;
+  let s = Buffer.contents b in
+  Bytes.of_string
+    (if String.length s >= len then String.sub s 0 len
+     else s ^ String.make (len - String.length s) '\000')
+
+(* A pool of [chunks] (mostly not a multiple of 8) whose bitmap holds the
+   rendered pieces; a third of the bitmaps have no error piece. *)
+let gen_bitmap_pool =
+  let open QCheck.Gen in
+  let valid =
+    [
+      (4, map (fun k -> Free k) (int_range 1 12));
+      (3, map (fun k -> Free_words k) (int_range 1 4));
+      (5, map (fun n -> Run n) (int_range 1 20));
+      (3, int_range 1 7 >>= fun r -> map (fun n -> Straddle (r, n)) (int_range (r + 1) (r + 12)));
+    ]
+  in
+  let faulty =
+    [ (1, return Orphan); (1, return Word_orphan); (1, map (fun v -> Invalid v) (int_range 3 255)) ]
+  in
+  int_range 3 700 >>= fun words ->
+  frequency [ (1, return valid); (2, return (valid @ faulty)) ] >>= fun pieces ->
+  map (fun ps -> (16704 + (64 * words), ps)) (list_size (int_range 0 60) (frequency pieces))
+
+let bitmap_pool (pool_size, pieces) =
+  let dev = Pmem.Device.create ~size:pool_size () in
+  let pool = Pool.create dev in
+  let layout = Pool.layout pool in
+  Pool.write_bytes pool ~off:layout.Layout.bitmap_off
+    (render ~len:layout.Layout.chunk_count pieces);
+  pool
+
+let arb_bitmap_pool =
+  QCheck.make gen_bitmap_pool ~print:(fun case ->
+      let bitmap = read_bitmap (bitmap_pool case) in
+      Printf.sprintf "%d chunks: %s" (Bytes.length bitmap)
+        (String.concat ""
+           (List.map
+              (fun c -> if Char.code c < 3 then string_of_int (Char.code c) else "x")
+              (List.of_seq (Bytes.to_seq bitmap)))))
+
+let prop_check_matches_bytewise =
+  QCheck.Test.make ~name:"check = byte-at-a-time reference" ~count:400 arb_bitmap_pool
+    (fun case ->
+      let pool = bitmap_pool case in
+      Alloc.check pool = reference_check (read_bitmap pool))
+
+let prop_used_chunks_matches_bytewise =
+  QCheck.Test.make ~name:"used_chunks = byte-at-a-time count" ~count:200
+    QCheck.(pair arb_bitmap_pool (list_of_size (Gen.int_range 0 30) (pair bool (int_range 1 600))))
+    (fun (case, ops) ->
+      let pool = bitmap_pool case in
+      let heap = Alloc.attach pool in
+      let layout = Pool.layout pool in
+      let counted () = Alloc.used_chunks heap = reference_used (read_bitmap pool) in
+      let live =
+        ref
+          (List.filter
+             (fun a -> Alloc.is_allocation_start heap a)
+             (List.init (Alloc.chunk_count heap) (Layout.chunk_addr layout)))
+      in
+      counted ()
+      && List.for_all
+           (fun (is_alloc, n) ->
+             (if is_alloc then (
+                match Alloc.alloc heap ~bytes:n with
+                | a -> live := a :: !live
+                | exception Alloc.Out_of_space _ -> ())
+              else
+                match !live with
+                | [] -> ()
+                | l ->
+                    let a = List.nth l (n mod List.length l) in
+                    Alloc.free heap a;
+                    live := List.filter (( <> ) a) l);
+             counted ())
+           ops)
+
 let () =
   Alcotest.run "pmalloc"
     [
@@ -377,5 +518,11 @@ let () =
           Alcotest.test_case "header protocol sweep" `Slow test_sweep_header_protocol;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_alloc_free_random; prop_tx_random_rollback ] );
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_alloc_free_random;
+            prop_tx_random_rollback;
+            prop_check_matches_bytewise;
+            prop_used_chunks_matches_bytewise;
+          ] );
     ]

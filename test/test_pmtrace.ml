@@ -116,6 +116,82 @@ let prop_capture_identity =
       && Callstack.capture_compare a b = 0
       && Callstack.capture_hash a = Callstack.capture_hash b)
 
+(* Random push / pop / tick / capture sequences against a model stack of
+   (label, all instructions, non-load instructions), innermost first. *)
+type step = Push of string | Pop | Tick of bool (* load *) | Capture
+
+let gen_steps =
+  QCheck.Gen.(
+    list_size (int_range 0 120)
+      (frequency
+         [
+           (3, map (fun l -> Push l) (oneofl [ "a"; "b"; "c" ]));
+           (3, return Pop);
+           (4, map (fun load -> Tick load) bool);
+           (4, return Capture);
+         ]))
+
+let print_step = function
+  | Push l -> "push " ^ l
+  | Pop -> "pop"
+  | Tick load -> if load then "load" else "tick"
+  | Capture -> "capture"
+
+let prop_capture_model =
+  QCheck.Test.make ~name:"model stack captures; arena agrees" ~count:300
+    (QCheck.make gen_steps ~print:(fun steps -> String.concat "; " (List.map print_step steps)))
+    (fun steps ->
+      let cs = Callstack.create () in
+      let model = ref [ (Callstack.root_label, 0, 0) ] and at_load = ref false in
+      let arena = Arena.create () in
+      let fed = ref [] and distinct = Hashtbl.create 16 in
+      List.iter
+        (function
+          | Push l ->
+              Callstack.push cs l;
+              model := (l, 0, 0) :: !model
+          | Pop -> (
+              match !model with
+              | [ _ ] -> ()
+              | _ :: rest ->
+                  Callstack.pop cs;
+                  model := rest
+              | [] -> assert false)
+          | Tick load -> (
+              Callstack.tick cs ~load;
+              at_load := load;
+              match !model with
+              | (l, ops, persists) :: rest ->
+                  model := (l, ops + 1, if load then persists else persists + 1) :: rest
+              | [] -> assert false)
+          | Capture ->
+              let expected =
+                match !model with
+                | (_, ops, persists) :: _ ->
+                    {
+                      Callstack.path = List.rev_map (fun (l, _, _) -> l) !model;
+                      op_index = (if !at_load then ops else persists);
+                    }
+                | [] -> assert false
+              in
+              let c = Callstack.capture cs in
+              if not (Callstack.capture_equal c expected && c = expected) then
+                QCheck.Test.fail_reportf "captured %s, model %s" (Callstack.capture_to_string c)
+                  (Callstack.capture_to_string expected);
+              let op =
+                if !at_load then Pmem.Op.Load { addr = 0; size = 8 }
+                else Pmem.Op.Store { addr = 0; size = 8; nt = false }
+              in
+              Arena.add arena { Event.seq = List.length !fed; op; stack = Some c };
+              Hashtbl.replace distinct c.Callstack.path ();
+              fed := expected :: !fed)
+        steps;
+      List.for_all2
+        (fun i expected -> (Arena.get arena i).Event.stack = Some expected)
+        (List.init (List.length !fed) Fun.id)
+        (List.rev !fed)
+      && Arena.path_count arena = Hashtbl.length distinct)
+
 let () =
   Alcotest.run "pmtrace"
     [
@@ -128,5 +204,6 @@ let () =
           Alcotest.test_case "resolve stacks" `Quick test_resolve_stacks;
           Alcotest.test_case "fold order" `Quick test_trace_fold_order;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_capture_identity ]);
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest [ prop_capture_identity; prop_capture_model ] );
     ]
