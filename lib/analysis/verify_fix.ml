@@ -237,19 +237,47 @@ let attributable key =
 
 type pass = { normalized : Pmtrace.Event.t list; bugs : Keys.t list; device : Pmem.Device.t }
 
+(* Oracle verdicts by crash-image fingerprint. The oracle is
+   deterministic and reads nothing but the image, so one verdict serves
+   every view of equal bytes, under any policy and in any pass. *)
+type memo = (string, (string * string) option) Hashtbl.t
+
+let memo () : memo = Hashtbl.create 256
+
 (* One interpretation of [recording] yields everything a verdict reads:
    the normalized events, the oracle-bug keys of each crash view, and the
    final device. Failure points are enumerated on the recording itself;
    each one at or past [from] is judged once, on zero-copy views of the
    replaying device, and then forgotten — a load that follows it shares
-   its pseq but must not judge it again on the post-event image. *)
-let pass ?(from = 1) ~views ~points ~oracle recording =
+   its pseq but must not judge it again on the post-event image. With a
+   [memo], a view whose fingerprint it holds is answered from it, without
+   building the view. *)
+let pass ?(from = 1) ?memo ~views ~points ~oracle recording =
   Telemetry.Collector.span ~cat:"replay" ~hist:"replay_ns" "replay" @@ fun () ->
   let want = Hashtbl.create 64 in
   List.iter
     (fun (_, pseq, capture) -> if pseq >= from then Hashtbl.replace want pseq capture)
     (points (Pmtrace.Replay.events recording));
   let bugs = Array.make (List.length views) Keys.empty in
+  let oracle_calls = ref 0 and memo_hits = ref 0 in
+  let run device policy =
+    incr oracle_calls;
+    oracle (Pmem.Device.crash_view device ~policy)
+  in
+  let judge device policy =
+    match memo with
+    | None -> run device policy
+    | Some memo -> (
+        let image = Pmem.Device.fingerprint device ~policy in
+        match Hashtbl.find memo image with
+        | verdict ->
+            incr memo_hits;
+            verdict
+        | exception Not_found ->
+            let verdict = run device policy in
+            Hashtbl.add memo image verdict;
+            verdict)
+  in
   let normalized, device =
     Pmtrace.Replay.pass recording ~on_event:(fun device ~pseq _e ->
         match Hashtbl.find_opt want pseq with
@@ -258,13 +286,15 @@ let pass ?(from = 1) ~views ~points ~oracle recording =
             Hashtbl.remove want pseq;
             List.iteri
               (fun i policy ->
-                match oracle (Pmem.Device.crash_view device ~policy) with
+                match judge device policy with
                 | None -> ()
                 | Some (kind, _detail) ->
                     let key = kind ^ "@" ^ Pmtrace.Callstack.capture_to_string capture in
                     bugs.(i) <- Keys.add key bugs.(i))
               views)
   in
+  Telemetry.Collector.count "verify.oracle_calls" !oracle_calls;
+  Telemetry.Collector.count "verify.memo_hits" !memo_hits;
   { normalized; bugs = Array.to_list bugs; device }
 
 type harm =
@@ -301,13 +331,15 @@ type baseline = {
 }
 
 (* The baseline — one pass over the unmodified recording, its static and
-   lint keys and its final image — and the harm cascade both judges share:
-   rewrite, one pass over the rewritten trace (judging only the failure
-   points at or after the first edit: before it the rewritten trace is the
-   baseline's, event for event, so the deterministic oracle can only
-   repeat baseline keys there), the static and lint rechecks, and the
-   final image, reporting the first harm in that order. Every check but
-   the static one skips the loads of a load-traced recording. *)
+   lint keys and its final image's fingerprint — and the harm cascade
+   both judges share: rewrite, one pass over the rewritten trace (judging
+   only the failure points at or after the first edit: before it the
+   rewritten trace is the baseline's, event for event, so the
+   deterministic oracle can only repeat baseline keys there), the static
+   and lint rechecks, and the final image, reporting the first harm in
+   that order. Every pass shares one oracle memo, so a crash image any
+   pass has judged is never judged again. Every check but the static one
+   skips the loads of a load-traced recording. *)
 let baseline ?invariants ~support ~confidence ~eadr ~adr ~oracle ~points recording =
   let views = views ~adr in
   let events = Pmtrace.Replay.events recording in
@@ -315,9 +347,10 @@ let baseline ?invariants ~support ~confidence ~eadr ~adr ~oracle ~points recordi
   let invariants = static.Static.invariants in
   let structural = static_keys ~correctness_only:true static in
   let missing = lint_keys ~only:Lint.Missing_flush (Lint.analyze ~eadr events) in
+  let memo = memo () in
   let bugs, image =
-    let base = pass ~views:(List.map fst views) ~points ~oracle recording in
-    (base.bugs, Pmem.Device.persisted_image base.device)
+    let base = pass ~memo ~views:(List.map fst views) ~points ~oracle recording in
+    (base.bugs, Pmem.Device.persisted_fingerprint base.device)
   in
   let passes = ref 1 in
   let recheck ~preserve edits =
@@ -327,7 +360,7 @@ let baseline ?invariants ~support ~confidence ~eadr ~adr ~oracle ~points recordi
         let from =
           List.fold_left (fun p ed -> min p (Pmtrace.Replay.edit_anchor ed)) max_int edits
         in
-        let re = pass ~from ~views:(List.map fst views) ~points ~oracle rewritten in
+        let re = pass ~from ~memo ~views:(List.map fst views) ~points ~oracle rewritten in
         incr passes;
         let r_static = Static.analyze ~invariants ~support ~confidence ~eadr re.normalized in
         let r_lint = Lint.analyze ~eadr re.normalized in
@@ -348,7 +381,10 @@ let baseline ?invariants ~support ~confidence ~eadr ~adr ~oracle ~points recordi
               | v :: _, _ -> Some (Structural_violation v)
               | [], v :: _ -> Some (Stranded_window v)
               | [], [] ->
-                  if preserve && not (Pmem.Device.persisted_equal re.device image) then
+                  if
+                    preserve
+                    && not (String.equal (Pmem.Device.persisted_fingerprint re.device) image)
+                  then
                     Some Image_changed
                   else None)
         in

@@ -101,21 +101,34 @@ type pass = {
   device : Pmem.Device.t;  (** the replayed device after the last event *)
 }
 
+type memo
+(** Oracle verdicts by crash-image fingerprint ({!Pmem.Device.fingerprint}).
+    The key is the image alone: the oracle reads nothing else, so equal
+    images under different views, points or passes share one verdict. *)
+
+val memo : unit -> memo
+(** An empty memo. *)
+
 val pass :
   ?from:int ->
+  ?memo:memo ->
   views:Pmem.Device.crash_policy list ->
   points:(Pmtrace.Event.t list -> (int * int * Pmtrace.Callstack.capture) list) ->
   oracle:(Pmem.Image.t -> (string * string) option) ->
   Pmtrace.Replay.t ->
   pass
-(** [pass ?from ~views ~points ~oracle recording] drives one device once
-    over [recording] ({!Pmtrace.Replay.pass}). Every failure point
+(** [pass ?from ?memo ~views ~points ~oracle recording] drives one device
+    once over [recording] ({!Pmtrace.Replay.pass}). Every failure point
     [points] enumerates on the recording whose pseq is at least [from]
     (default 1: all of them) is judged exactly once, right before its
-    event applies, by calling [oracle] on {!Pmem.Device.crash_view} under
-    each of [views] in order. [oracle] receives a view it may write
-    through (a device {!Pmem.Device.adopt}ing it, say); the view is valid
-    only during the call. Nothing is snapshotted. *)
+    event applies, under each of [views] in order: by calling [oracle] on
+    {!Pmem.Device.crash_view}, or, with a [memo] that holds the view's
+    fingerprint, by the verdict stored there, without building the view.
+    Each oracle verdict is added to [memo]. [oracle] receives a view it
+    may write through (a device {!Pmem.Device.adopt}ing it, say); the
+    view is valid only during the call. Nothing is snapshotted. Telemetry
+    counts oracle runs as [verify.oracle_calls] and memo answers as
+    [verify.memo_hits]. *)
 
 type harm =
   | Oracle_bug of string  (** a fresh oracle-bug key under the graceful view *)
@@ -143,12 +156,15 @@ type baseline = {
           that does not apply is [Error] with the rewrite's message), one
           {!pass} over it, the static and lint rechecks over the pass's
           normalized events, and — when
-          [preserve] — the final persisted image compared in place with
-          the baseline's. Only failure points at or after the first edit's
+          [preserve] — the final persisted image compared with the
+          baseline's by fingerprint ({!Pmem.Device.persisted_fingerprint}).
+          Only failure points at or after the first edit's
           anchor ({!Pmtrace.Replay.edit_anchor}) are judged: before it the
           rewritten trace is the baseline's, event for event, so the
           deterministic oracle could only repeat baseline keys there.
-          Fresh keys count only when {!attributable}. *)
+          The baseline pass and every recheck share one {!memo}, so no
+          crash image is judged twice. Fresh keys count only when
+          {!attributable}. *)
   passes : unit -> int;
       (** Trace interpretations so far: 1 for the baseline plus 1 per
           [recheck] whose rewrite applies. *)
@@ -165,9 +181,10 @@ val baseline :
   Pmtrace.Replay.t ->
   baseline
 (** [baseline ~adr ~oracle ~points recording] — one {!pass} over the
-    recording under the [Program_prefix] view (plus [Adr] when [adr]), one
-    persisted-image snapshot, and the static and lint baselines.
-    [invariants] are reused rather than mined. *)
+    recording under the [Program_prefix] view (plus [Adr] when [adr]),
+    filling the memo its rechecks share, the final persisted image's
+    fingerprint, and the static and lint baselines. [invariants] are
+    reused rather than mined. *)
 
 val is_delete : Fix.t -> bool
 (** Whether the fix promises behaviour preservation (deletions and every

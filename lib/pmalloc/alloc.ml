@@ -38,15 +38,15 @@ let chunk_count t = (Pool.layout t.pool).Layout.chunk_count
 
 (* The bitmap is mostly free, so its scans skip all-free words eight bytes
    at a time and look at single bytes only inside a word that holds a mark.
-   [skip_free b i] is the first index from the word-aligned [i] on that is
-   not inside an all-free word. *)
-let rec skip_free b i =
-  if i + 8 <= Bytes.length b && Bytes.get_int64_ne b i = 0L then skip_free b (i + 8) else i
+   [skip_free b n i] is the first index from the word-aligned [i] on that
+   is not inside an all-free word of the first [n] bytes of [b]. *)
+let rec skip_free b n i =
+  if i + 8 <= n && Bytes.get_int64_ne b i = 0L then skip_free b n (i + 8) else i
 
 let used_chunks t =
   let m = t.mirror in
   let rec words i used =
-    let i = skip_free m i in
+    let i = skip_free m (Bytes.length m) i in
     if i >= Bytes.length m then used else bytes i (min (Bytes.length m) (i + 8)) used
   and bytes i stop used =
     if i >= stop then words stop used
@@ -147,18 +147,24 @@ let free t addr =
   write_marks t ~c0 ~n ~mark_start:free_byte ~mark_rest:free_byte;
   if c0 < t.next_fit then t.next_fit <- c0
 
+(* [check]'s copy of the persisted bitmap, one per domain, grown to the
+   largest bitmap checked so far and reused by every later call. *)
+let check_buffer = Domain.DLS.new_key (fun () -> ref Bytes.empty)
+
 (** Structural validation of the persisted bitmap: every continuation byte
     must follow a start or another continuation, and byte values must be in
     range. Used by recovery procedures as part of their consistency
     oracle. Reports the first error in index order. *)
 let check pool =
   let layout = Pool.layout pool in
-  let bitmap =
-    Pool.read_bytes pool ~off:layout.Layout.bitmap_off ~len:layout.Layout.chunk_count
-  in
+  let n = layout.Layout.chunk_count in
+  let buffer = Domain.DLS.get check_buffer in
+  if Bytes.length !buffer < n then buffer := Bytes.create n;
+  let bitmap = !buffer in
+  Pool.read_into pool ~off:layout.Layout.bitmap_off ~len:n bitmap;
   let rec words i =
-    let i = skip_free bitmap i in
-    if i >= Bytes.length bitmap then Ok () else bytes i (min (Bytes.length bitmap) (i + 8))
+    let i = skip_free bitmap n i in
+    if i >= n then Ok () else bytes i (min n (i + 8))
   and bytes i stop =
     if i >= stop then words stop
     else

@@ -24,6 +24,7 @@ let size t = t.layout.Layout.pool_size
 let read_i64 t ~off = Pmem.Device.load_i64 t.dev ~addr:off
 let write_i64 t ~off v = Pmem.Device.store_i64 t.dev ~addr:off v
 let read_bytes t ~off ~len = Pmem.Device.load t.dev ~addr:off ~size:len
+let read_into t ~off ~len dst = Pmem.Device.load_into t.dev ~addr:off ~size:len dst
 let write_bytes t ~off b = Pmem.Device.store t.dev ~addr:off b
 let write_bytes_nt t ~off b = Pmem.Device.store_nt t.dev ~addr:off b
 let read_u8 t ~off = Char.code (Bytes.get (read_bytes t ~off ~len:1) 0)

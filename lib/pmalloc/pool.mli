@@ -49,6 +49,10 @@ val write_bytes_nt : t -> off:int -> bytes -> unit
 val read_u8 : t -> off:int -> int
 val write_u8 : t -> off:int -> int -> unit
 
+val read_into : t -> off:int -> len:int -> bytes -> unit
+(** [read_into t ~off ~len dst] is {!read_bytes} into the first [len]
+    bytes of [dst] ({!Pmem.Device.load_into}). *)
+
 (** {1 Persistency primitives} *)
 
 val flush : t -> off:int -> size:int -> unit

@@ -26,9 +26,33 @@ module Lines = Hashtbl.Make (Int)
    small, and walking the table costs at least this many buckets. *)
 let initial_lines = 16
 
+(* Fingerprint upkeep, on a device created with [~fingerprint:true]. Per
+   line it touched, the device keeps the hash of the line's persisted
+   bytes and of its [Program_prefix] view, and the lane-wise sums of both
+   over all lines. A write to either queues the line, and only queued
+   lines are rehashed, when a fingerprint is asked for. *)
+type fp_line = {
+  fl_line : int;
+  mutable persisted_h : string;
+  mutable prefix_h : string;
+  mutable persisted_stale : bool; (* persisted bytes written since the last rehash *)
+  mutable queued : bool;
+}
+
+type fp = {
+  hashes : fp_line Lines.t;
+  mutable queue : fp_line array; (* [queue.(0 .. n_queued - 1)]: lines to rehash *)
+  mutable n_queued : int;
+  persisted_sum : bytes;
+  prefix_sum : bytes;
+  persisted_buf : bytes; (* hash input: line index, then the line's bytes *)
+  view_buf : bytes;
+}
+
 type t = {
   image : Image.t;
   eadr : bool;
+  fp : fp option;
   lines : line_state Lines.t;
   mutable pending : line_state array;
       (* [pending.(0 .. n_pending - 1)]: the lines holding an unfenced
@@ -54,10 +78,11 @@ let no_line =
   { line = -1; data = Bytes.empty; dirty = false; pending = false; capture = Bytes.empty;
     invalidate_queued = false }
 
-let adopt ?(eadr = false) image =
+let make ~eadr ~fp image =
   {
     image;
     eadr;
+    fp;
     lines = Lines.create initial_lines;
     pending = [||];
     n_pending = 0;
@@ -71,7 +96,110 @@ let adopt ?(eadr = false) image =
     stats = Stats.create ();
   }
 
-let create ?(eadr = false) ~size () = adopt ~eadr (Image.create ~size)
+(* A 128-bit line hash is two little-endian 64-bit lanes; an image's
+   fingerprint is their lane-wise sum over its lines, modulo 2^64. *)
+let fp_bytes = 16
+let zero_hash = String.make fp_bytes '\000'
+let no_fp_line =
+  { fl_line = -1; persisted_h = zero_hash; prefix_h = zero_hash; persisted_stale = false;
+    queued = false }
+
+(* Hash inputs hold the line index in bytes 0-7 and the line's bytes,
+   zero past the end of the pool, in bytes 8-71. *)
+let hash_input () = Bytes.make (8 + Addr.line_size) '\000'
+
+let rec zero_from b i = i >= Bytes.length b || (Bytes.get_int64_ne b i = 0L && zero_from b (i + 8))
+
+(* An all-zero line hashes to zero, so a fresh pool's fingerprint is
+   zero whatever its size. *)
+let line_hash buf = if zero_from buf 8 then zero_hash else Digest.bytes buf
+
+let replace_hash sum ~was ~now =
+  if was != now then
+    for lane = 0 to (fp_bytes / 8) - 1 do
+      let o = lane * 8 in
+      Bytes.set_int64_le sum o
+        (Int64.add
+           (Int64.sub (Bytes.get_int64_le sum o) (String.get_int64_le was o))
+           (String.get_int64_le now o))
+    done
+
+(* The bytes of [line] inside [img]: the pool's last line may be partial. *)
+let avail img line = Int.min Addr.line_size (Image.size img - Addr.line_base line)
+
+(* [line]'s bytes in [img], or in the line-sized [content], as hash input. *)
+let image_line img line buf =
+  let n = avail img line in
+  Bytes.set_int64_le buf 0 (Int64.of_int line);
+  Image.blit_from img ~src_addr:(Addr.line_base line) ~dst:buf ~dst_off:8 ~len:n;
+  Bytes.fill buf (8 + n) (Addr.line_size - n) '\000'
+
+let content_line img line content buf =
+  let n = avail img line in
+  Bytes.set_int64_le buf 0 (Int64.of_int line);
+  Bytes.blit content 0 buf 8 n;
+  Bytes.fill buf (8 + n) (Addr.line_size - n) '\000'
+
+(* [a], whose first [n] slots are in use, with room for one more. *)
+let room a n ~fill =
+  if n < Array.length a then a
+  else begin
+    let grown = Array.make (Int.max 8 (2 * n)) fill in
+    Array.blit a 0 grown 0 n;
+    grown
+  end
+
+(* [line]'s bytes may have changed in the persisted image ([persisted])
+   or in the program-prefix view: queue it for a rehash, on a device that
+   keeps a fingerprint. *)
+let touch t line ~persisted =
+  match t.fp with
+  | None -> ()
+  | Some fp ->
+      let fl =
+        match Lines.find fp.hashes line with
+        | fl -> fl
+        | exception Not_found ->
+            let fl = { no_fp_line with fl_line = line } in
+            Lines.add fp.hashes line fl;
+            fl
+      in
+      if persisted then fl.persisted_stale <- true;
+      if not fl.queued then begin
+        fp.queue <- room fp.queue fp.n_queued ~fill:no_fp_line;
+        fp.queue.(fp.n_queued) <- fl;
+        fp.n_queued <- fp.n_queued + 1;
+        fl.queued <- true
+      end
+
+let image_fingerprint img =
+  let buf = hash_input () and sum = Bytes.of_string zero_hash in
+  for line = 0 to (Image.size img - 1) / Addr.line_size do
+    image_line img line buf;
+    replace_hash sum ~was:zero_hash ~now:(line_hash buf)
+  done;
+  Bytes.to_string sum
+
+let adopt ?(eadr = false) image = make ~eadr ~fp:None image
+
+(* A fresh pool's fingerprint state: every line zero, nothing queued. *)
+let create ?(eadr = false) ?(fingerprint = false) ~size () =
+  let fp =
+    if not fingerprint then None
+    else
+      Some
+        {
+          hashes = Lines.create initial_lines;
+          queue = [||];
+          n_queued = 0;
+          persisted_sum = Bytes.of_string zero_hash;
+          prefix_sum = Bytes.of_string zero_hash;
+          persisted_buf = hash_input ();
+          view_buf = hash_input ();
+        }
+  in
+  make ~eadr ~fp (Image.create ~size)
+
 let of_image ?(eadr = false) img = adopt ~eadr (Image.snapshot img)
 
 let size t = Image.size t.image
@@ -136,7 +264,8 @@ let write_cached t ~addr b ~dirty =
     let base = Addr.line_base line in
     let lo = Int.max addr base and hi = Int.min (addr + len) (base + Addr.line_size) in
     Bytes.blit b (lo - addr) ls.data (lo - base) (hi - lo);
-    if dirty then ls.dirty <- true
+    if dirty then ls.dirty <- true;
+    touch t line ~persisted:false
   done
 
 (* A word inside one line is written in place; one that straddles two
@@ -146,7 +275,8 @@ let write_cached_i64 t ~addr v =
   if off <= Addr.line_size - 8 then begin
     let ls = line_state t (Addr.line_of addr) in
     Bytes.set_int64_le ls.data off v;
-    ls.dirty <- true
+    ls.dirty <- true;
+    touch t ls.line ~persisted:false
   end
   else begin
     let b = Bytes.create 8 in
@@ -202,17 +332,18 @@ let poison t ~addr ~size =
     let ls = line_state t line in
     let base = Addr.line_base line in
     let lo = Int.max addr base and hi = Int.min (addr + size) (base + Addr.line_size) in
-    Bytes.fill ls.data (lo - base) (hi - lo) '\xdd'
+    Bytes.fill ls.data (lo - base) (hi - lo) '\xdd';
+    touch t line ~persisted:false
   done
 
 let poison_log t = List.rev t.poison_rev
 
-(* The program's view of [size] bytes at [addr], read by [load] and [peek]:
-   cached lines over the persisted image. A read spanning more lines than
-   are cached (and than the table has initial buckets) copies the image
-   range once and overlays the cached lines inside it. *)
-let read t ~addr ~size =
-  let out = Bytes.create size in
+(* The program's view of [size] bytes at [addr] into [out], read by
+   [load], [load_into] and [peek]: cached lines over the persisted image. A
+   read spanning more lines than are cached (and than the table has
+   initial buckets) copies the image range once and overlays the cached
+   lines inside it. *)
+let read_into t ~addr ~size out =
   let first = Addr.line_of addr and last = Addr.line_of (addr + size - 1) in
   if last - first + 1 > Int.max initial_lines (Lines.length t.lines) then begin
     Image.blit_from t.image ~src_addr:addr ~dst:out ~dst_off:0 ~len:size;
@@ -233,7 +364,11 @@ let read t ~addr ~size =
       | ls -> Bytes.blit ls.data (lo - base) out (lo - addr) (hi - lo)
       | exception Not_found ->
           Image.blit_from t.image ~src_addr:lo ~dst:out ~dst_off:(lo - addr) ~len:(hi - lo)
-    done;
+    done
+
+let read t ~addr ~size =
+  let out = Bytes.create size in
+  read_into t ~addr ~size out;
   out
 
 let begin_load t ~addr ~size =
@@ -247,6 +382,11 @@ let begin_load t ~addr ~size =
 let load t ~addr ~size =
   begin_load t ~addr ~size;
   read t ~addr ~size
+
+let load_into t ~addr ~size dst =
+  if size > Bytes.length dst then invalid_arg "Pmem.Device.load_into: buffer too small";
+  begin_load t ~addr ~size;
+  read_into t ~addr ~size dst
 
 (* A word inside one line is read in place; one that straddles two lines
    takes the general path. *)
@@ -271,9 +411,8 @@ let volatile_addr t addr = addr < 0 || addr >= Image.size t.image
 (* Write the 64 bytes [content] of [line] into [img], clipping to the image
    size (the last line of the pool may be partial). *)
 let write_line img line content =
-  let base = Addr.line_base line in
-  let avail = Int.min Addr.line_size (Image.size img - base) in
-  if avail > 0 then Image.blit_to img ~dst_addr:base ~src:content ~src_off:0 ~len:avail
+  let n = avail img line in
+  if n > 0 then Image.blit_to img ~dst_addr:(Addr.line_base line) ~src:content ~src_off:0 ~len:n
 
 (* Non-temporal payloads, newest first, written into [img] oldest first. *)
 let rec write_nt img = function
@@ -282,14 +421,25 @@ let rec write_nt img = function
       write_nt img older;
       Image.blit_to img ~dst_addr:addr ~src:b ~src_off:0 ~len:(Bytes.length b)
 
-(* [a], whose first [n] slots are in use, with room for one more. *)
-let room a n ~fill =
-  if n < Array.length a then a
-  else begin
-    let grown = Array.make (Int.max 8 (2 * n)) fill in
-    Array.blit a 0 grown 0 n;
-    grown
-  end
+(* The writes that reach the device's own persisted image, and the cache
+   evictions: the sites that queue a line for a fingerprint rehash. *)
+let persist_line t line content =
+  write_line t.image line content;
+  touch t line ~persisted:true
+
+let persist_nt t =
+  write_nt t.image t.pending_nt;
+  if Option.is_some t.fp then
+    List.iter
+      (fun (addr, b) ->
+        for line = Addr.line_of addr to Addr.line_of (addr + Bytes.length b - 1) do
+          touch t line ~persisted:true
+        done)
+      t.pending_nt
+
+let evict t line =
+  Lines.remove t.lines line;
+  touch t line ~persisted:false
 
 let queue_pending t ls =
   t.pending <- room t.pending t.n_pending ~fill:no_line;
@@ -328,8 +478,8 @@ let flush_line_vol t kind ~line ~vol =
         | Op.Clflush ->
             (* clflush is strongly ordered: it persists immediately and
                invalidates the line. *)
-            write_line t.image line ls.data;
-            Lines.remove t.lines line;
+            persist_line t line ls.data;
+            evict t line;
             if ls.pending then unqueue_pending t ls
         | Op.Clflushopt | Op.Clwb ->
             if not ls.pending then queue_pending t ls;
@@ -372,17 +522,17 @@ let drain t kind =
      carry their own payload the final image is order-insensitive here. *)
   for i = 0 to t.n_pending - 1 do
     let ls = t.pending.(i) in
-    write_line t.image ls.line ls.capture;
+    persist_line t ls.line ls.capture;
     ls.pending <- false;
     t.pending.(i) <- no_line
   done;
   t.n_pending <- 0;
-  write_nt t.image t.pending_nt;
+  persist_nt t;
   t.pending_nt <- [];
   for i = 0 to t.n_invalidate - 1 do
     let line = t.invalidate_on_fence.(i) in
     match Lines.find t.lines line with
-    | ls -> if ls.dirty then ls.invalidate_queued <- false else Lines.remove t.lines line
+    | ls -> if ls.dirty then ls.invalidate_queued <- false else evict t line
     | exception Not_found -> ()
   done;
   t.n_invalidate <- 0
@@ -450,6 +600,90 @@ let crash_view t ~policy =
 let crash t ~policy = Image.snapshot (crash_view t ~policy)
 
 let persisted_equal t img = Image.equal t.image img
+
+(* The program-prefix view of an uncached [line] is its persisted bytes
+   under the pending non-temporal payloads that overlap it, oldest first,
+   as [crash_view] writes them. *)
+let rec nt_into buf line = function
+  | [] -> ()
+  | (addr, b) :: older ->
+      nt_into buf line older;
+      let base = Addr.line_base line and len = Bytes.length b in
+      let lo = Int.max addr base and hi = Int.min (addr + len) (base + Addr.line_size) in
+      if lo < hi then Bytes.blit b (lo - addr) buf (8 + lo - base) (hi - lo)
+
+let nt_overlaps line pending =
+  List.exists
+    (fun (addr, b) ->
+      Addr.line_of addr <= line && line <= Addr.line_of (addr + Bytes.length b - 1))
+    pending
+
+(* Rehash every queued line: its persisted bytes if they were written,
+   and its program-prefix view, which shares the persisted hash when the
+   bytes are the same. *)
+let refresh t fp =
+  let pbuf = fp.persisted_buf and vbuf = fp.view_buf in
+  for i = 0 to fp.n_queued - 1 do
+    let fl = fp.queue.(i) in
+    let line = fl.fl_line in
+    fp.queue.(i) <- no_fp_line;
+    fl.queued <- false;
+    image_line t.image line pbuf;
+    if fl.persisted_stale then begin
+      fl.persisted_stale <- false;
+      let h = line_hash pbuf in
+      replace_hash fp.persisted_sum ~was:fl.persisted_h ~now:h;
+      fl.persisted_h <- h
+    end;
+    let view_differs =
+      match Lines.find t.lines line with
+      | ls ->
+          content_line t.image line ls.data vbuf;
+          not (Bytes.equal vbuf pbuf)
+      | exception Not_found ->
+          nt_overlaps line t.pending_nt
+          && begin
+               Bytes.blit pbuf 0 vbuf 0 (Bytes.length pbuf);
+               nt_into vbuf line t.pending_nt;
+               not (Bytes.equal vbuf pbuf)
+             end
+    in
+    let h = if view_differs then line_hash vbuf else fl.persisted_h in
+    replace_hash fp.prefix_sum ~was:fl.prefix_h ~now:h;
+    fl.prefix_h <- h
+  done;
+  fp.n_queued <- 0
+
+let kept_fp t =
+  match t.fp with
+  | Some fp ->
+      refresh t fp;
+      fp
+  | None -> invalid_arg "Pmem.Device: this device keeps no fingerprint"
+
+let persisted_fingerprint t = Bytes.to_string (kept_fp t).persisted_sum
+
+(* [Adr_with_pending] is the persisted image with each pending capture
+   written over its line: the persisted sum with those lines' hashes
+   swapped, computed on request. *)
+let fingerprint t ~policy =
+  let fp = kept_fp t in
+  match if t.eadr then Program_prefix else policy with
+  | Adr -> Bytes.to_string fp.persisted_sum
+  | Program_prefix -> Bytes.to_string fp.prefix_sum
+  | Adr_with_pending ->
+      let sum = Bytes.copy fp.persisted_sum and buf = fp.view_buf in
+      for i = 0 to t.n_pending - 1 do
+        let ls = t.pending.(i) in
+        let was =
+          match Lines.find fp.hashes ls.line with
+          | fl -> fl.persisted_h
+          | exception Not_found -> zero_hash
+        in
+        content_line t.image ls.line ls.capture buf;
+        replace_hash sum ~was ~now:(line_hash buf)
+      done;
+      Bytes.unsafe_to_string sum
 
 let line_versions t =
   Lines.fold

@@ -29,12 +29,14 @@ type crash_policy =
 
 exception Out_of_bounds of { addr : int; size : int; device_size : int }
 
-val create : ?eadr:bool -> size:int -> unit -> t
+val create : ?eadr:bool -> ?fingerprint:bool -> size:int -> unit -> t
 (** [create ~size ()] is a device with a zeroed persistent image of [size]
     bytes and an empty cache. [eadr] extends the persistence domain to the
     CPU caches (Enhanced Asynchronous DRAM Refresh, paper section 2): every
     globally visible store then survives a crash, flushes become
-    performance-only, but fences still order non-temporal stores. *)
+    performance-only, but fences still order non-temporal stores. With
+    [fingerprint] the device keeps {!fingerprint} up to date; without it
+    (the default) it tracks nothing and allocates nothing for one. *)
 
 val of_image : ?eadr:bool -> Image.t -> t
 (** [of_image img] is a device whose persistent image is a snapshot of [img]
@@ -78,6 +80,12 @@ val poison : t -> addr:int -> size:int -> unit
 val store_nt_i64 : t -> addr:int -> int64 -> unit
 val load : t -> addr:int -> size:int -> bytes
 val load_i64 : t -> addr:int -> int64
+
+val load_into : t -> addr:int -> size:int -> bytes -> unit
+(** [load_into t ~addr ~size dst] is {!load} into the first [size] bytes of
+    [dst]: the same bounds check, event and counter, without allocating
+    the result.
+    @raise Invalid_argument when [dst] is shorter than [size]. *)
 
 val peek : t -> addr:int -> size:int -> bytes
 (** The program's current view of [size] bytes at [addr] {e without}
@@ -153,6 +161,30 @@ val persisted_image : t -> Image.t
 val persisted_equal : t -> Image.t -> bool
 (** [persisted_equal t img] is [Image.equal (persisted_image t) img]
     without the snapshot. *)
+
+(** {1 Fingerprints}
+
+    A 128-bit fingerprint of an image: the sum, lane by lane modulo
+    2{^64}, of one MD5 per 64-byte line taken over the line's index and
+    bytes, where an all-zero line hashes to zero (so a fresh pool's
+    fingerprint is zero). Equal images have equal fingerprints; distinct
+    ones collide with negligible probability. *)
+
+val image_fingerprint : Image.t -> string
+(** The fingerprint of an image, computed from scratch over every line. *)
+
+val fingerprint : t -> policy:crash_policy -> string
+(** [fingerprint t ~policy] is [image_fingerprint (crash t ~policy)],
+    kept incrementally on a device created with [~fingerprint:true]: a
+    request rehashes only the lines written to the persisted image or the
+    cache, poisoned or evicted since the previous request, so it costs
+    what changed since then, not what the cache holds. [Adr_with_pending]
+    also rehashes the pending flush captures.
+    @raise Invalid_argument on a device that keeps no fingerprint. *)
+
+val persisted_fingerprint : t -> string
+(** [image_fingerprint (persisted_image t)], kept like {!fingerprint}; it
+    equals [fingerprint ~policy:Adr] on a device without eADR. *)
 
 val volatile_view : t -> Image.t
 (** The program's own view of memory: persistent image overlaid with all

@@ -32,15 +32,21 @@ let fence_kind_to_string = function
   | Mfence -> "mfence"
   | Rmw -> "rmw"
 
-(* Decimal digits of [n] with no intermediate string; digits are taken
-   from the non-positive side so [min_int] needs no special case. *)
+(* Decimal digits of [n] with no intermediate string and no closure;
+   digits are taken from the non-positive side so [min_int] needs no
+   special case. *)
+let rec add_digits buf m =
+  if m <= -10 then add_digits buf (m / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (m mod 10)))
+
 let add_int buf n =
-  let rec digits m =
-    if m <= -10 then digits (m / 10);
-    Buffer.add_char buf (Char.unsafe_chr (48 - (m mod 10)))
-  in
   if n < 0 then Buffer.add_char buf '-';
-  digits (if n < 0 then n else -n)
+  add_digits buf (if n < 0 then n else -n)
+
+(* The length of what [add_int] writes for [n]. *)
+let int_length n =
+  let rec digits m k = if m <= -10 then digits (m / 10) (k + 1) else k in
+  (if n < 0 then 1 else 0) + digits (if n < 0 then n else -n) 1
 
 let add_bool buf b = Buffer.add_string buf (if b then "true" else "false")
 

@@ -165,23 +165,63 @@ let fold t init f =
 
 let to_list t = List.rev (fold t [] (fun acc e -> e :: acc))
 
+(* One event's line of the digest text, from its packed fields, into
+   [buf]. *)
+let render buf tag a b c =
+  Buffer.clear buf;
+  (match tag with
+  | 0 -> Pmem.Op.add_store buf ~addr:a ~size:b ~nt:(c = 1)
+  | 1 ->
+      Pmem.Op.add_flush buf (flush_kind_of_code a) ~line:b ~dirty:(c land 1 = 1)
+        ~volatile:(c land 2 = 2)
+  | 2 -> Pmem.Op.add_fence buf (fence_kind_of_code a) ~pending_flushes:b ~pending_nt:c
+  | _ -> Pmem.Op.add_load buf ~addr:a ~size:b);
+  Buffer.add_char buf '\n'
+
+(* A line's length without rendering it: the line of its shape (tag,
+   kind and flags) with every integer field 0, rendered once here, plus
+   each integer field's digits past the first. Shapes are numbered store
+   by [nt] (0-1), flush by kind and flags (2-13), fence by kind (14-16),
+   load (17). *)
+let shape_lengths =
+  let buf = Buffer.create 64 in
+  let len tag a c =
+    render buf tag a 0 c;
+    Buffer.length buf
+  in
+  Array.init 18 (fun k ->
+      if k < 2 then len 0 0 k
+      else if k < 14 then len 1 ((k - 2) / 4) ((k - 2) mod 4)
+      else if k < 17 then len 2 (k - 14) 0
+      else len 3 0 0)
+
+let line_length tag a b c =
+  let more n = Pmem.Op.int_length n - 1 in
+  match tag with
+  | 0 -> shape_lengths.(c) + more a + more b
+  | 1 -> shape_lengths.(2 + (4 * a) + c) + more b
+  | 2 -> shape_lengths.(14 + a) + more b + more c
+  | _ -> shape_lengths.(17) + more a + more b
+
+(* The text is sized first, then rendered line by line into one small
+   buffer and blitted into the one [bytes] that is hashed. *)
 let digest t =
-  (* about 40 bytes per rendered op: one allocation for typical traces *)
-  let buf = Buffer.create (max 64 (40 * t.len)) in
   let d = t.data in
+  let size = ref 0 in
   for i = 0 to t.len - 1 do
     let base = i * slots in
-    let a = d.{base + 2} and b = d.{base + 3} and c = d.{base + 4} in
-    (match d.{base + 1} with
-    | 0 -> Pmem.Op.add_store buf ~addr:a ~size:b ~nt:(c = 1)
-    | 1 ->
-        Pmem.Op.add_flush buf (flush_kind_of_code a) ~line:b ~dirty:(c land 1 = 1)
-          ~volatile:(c land 2 = 2)
-    | 2 -> Pmem.Op.add_fence buf (fence_kind_of_code a) ~pending_flushes:b ~pending_nt:c
-    | _ -> Pmem.Op.add_load buf ~addr:a ~size:b);
-    Buffer.add_char buf '\n'
+    size := !size + line_length d.{base + 1} d.{base + 2} d.{base + 3} d.{base + 4}
   done;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  let text = Bytes.create !size and buf = Buffer.create 64 in
+  let pos = ref 0 in
+  for i = 0 to t.len - 1 do
+    let base = i * slots in
+    render buf d.{base + 1} d.{base + 2} d.{base + 3} d.{base + 4};
+    Buffer.blit buf 0 text !pos (Buffer.length buf);
+    pos := !pos + Buffer.length buf
+  done;
+  assert (!pos = !size);
+  Digest.to_hex (Digest.bytes text)
 
 let clear t = t.len <- 0
 let path_count t = t.npaths

@@ -42,8 +42,8 @@ val to_list : t -> Event.t list
 
 val digest : t -> string
 (** Hex MD5 of every event's {!Pmem.Op.to_string} rendering followed by
-    ['\n'], in insertion order — written straight from the packed slots
-    into one buffer, decoding no event. *)
+    ['\n'], in insertion order — written straight from the packed slots,
+    decoding no event, into one [bytes] of the text's exact length. *)
 
 val clear : t -> unit
 (** Drop all events (interned paths are kept: ids remain stable across

@@ -153,9 +153,9 @@ let apply t device (e : Event.t) =
    device, so a crash image captured there is the state a fault at that
    instruction leaves behind. [pseq] is the persistency index (1-based
    count of non-load events, the coordinate system of the offline
-   analyses). *)
-let run ?hook ?on_event ?after_event t =
-  let device = Pmem.Device.create ~eadr:t.eadr ~size:t.pool_size () in
+   analyses). [fingerprint] makes the device keep its fingerprint. *)
+let run ?hook ?on_event ?after_event ?fingerprint t =
+  let device = Pmem.Device.create ~eadr:t.eadr ?fingerprint ~size:t.pool_size () in
   Pmem.Device.trace_loads device t.loads;
   (match hook with Some h -> Pmem.Device.set_hook device (Some h) | None -> ());
   let pseq = ref 0 in
@@ -487,7 +487,8 @@ let load_free t =
    unmodified recording this is the identity (the replay-lossless
    property the tests assert). [on_event] rides the same interpretation,
    so a verifier gets crash images and normalized events from one
-   replay. *)
+   replay, and the device keeps its fingerprint, so the verifier can
+   tell the images it has already judged. *)
 let pass ?on_event t =
   let out = ref [] in
   let current = ref None in
@@ -499,7 +500,7 @@ let pass ?on_event t =
         out := { e with Event.op } :: !out
     | None -> Fmt.failwith "Replay.normalize: event #%d re-emitted nothing" e.Event.seq
   in
-  let device = run ~hook ?on_event ~after_event t in
+  let device = run ~hook ?on_event ~after_event ~fingerprint:true t in
   Pmem.Device.set_hook device None;
   (List.rev !out, device)
 

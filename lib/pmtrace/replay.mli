@@ -159,7 +159,8 @@ val pass :
 (** [pass ?on_event t] is {!replay} and {!normalize} in one interpretation
     of the recording: [on_event] fires as in {!replay}, and the result is
     the normalized events with the device after the last event (hook
-    removed). *)
+    removed). The device keeps its fingerprint
+    ({!Pmem.Device.fingerprint}); {!replay}'s does not. *)
 
 val normalize_events :
   ?loads:bool -> ?eadr:bool -> pool_size:int -> Event.t list -> Event.t list

@@ -13,7 +13,8 @@
      the 15 clean targets, eADR off and on: equal fresh keys per view and
      final-image verdicts, with the oracle run once per view at each
      failure point from the first edit on — including the first edit's
-     own point and points followed by loads;
+     own point and points followed by loads; and the same with one
+     oracle memo shared by every pass, which must judge no image twice;
    - qcheck: Replay.rewrite edit composition — renumbering stays
      consecutive under overlapping move+delete sets, edit-list order is
      irrelevant, and rewritten traces survive arena serialization
@@ -427,6 +428,115 @@ let test_verifier_differential () =
     targets;
   Alcotest.(check bool) "some rewrites judged" true (!judged > 0)
 
+(* The memoized verifier against the copying reference: one memo, filled
+   by the baseline pass and shared by every recheck, as
+   [Verify_fix.baseline] uses it. Each rewrite must get the reference's
+   fresh keys per view and its final-image verdict (compared by
+   fingerprint), the oracle must never see an image it has already judged
+   (told apart by a digest of the flattened view, not by the fingerprint
+   under test), and the memo must answer some views. *)
+let test_verifier_memo_differential () =
+  let judged = ref 0 in
+  List.iter
+    (fun (name, (target : Mumak.Target.t)) ->
+      List.iter
+        (fun eadr ->
+          let noload =
+            Replay.record ~eadr ~pool_size:target.Mumak.Target.pool_size
+              (fun ~device ~framer -> target.Mumak.Target.run ~device ~framer)
+          in
+          let span =
+            min target.Mumak.Target.pool_size
+              ((Replay.stats noload).Pmem.Stats.high_water_mark + 4096)
+          in
+          let calls = ref 0 and views_judged = ref 0 in
+          let seen = Hashtbl.create 64 and repeats = ref 0 in
+          let adopted img =
+            let id = Digest.bytes (Pmem.Image.unsafe_bytes (Pmem.Image.snapshot img)) in
+            if Hashtbl.mem seen id then incr repeats else Hashtbl.add seen id ();
+            content_oracle ~open_:(Pmem.Device.adopt ~eadr) ~span calls img
+          in
+          let copied = content_oracle ~open_:(Pmem.Device.of_image ~eadr) ~span (ref 0) in
+          let memo = VF.memo () in
+          let judge ?(from = 1) recording =
+            views_judged :=
+              !views_judged
+              + List.length views
+                * List.length
+                    (List.filter
+                       (fun (_, pseq, _) -> pseq >= from)
+                       (points (Replay.events recording)));
+            VF.pass ~from ~memo ~views ~points ~oracle:adopted recording
+          in
+          let base = judge noload in
+          let base_image = Pmem.Device.persisted_fingerprint base.VF.device in
+          let ref_base, ref_image = reference ~oracle:copied noload in
+          let label what = Printf.sprintf "%s eadr=%b: %s" name eadr what in
+          Alcotest.(check (list (list string))) (label "memoized baseline keys")
+            (List.map VF.Keys.elements ref_base)
+            (List.map VF.Keys.elements base.VF.bugs);
+          Opt.synthesize ~weights:Cost.static_weights (Replay.events noload)
+          |> List.filteri (fun i _ -> i < 4)
+          |> List.iter (fun (plan : Opt.plan) ->
+                 match Replay.rewrite noload plan.Opt.p_edits with
+                 | exception Failure _ -> ()
+                 | rewritten ->
+                     incr judged;
+                     let from =
+                       List.fold_left
+                         (fun p ed -> min p (Replay.edit_anchor ed))
+                         max_int plan.Opt.p_edits
+                     in
+                     let re = judge ~from rewritten in
+                     let ref_keys, ref_final = reference ~oracle:copied rewritten in
+                     let what =
+                       label
+                         (plan.Opt.p_rule ^ " " ^ Analysis.Fix.anchor_to_string plan.Opt.p_fix)
+                     in
+                     Alcotest.(check (list (list string))) (what ^ ": memoized fresh keys per view")
+                       (fresh ref_keys ref_base) (fresh re.VF.bugs base.VF.bugs);
+                     Alcotest.(check bool) (what ^ ": final image verdict by fingerprint")
+                       (Pmem.Image.equal ref_final ref_image)
+                       (String.equal (Pmem.Device.persisted_fingerprint re.VF.device) base_image));
+          Alcotest.(check int) (label "no image judged twice") 0 !repeats;
+          Alcotest.(check bool) (label "the memo answers some views") true
+            (!calls < !views_judged))
+        [ false; true ])
+    (verifier_targets ~ops:20);
+  Alcotest.(check bool) "some rewrites judged" true (!judged > 0)
+
+(* The recheck's final-image test reads the persisted image alone, by
+   fingerprint: moving a clwb past a later store to its line persists that
+   store too, which changes the persisted image (harm under [preserve])
+   though every store stays in the program-prefix view; a clwb turned
+   into clflushopt persists the same bytes. *)
+let test_recheck_final_image () =
+  let recording =
+    Replay.record ~pool_size (fun ~device ~framer:_ ->
+        Pmem.Device.store_i64 device ~addr:0 1L;
+        Pmem.Device.clwb device ~addr:0;
+        Pmem.Device.store_i64 device ~addr:8 2L;
+        Pmem.Device.sfence device)
+  in
+  let base =
+    VF.baseline ~support:3 ~confidence:0.9 ~eadr:false ~adr:true
+      ~oracle:(fun _ -> None)
+      ~points:(fun _ -> [])
+      recording
+  in
+  let harm ~preserve edits =
+    match base.VF.recheck ~preserve edits with
+    | Ok r -> Option.map VF.harm_to_string r.VF.r_harm
+    | Error msg -> Some ("rewrite failed: " ^ msg)
+  in
+  let moved = [ Replay.Move_flush_to { pseq = 2; to_pseq = 3 } ] in
+  Alcotest.(check (option string)) "a changed persisted image is harm"
+    (Some (VF.harm_to_string VF.Image_changed))
+    (harm ~preserve:true moved);
+  Alcotest.(check (option string)) "only under preserve" None (harm ~preserve:false moved);
+  Alcotest.(check (option string)) "the same persisted image is not" None
+    (harm ~preserve:true [ Replay.Set_flush_kind { pseq = 2; kind = Pmem.Op.Clflushopt } ])
+
 (* Deleting the first of two fences makes the second one a failure point
    at the deleted fence's own index: the first edit's anchor is judged
    too, not only what follows it. *)
@@ -671,9 +781,12 @@ let () =
           Alcotest.test_case "batch verdict + replay tally" `Quick
             test_optimize_batch_and_tally;
           Alcotest.test_case "one pass = copying reference" `Slow test_verifier_differential;
+          Alcotest.test_case "memoized passes = copying reference" `Slow
+            test_verifier_memo_differential;
           Alcotest.test_case "each point judged once" `Quick
             test_verifier_judges_each_point_once;
           Alcotest.test_case "first edit's point judged" `Quick test_verifier_judges_first_edit;
+          Alcotest.test_case "final image compared persisted" `Quick test_recheck_final_image;
         ] );
       ( "rewrite-qcheck",
         [

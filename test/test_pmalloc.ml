@@ -444,6 +444,33 @@ let arb_bitmap_pool =
               (fun c -> if Char.code c < 3 then string_of_int (Char.code c) else "x")
               (List.of_seq (Bytes.to_seq bitmap)))))
 
+(* [Alloc.check] reads the bitmap with the one load it always made: one
+   [Load] event of the whole bitmap and one counted load. Its buffer is
+   reused across calls, so a smaller pool checked after a larger one
+   whose last chunk is an orphan must see only its own, clean, bitmap. *)
+let test_check_one_load () =
+  List.iter
+    (fun (pool_size, orphan) ->
+      let dev = Pmem.Device.create ~size:pool_size () in
+      let pool = Pool.create dev in
+      let layout = Pool.layout pool in
+      let n = layout.Layout.chunk_count in
+      if orphan then Pool.write_bytes pool ~off:(layout.Layout.bitmap_off + n - 1) (Bytes.make 1 '\002');
+      Pmem.Device.trace_loads dev true;
+      let seen = ref [] in
+      Pmem.Device.set_hook dev (Some (fun op -> seen := Pmem.Op.to_string op :: !seen));
+      let loads = (Pmem.Device.stats dev).Pmem.Stats.loads in
+      let got = Alloc.check pool in
+      Alcotest.(check (result unit string)) "first error"
+        (if orphan then Error (Printf.sprintf "orphan continuation chunk at index %d" (n - 1))
+         else Ok ())
+        got;
+      Alcotest.(check (list string)) "one load event"
+        [ Pmem.Op.to_string (Pmem.Op.Load { addr = layout.Layout.bitmap_off; size = n }) ]
+        !seen;
+      Alcotest.(check int) "one load counted" (loads + 1) (Pmem.Device.stats dev).Pmem.Stats.loads)
+    [ (1 lsl 22, true); (1 lsl 20, false); (1 lsl 21, true) ]
+
 let prop_check_matches_bytewise =
   QCheck.Test.make ~name:"check = byte-at-a-time reference" ~count:400 arb_bitmap_pool
     (fun case ->
@@ -496,6 +523,7 @@ let () =
           Alcotest.test_case "zeroing by version" `Quick test_alloc_zeroing_by_version;
           Alcotest.test_case "out of space" `Quick test_alloc_out_of_space;
           Alcotest.test_case "mirror rebuilt" `Quick test_alloc_mirror_rebuilt_after_crash;
+          Alcotest.test_case "check loads the bitmap once" `Quick test_check_one_load;
         ] );
       ( "redo",
         [

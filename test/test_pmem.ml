@@ -579,12 +579,17 @@ let i64_addr size a =
 
 (* Runs one op sequence on a fresh pool ([base] = None) or on a device
    adopting a copy-on-write view of [base], checking every read and the
-   final crash images against the model. Returns the first mismatch, and
-   what a no-op hook must not change. *)
-let run_datapath ~hook ~base (eadr, size, ops) =
+   final crash images against the model. With [fingerprints] the fresh
+   pool keeps a fingerprint, and after each op whose index [fingerprints]
+   selects, every policy's fingerprint and the persisted one must equal a
+   from-scratch hash of the matching image. Returns the first mismatch,
+   and what a no-op hook must not change. *)
+let run_datapath ?fingerprints ~hook ~base (eadr, size, ops) =
   let d, m =
     match base with
-    | None -> (Device.create ~eadr ~size (), model_of (Bytes.make size '\000'))
+    | None ->
+        ( Device.create ~eadr ~fingerprint:(fingerprints <> None) ~size (),
+          model_of (Bytes.make size '\000') )
     | Some img -> (Device.adopt ~eadr (Image.cow img), model_of (Image.read img ~addr:0 ~size))
   in
   if hook then Device.set_hook d (Some ignore);
@@ -603,12 +608,22 @@ let run_datapath ~hook ~base (eadr, size, ops) =
     if Device.stats d <> before then fail "%s counted" what
   in
   let oob addr len = Device.Out_of_bounds { addr; size = len; device_size = size } in
+  let check_fingerprints i =
+    List.iteri
+      (fun k policy ->
+        if Device.fingerprint d ~policy <> Device.image_fingerprint (Device.crash d ~policy) then
+          fail "fingerprint under policy %d of [Adr; Adr_with_pending; Program_prefix] after op %d"
+            k i)
+      policies;
+    if Device.persisted_fingerprint d <> Device.image_fingerprint (Device.persisted_image d) then
+      fail "persisted fingerprint after op %d" i
+  in
   List.iteri
     (fun i (kind, (a, b, c)) ->
       let span len = (a mod (size - len + 1), len) in
       let payload len = Bytes.init len (fun j -> Char.chr ((c + (j * 31) + i) land 255)) in
       let v = Int64.of_int ((c * 7919) + b) in
-      match kind with
+      (match kind with
       | 0 | 1 ->
           let addr, len = span (1 + (b mod 100)) in
           (* every fifth store rewrites the bytes already there *)
@@ -701,7 +716,8 @@ let run_datapath ~hook ~base (eadr, size, ops) =
           | _ -> (
               match Device.flush_range d ~kind:Op.Clwb ~addr:a ~size:(-(c mod 2)) with
               | () -> fail "flush_range of size <= 0 accepted"
-              | exception Assert_failure _ -> ())))
+              | exception Assert_failure _ -> ())));
+      match fingerprints with Some at when at i -> check_fingerprints i | _ -> ())
     ops;
   let crashes = List.map (fun policy -> Device.crash d ~policy) policies in
   List.iteri
@@ -747,6 +763,94 @@ let prop_datapath_model =
               && List.for_all2 Image.equal crashes crashes'
               || QCheck.Test.fail_report "a no-op hook changed stats, poison log or crash images")
         [ None; Some base ])
+
+(* The write patterns a fingerprint must follow, with several writes
+   between requests: a pending NT payload under a line clflush evicted,
+   poison after a clflushopt capture (the fence then drops the clean line
+   and its poison), clwb keeping a line cached, RMWs, the pool's partial
+   last line, and lines written back to zeros. *)
+let test_fingerprint_follows_writes () =
+  let zero = String.make 16 '\000' in
+  List.iter
+    (fun eadr ->
+      let d = Device.create ~eadr ~fingerprint:true ~size:4100 () in
+      let check what =
+        List.iteri
+          (fun k policy ->
+            Alcotest.(check string)
+              (Printf.sprintf "eadr=%b, policy %d: %s" eadr k what)
+              (Device.image_fingerprint (Device.crash d ~policy))
+              (Device.fingerprint d ~policy))
+          policies;
+        Alcotest.(check string)
+          (Printf.sprintf "eadr=%b, persisted: %s" eadr what)
+          (Device.image_fingerprint (Device.persisted_image d))
+          (Device.persisted_fingerprint d)
+      in
+      Alcotest.(check string) "a fresh pool's fingerprint is zero" zero
+        (Device.fingerprint d ~policy:Device.Program_prefix);
+      Device.store_nt_i64 d ~addr:128 1L;
+      Device.store_i64 d ~addr:128 2L;
+      Device.clflush d ~addr:128;
+      check "NT payload pending under an evicted line";
+      Device.sfence d;
+      check "NT payload drained";
+      Device.store_i64 d ~addr:256 3L;
+      Device.clflushopt d ~addr:256;
+      Device.poison d ~addr:256 ~size:16;
+      check "poison after a clflushopt capture";
+      Device.sfence d;
+      check "the fence drops the clean line";
+      (* a line clflushed after its clflushopt, faulted back in by poison
+         alone: the fence still evicts it, and nothing else writes it *)
+      Device.store_i64 d ~addr:320 8L;
+      Device.clflushopt d ~addr:320;
+      Device.clflush d ~addr:320;
+      Device.poison d ~addr:328 ~size:8;
+      check "poison on a line queued for eviction";
+      Device.sfence d;
+      check "the fence evicts the poisoned line";
+      Device.store_i64 d ~addr:512 4L;
+      Device.clwb d ~addr:512;
+      Device.sfence d;
+      Device.store_i64 d ~addr:512 5L;
+      check "clwb keeps the line cached";
+      ignore (Device.cas d ~addr:640 ~expected:0L ~desired:6L);
+      ignore (Device.fetch_add d ~addr:648 7L);
+      check "RMWs";
+      Device.store d ~addr:4096 (Bytes.of_string "tail");
+      Device.clflush d ~addr:4096;
+      check "the partial last line";
+      List.iter
+        (fun (addr, len) ->
+          Device.store d ~addr (Bytes.make len '\000');
+          Device.clflush d ~addr)
+        [ (128, 64); (256, 64); (320, 64); (512, 64); (640, 64); (4096, 4) ];
+      check "lines written back to zeros";
+      Alcotest.(check string) "an all-zero pool's fingerprint is zero" zero
+        (Device.fingerprint d ~policy:Device.Adr))
+    [ false; true ];
+  Alcotest.check_raises "a device that keeps none"
+    (Invalid_argument "Pmem.Device: this device keeps no fingerprint") (fun () ->
+      ignore (Device.fingerprint (dev ()) ~policy:Device.Adr))
+
+(* The incremental fingerprint against a from-scratch hash of each crash
+   image, on the data-path sequences above (stores and NT stores, poison,
+   every flush kind, fences and RMWs) under eADR and ADR: after every op,
+   and after every third op so that touches pile up between requests. *)
+let prop_fingerprint_incremental =
+  QCheck.Test.make ~name:"fingerprints equal a from-scratch hash of the image" ~count:200
+    arb_datapath_case (fun (_, size, _, ops) ->
+      List.for_all
+        (fun (eadr, at) ->
+          match run_datapath ~fingerprints:at ~hook:false ~base:None (eadr, size, ops) with
+          | Some msg, _, _, _ -> QCheck.Test.fail_reportf "eadr=%b: %s" eadr msg
+          | None, _, _, _ -> true)
+        [
+          (false, fun _ -> true);
+          (true, fun _ -> true);
+          (false, fun i -> i mod 3 = 2 || i = List.length ops - 1);
+        ])
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -810,6 +914,8 @@ let () =
             test_identical_write_shares_page;
           Alcotest.test_case "equal keeps a view a view" `Quick test_equal_keeps_view;
         ] );
+      ( "fingerprint",
+        [ Alcotest.test_case "follows every write" `Quick test_fingerprint_follows_writes ] );
       qsuite "properties"
         [
           prop_lines_spanned_cover;
@@ -819,5 +925,6 @@ let () =
           prop_prefix_crash_equals_volatile_view;
           prop_crash_views_isolated;
           prop_datapath_model;
+          prop_fingerprint_incremental;
         ];
     ]
