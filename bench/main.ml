@@ -128,7 +128,7 @@ let table1 () =
 let count_unique_paths target =
   let pi_tree = Mumak.Fp_tree.create () and st_tree = Mumak.Fp_tree.create () in
   let device = Pmem.Device.create ~size:target.Mumak.Target.pool_size () in
-  let tracer = Pmtrace.Tracer.create ~collect:false device in
+  let tracer = Pmtrace.Tracer.create device in
   let detect_pi =
     Mumak.Fault_injection.fp_listener ~granularity:Mumak.Config.Persistency_instruction
       ~on_fp:(fun c -> ignore (Mumak.Fp_tree.insert pi_tree c))

@@ -4,7 +4,8 @@
    capture → persist states; the slots not yet persisted live in
    [residue], whose iteration order is the order trace analysis reports
    them in — fixed by the table's initial size and its insert/remove
-   history, so both are part of the output. *)
+   history, so both are part of the output. A fold made without the
+   residue keeps no slots at all. *)
 
 module Tbl = Hashtbl.Make (Int)
 
@@ -29,6 +30,7 @@ type step = Load | Store | Volatile_flush | Clean_flush | Clean_nt_flush | Dirty
 
 type t = {
   lines : line Tbl.t;
+  tracks_residue : bool;
   residue : slot Tbl.t;
   mutable touched : line array;  (* lines stored to or captured in [touched_epoch] *)
   mutable n_touched : int;
@@ -46,15 +48,17 @@ let no_line =
   { line = -1; stores = 0; last_store = 0; store_epoch = -1; capture = 0; capture_epoch = -1;
     nt_epoch = -1; touch_epoch = -1; flushes = 0; last_flush = 0; slots = [||] }
 
-let create () =
-  { lines = Tbl.create 1024; residue = Tbl.create 4096; touched = [||]; n_touched = 0;
+let create ?(residue = false) () =
+  { lines = Tbl.create 1024; tracks_residue = residue;
+    residue = Tbl.create (if residue then 4096 else 1); touched = [||]; n_touched = 0;
     touched_epoch = 0; epoch = 0; pseq = 0; captured_stores = 0; overwritten = 0 }
 
 let line_of t line =
   match Tbl.find t.lines line with
   | l -> l
   | exception Not_found ->
-      let l = { no_line with line; slots = Array.make slots_per_line no_slot } in
+      let slots = if t.tracks_residue then Array.make slots_per_line no_slot else [||] in
+      let l = { no_line with line; slots } in
       Tbl.add t.lines line l;
       l
 
@@ -84,14 +88,16 @@ let store t ~seq ~addr ~size ~nt =
       l.last_store <- t.pseq;
       l.store_epoch <- t.epoch
     end;
-    let base = line * slots_per_line in
-    for s = Int.max first_slot base to Int.min last_slot (base + slots_per_line - 1) do
-      if l.slots.(s - base) == no_slot then l.slots.(s - base) <- { no_slot with slot = s };
-      let r = l.slots.(s - base) in
-      if r.state = Persisted then Tbl.add t.residue s r;
-      r.state <- (if nt then Captured else Dirty);
-      r.seq <- seq
-    done
+    if t.tracks_residue then begin
+      let base = line * slots_per_line in
+      for s = Int.max first_slot base to Int.min last_slot (base + slots_per_line - 1) do
+        if l.slots.(s - base) == no_slot then l.slots.(s - base) <- { no_slot with slot = s };
+        let r = l.slots.(s - base) in
+        if r.state = Persisted then Tbl.add t.residue s r;
+        r.state <- (if nt then Captured else Dirty);
+        r.seq <- seq
+      done
+    end
   done
 
 let flush t kind l ~dirty =
@@ -116,8 +122,9 @@ let flush t kind l ~dirty =
 let fence t =
   if t.touched_epoch = t.epoch then
     for i = 0 to t.n_touched - 1 do
-      for j = 0 to slots_per_line - 1 do
-        let r = t.touched.(i).slots.(j) in
+      let slots = t.touched.(i).slots in
+      for j = 0 to Array.length slots - 1 do
+        let r = slots.(j) in
         if r.state = Captured then begin
           r.state <- Persisted;
           Tbl.remove t.residue r.slot
@@ -163,6 +170,7 @@ let last_flush t line =
   match Tbl.find t.lines line with l -> l.last_flush | exception Not_found -> 0
 
 let iter_residue t f =
+  if not t.tracks_residue then invalid_arg "Persist_fold.iter_residue: made without ~residue";
   Tbl.iter
     (fun slot r ->
       let line = slot * Pmem.Addr.atomic_size / Pmem.Addr.line_size in

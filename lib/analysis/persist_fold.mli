@@ -20,7 +20,11 @@ type step =
   | Dirty_flush  (** captures the line: see {!captured_stores} and {!overwritten} *)
   | Fence  (** closes the epoch: see {!stranded} *)
 
-val create : unit -> t
+val create : ?residue:bool -> unit -> t
+(** A fresh fold. With [residue] (default false) it also follows every
+    8-byte slot from store to durability, for {!iter_residue}; only trace
+    analysis reads that, and a fold without it keeps no per-slot state. *)
+
 val feed : t -> Pmtrace.Event.t -> step
 
 val redundancy : step -> Pmem.Op.t -> string option
@@ -50,4 +54,5 @@ val iter_residue : t -> (slot:int -> seq:int -> captured:bool -> line_flushed:bo
 (** Every 8-byte slot whose latest store never became durable — [captured]
     if a flush or non-temporal store captured it but no fence drained it,
     [line_flushed] if its line is flushed anywhere in the trace — in the
-    order trace analysis reports them. *)
+    order trace analysis reports them.
+    @raise Invalid_argument on a fold made without [~residue:true]. *)

@@ -61,7 +61,7 @@ let analyze ?budget_s (kv : Kv_target.t) =
           else begin
             incr explored;
             let device = Pmem.Device.create ~size:target.Mumak.Target.pool_size () in
-            let tracer = Pmtrace.Tracer.create ~collect:false device in
+            let tracer = Pmtrace.Tracer.create device in
             (* KLEE applies the universal oracles along every explored
                path: each state pays for its own trace-analysis pass *)
             let state_ta = Mumak.Trace_analysis.create Mumak.Config.default in

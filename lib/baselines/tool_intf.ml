@@ -38,7 +38,7 @@ let expired c = Unix.gettimeofday () -. c.start > c.budget
 let run_instrumented ?(trace_loads = false) (target : Mumak.Target.t) ~listener =
   let device = Pmem.Device.create ~size:target.Mumak.Target.pool_size () in
   Pmem.Device.trace_loads device trace_loads;
-  let tracer = Pmtrace.Tracer.create ~collect:false device in
+  let tracer = Pmtrace.Tracer.create device in
   Pmtrace.Tracer.add_listener tracer listener;
   target.Mumak.Target.run ~device
     ~framer:(Pmtrace.Framer.of_callstack (Pmtrace.Tracer.stack tracer));

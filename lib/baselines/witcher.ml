@@ -74,7 +74,7 @@ let analyze ?budget_s (kv : Kv_target.t) =
               pending_lines := []
         in
         let device = Pmem.Device.create ~size:target.Mumak.Target.pool_size () in
-        let tracer = Pmtrace.Tracer.create ~collect:false device in
+        let tracer = Pmtrace.Tracer.create device in
         Pmtrace.Tracer.add_listener tracer listener;
         kv.Kv_target.run_prefix ~device
           ~framer:(Pmtrace.Framer.of_callstack (Pmtrace.Tracer.stack tracer))
@@ -88,7 +88,7 @@ let analyze ?budget_s (kv : Kv_target.t) =
         let check_candidate c =
           (* re-execute up to the candidate fence, capturing the device *)
           let device = Pmem.Device.create ~size:target.Mumak.Target.pool_size () in
-          let tracer = Pmtrace.Tracer.create ~collect:false device in
+          let tracer = Pmtrace.Tracer.create device in
           let fences = ref 0 in
           let stop = ref None in
           Pmtrace.Tracer.add_listener tracer (fun event stack ->

@@ -56,7 +56,7 @@ let analyze ?budget_s (target : Mumak.Target.t) =
     else begin
       let injected_here = ref None in
       let device = Pmem.Device.create ~size:target.Mumak.Target.pool_size () in
-      let tracer = Pmtrace.Tracer.create ~collect:false device in
+      let tracer = Pmtrace.Tracer.create device in
       let stores_seen = ref 0 in
       let detect (event : Pmtrace.Event.t) stack =
         match event.Pmtrace.Event.op with

@@ -26,7 +26,7 @@ let analyze ?budget_s (target : Mumak.Target.t) =
   let (), metrics =
     Mumak.Metrics.measure (fun () ->
         let device = Pmem.Device.create ~size:target.Mumak.Target.pool_size () in
-        let tracer = Pmtrace.Tracer.create ~collect:false device in
+        let tracer = Pmtrace.Tracer.create device in
         Pmtrace.Tracer.add_listener tracer (fun event stack ->
             match event.Pmtrace.Event.op with
             | Pmem.Op.Fence _ when not !timed_out ->

@@ -50,7 +50,7 @@ let resolve_stacks (target : Target.t) ~wanted =
   if wanted = [] then Hashtbl.create 0
   else begin
     let device = Pmem.Device.create ~size:target.Target.pool_size () in
-    let tracer = Pmtrace.Tracer.create ~collect:false device in
+    let tracer = Pmtrace.Tracer.create device in
     let framer = Pmtrace.Framer.of_callstack (Pmtrace.Tracer.stack tracer) in
     let resolved =
       Pmtrace.Tracer.resolve_stacks tracer ~wanted ~run:(fun () ->

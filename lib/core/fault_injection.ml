@@ -95,7 +95,7 @@ let offline_points config (events : Pmtrace.Event.t list) =
 let build_tree ?(extra_listener = fun _ _ -> ()) config (target : Target.t) =
   let tree = Fp_tree.create () in
   let device = Pmem.Device.create ~eadr:config.Config.eadr ~size:target.Target.pool_size () in
-  let tracer = Pmtrace.Tracer.create ~collect:false device in
+  let tracer = Pmtrace.Tracer.create device in
   let detect =
     fp_listener ~granularity:config.Config.granularity ~on_fp:(fun capture ->
         ignore (Fp_tree.insert tree capture))
@@ -166,7 +166,7 @@ let reexecute config (target : Target.t) tree ~ordinal =
     "exec"
   @@ fun () ->
   let device = Pmem.Device.create ~eadr:config.Config.eadr ~size:target.Target.pool_size () in
-  let tracer = Pmtrace.Tracer.create ~collect:false device in
+  let tracer = Pmtrace.Tracer.create device in
   let image = ref None in
   Pmtrace.Tracer.add_listener tracer
     (fp_listener ~granularity:config.Config.granularity ~on_fp:(fun capture ->

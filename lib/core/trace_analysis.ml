@@ -14,7 +14,7 @@ type t = {
   mutable events : int;
 }
 
-let create config = { config; fold = Fold.create (); findings = []; events = 0 }
+let create config = { config; fold = Fold.create ~residue:true (); findings = []; events = 0 }
 let report t kind seq detail = t.findings <- { kind; seq; detail } :: t.findings
 
 let feed t (event : Pmtrace.Event.t) =

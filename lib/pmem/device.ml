@@ -338,21 +338,21 @@ let poison t ~addr ~size =
 
 let poison_log t = List.rev t.poison_rev
 
-(* The program's view of [size] bytes at [addr] into [out], read by
-   [load], [load_into] and [peek]: cached lines over the persisted image. A
-   read spanning more lines than are cached (and than the table has
-   initial buckets) copies the image range once and overlays the cached
-   lines inside it. *)
-let read_into t ~addr ~size out =
+(* The program's view of [size] bytes at [addr] into [out] at [off], read
+   by [load], [load_into], [peek] and [peek_into]: cached lines over the
+   persisted image. A read spanning more lines than are cached (and than
+   the table has initial buckets) copies the image range once and
+   overlays the cached lines inside it. *)
+let read_into t ~addr ~size out ~off =
   let first = Addr.line_of addr and last = Addr.line_of (addr + size - 1) in
   if last - first + 1 > Int.max initial_lines (Lines.length t.lines) then begin
-    Image.blit_from t.image ~src_addr:addr ~dst:out ~dst_off:0 ~len:size;
+    Image.blit_from t.image ~src_addr:addr ~dst:out ~dst_off:off ~len:size;
     Lines.iter
       (fun line ls ->
         if line >= first && line <= last then begin
           let base = Addr.line_base line in
           let lo = Int.max addr base and hi = Int.min (addr + size) (base + Addr.line_size) in
-          Bytes.blit ls.data (lo - base) out (lo - addr) (hi - lo)
+          Bytes.blit ls.data (lo - base) out (off + lo - addr) (hi - lo)
         end)
       t.lines
   end
@@ -361,14 +361,14 @@ let read_into t ~addr ~size out =
       let base = Addr.line_base line in
       let lo = Int.max addr base and hi = Int.min (addr + size) (base + Addr.line_size) in
       match Lines.find t.lines line with
-      | ls -> Bytes.blit ls.data (lo - base) out (lo - addr) (hi - lo)
+      | ls -> Bytes.blit ls.data (lo - base) out (off + lo - addr) (hi - lo)
       | exception Not_found ->
-          Image.blit_from t.image ~src_addr:lo ~dst:out ~dst_off:(lo - addr) ~len:(hi - lo)
+          Image.blit_from t.image ~src_addr:lo ~dst:out ~dst_off:(off + lo - addr) ~len:(hi - lo)
     done
 
 let read t ~addr ~size =
   let out = Bytes.create size in
-  read_into t ~addr ~size out;
+  read_into t ~addr ~size out ~off:0;
   out
 
 let begin_load t ~addr ~size =
@@ -386,7 +386,7 @@ let load t ~addr ~size =
 let load_into t ~addr ~size dst =
   if size > Bytes.length dst then invalid_arg "Pmem.Device.load_into: buffer too small";
   begin_load t ~addr ~size;
-  read_into t ~addr ~size dst
+  read_into t ~addr ~size dst ~off:0
 
 (* A word inside one line is read in place; one that straddles two lines
    takes the general path. *)
@@ -405,6 +405,12 @@ let load_i64 t ~addr =
 let peek t ~addr ~size =
   check_bounds t addr size;
   read t ~addr ~size
+
+let peek_into t ~addr ~size dst ~off =
+  if off < 0 || off + size > Bytes.length dst then
+    invalid_arg "Pmem.Device.peek_into: buffer too small";
+  check_bounds t addr size;
+  read_into t ~addr ~size dst ~off
 
 let volatile_addr t addr = addr < 0 || addr >= Image.size t.image
 

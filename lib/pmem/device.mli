@@ -93,6 +93,13 @@ val peek : t -> addr:int -> size:int -> bytes
     recorder snoops store payloads for replay without perturbing the trace
     or the statistics it must later reproduce. *)
 
+val peek_into : t -> addr:int -> size:int -> bytes -> off:int -> unit
+(** [peek_into t ~addr ~size dst ~off] is {!peek} into [dst] at [off]: the
+    same view and bounds check, without allocating the result. The
+    recorder reads each store's bytes straight into its payload slab.
+    @raise Invalid_argument when [dst] has fewer than [size] bytes past
+    [off]. *)
+
 val poison_log : t -> (int * int * int) list
 (** Every {!poison} call so far as [(op_count, addr, size)], oldest first,
     where [op_count] is the number of instrumentation events emitted before

@@ -32,64 +32,80 @@ let fence_kind_to_string = function
   | Mfence -> "mfence"
   | Rmw -> "rmw"
 
-(* Decimal digits of [n] with no intermediate string and no closure;
-   digits are taken from the non-positive side so [min_int] needs no
-   special case. *)
-let rec add_digits buf m =
-  if m <= -10 then add_digits buf (m / 10);
-  Buffer.add_char buf (Char.unsafe_chr (48 - (m mod 10)))
-
-let add_int buf n =
-  if n < 0 then Buffer.add_char buf '-';
-  add_digits buf (if n < 0 then n else -n)
-
-(* The length of what [add_int] writes for [n]. *)
+(* The length of the decimal rendering of [n]. Digits are counted, and
+   written below, from the non-positive side so [min_int] needs no special
+   case. *)
 let int_length n =
   let rec digits m k = if m <= -10 then digits (m / 10) (k + 1) else k in
   (if n < 0 then 1 else 0) + digits (if n < 0 then n else -n) 1
 
-let add_bool buf b = Buffer.add_string buf (if b then "true" else "false")
+(* The digits of [m <= 0], last digit at [i], right to left; top-level so
+   that writing an integer allocates no closure. *)
+let rec write_digits b m i =
+  Bytes.set b i (Char.unsafe_chr (48 - (m mod 10)));
+  if m <= -10 then write_digits b (m / 10) (i - 1)
+
+(* Every writer puts its text into [b] at [pos] and returns the position
+   just past it. *)
+let write_int b pos n =
+  let stop = pos + int_length n in
+  if n < 0 then Bytes.set b pos '-';
+  write_digits b (if n < 0 then n else -n) (stop - 1);
+  stop
+
+let write_string b pos s =
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+let write_bool b pos v = write_string b pos (if v then "true" else "false")
 
 (* The op rendering, one writer per constructor taking the fields unboxed:
    {!to_string} and the trace digest (written straight from a packed trace
-   arena) both go through these, so the format lives here only. *)
-let add_store buf ~addr ~size ~nt =
-  Buffer.add_string buf (if nt then "store.nt addr=" else "store addr=");
-  add_int buf addr;
-  Buffer.add_string buf " size=";
-  add_int buf size
+   arena into the bytes it hashes) both go through these, so the format
+   lives here only. *)
+let write_store b pos ~addr ~size ~nt =
+  let pos = write_string b pos (if nt then "store.nt addr=" else "store addr=") in
+  let pos = write_int b pos addr in
+  let pos = write_string b pos " size=" in
+  write_int b pos size
 
-let add_flush buf kind ~line ~dirty ~volatile =
-  Buffer.add_string buf (flush_kind_to_string kind);
-  Buffer.add_string buf " line=";
-  add_int buf line;
-  Buffer.add_string buf " dirty=";
-  add_bool buf dirty;
-  Buffer.add_string buf " volatile=";
-  add_bool buf volatile
+let write_flush b pos kind ~line ~dirty ~volatile =
+  let pos = write_string b pos (flush_kind_to_string kind) in
+  let pos = write_string b pos " line=" in
+  let pos = write_int b pos line in
+  let pos = write_string b pos " dirty=" in
+  let pos = write_bool b pos dirty in
+  let pos = write_string b pos " volatile=" in
+  write_bool b pos volatile
 
-let add_fence buf kind ~pending_flushes ~pending_nt =
-  Buffer.add_string buf (fence_kind_to_string kind);
-  Buffer.add_string buf " pending_flushes=";
-  add_int buf pending_flushes;
-  Buffer.add_string buf " pending_nt=";
-  add_int buf pending_nt
+let write_fence b pos kind ~pending_flushes ~pending_nt =
+  let pos = write_string b pos (fence_kind_to_string kind) in
+  let pos = write_string b pos " pending_flushes=" in
+  let pos = write_int b pos pending_flushes in
+  let pos = write_string b pos " pending_nt=" in
+  write_int b pos pending_nt
 
-let add_load buf ~addr ~size =
-  Buffer.add_string buf "load addr=";
-  add_int buf addr;
-  Buffer.add_string buf " size=";
-  add_int buf size
+let write_load b pos ~addr ~size =
+  let pos = write_string b pos "load addr=" in
+  let pos = write_int b pos addr in
+  let pos = write_string b pos " size=" in
+  write_int b pos size
+
+(* An upper bound on a rendering's length: the longest, a fence's, is 35
+   bytes of text around two integers of at most 20 characters each. *)
+let max_length = 96
 
 let to_string op =
-  let buf = Buffer.create 48 in
-  (match op with
-  | Store { addr; size; nt } -> add_store buf ~addr ~size ~nt
-  | Flush { kind; line; dirty; volatile } -> add_flush buf kind ~line ~dirty ~volatile
-  | Fence { kind; pending_flushes; pending_nt } ->
-      add_fence buf kind ~pending_flushes ~pending_nt
-  | Load { addr; size } -> add_load buf ~addr ~size);
-  Buffer.contents buf
+  let b = Bytes.create max_length in
+  let n =
+    match op with
+    | Store { addr; size; nt } -> write_store b 0 ~addr ~size ~nt
+    | Flush { kind; line; dirty; volatile } -> write_flush b 0 kind ~line ~dirty ~volatile
+    | Fence { kind; pending_flushes; pending_nt } ->
+        write_fence b 0 kind ~pending_flushes ~pending_nt
+    | Load { addr; size } -> write_load b 0 ~addr ~size
+  in
+  Bytes.sub_string b 0 n
 
 let is_persistency_instruction = function
   | Flush _ | Fence _ -> true

@@ -92,35 +92,47 @@ let ensure_capacity t =
     t.data <- bigger
   end
 
-let add t (e : Event.t) =
+(* Append one event from its op and interned stack (0 = none, else path
+   id + 1), field by field. *)
+let put t ~seq op ~stack ~op_index =
   ensure_capacity t;
   let base = t.len * slots in
-  let tag, a, b, c =
-    match e.Event.op with
-    | Pmem.Op.Store { addr; size; nt } -> (0, addr, size, if nt then 1 else 0)
-    | Pmem.Op.Flush { kind; line; dirty; volatile } ->
-        ( 1,
-          flush_kind_code kind,
-          line,
-          (if dirty then 1 else 0) lor if volatile then 2 else 0 )
-    | Pmem.Op.Fence { kind; pending_flushes; pending_nt } ->
-        (2, fence_kind_code kind, pending_flushes, pending_nt)
-    | Pmem.Op.Load { addr; size } -> (3, addr, size, 0)
-  in
-  let stack, op_index =
-    match e.Event.stack with
-    | None -> (0, 0)
-    | Some cap -> (intern t cap.Callstack.path + 1, cap.Callstack.op_index)
-  in
   let d = t.data in
-  d.{base} <- e.Event.seq;
-  d.{base + 1} <- tag;
-  d.{base + 2} <- a;
-  d.{base + 3} <- b;
-  d.{base + 4} <- c;
+  d.{base} <- seq;
+  (match op with
+  | Pmem.Op.Store { addr; size; nt } ->
+      d.{base + 1} <- 0;
+      d.{base + 2} <- addr;
+      d.{base + 3} <- size;
+      d.{base + 4} <- (if nt then 1 else 0)
+  | Pmem.Op.Flush { kind; line; dirty; volatile } ->
+      d.{base + 1} <- 1;
+      d.{base + 2} <- flush_kind_code kind;
+      d.{base + 3} <- line;
+      d.{base + 4} <- (if dirty then 1 else 0) lor if volatile then 2 else 0
+  | Pmem.Op.Fence { kind; pending_flushes; pending_nt } ->
+      d.{base + 1} <- 2;
+      d.{base + 2} <- fence_kind_code kind;
+      d.{base + 3} <- pending_flushes;
+      d.{base + 4} <- pending_nt
+  | Pmem.Op.Load { addr; size } ->
+      d.{base + 1} <- 3;
+      d.{base + 2} <- addr;
+      d.{base + 3} <- size;
+      d.{base + 4} <- 0);
   d.{base + 5} <- stack;
   d.{base + 6} <- op_index;
   t.len <- t.len + 1
+
+let add t (e : Event.t) =
+  match e.Event.stack with
+  | None -> put t ~seq:e.Event.seq e.Event.op ~stack:0 ~op_index:0
+  | Some cap ->
+      put t ~seq:e.Event.seq e.Event.op
+        ~stack:(intern t cap.Callstack.path + 1)
+        ~op_index:cap.Callstack.op_index
+
+let add_op t ~seq op ~path ~op_index = put t ~seq op ~stack:(intern t path + 1) ~op_index
 
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Arena.get";
@@ -165,18 +177,20 @@ let fold t init f =
 
 let to_list t = List.rev (fold t [] (fun acc e -> e :: acc))
 
-(* One event's line of the digest text, from its packed fields, into
-   [buf]. *)
-let render buf tag a b c =
-  Buffer.clear buf;
-  (match tag with
-  | 0 -> Pmem.Op.add_store buf ~addr:a ~size:b ~nt:(c = 1)
-  | 1 ->
-      Pmem.Op.add_flush buf (flush_kind_of_code a) ~line:b ~dirty:(c land 1 = 1)
-        ~volatile:(c land 2 = 2)
-  | 2 -> Pmem.Op.add_fence buf (fence_kind_of_code a) ~pending_flushes:b ~pending_nt:c
-  | _ -> Pmem.Op.add_load buf ~addr:a ~size:b);
-  Buffer.add_char buf '\n'
+(* One event's line of the digest text, from its packed fields, written
+   into [text] at [pos]; returns the position past its ['\n']. *)
+let write_line text pos tag a b c =
+  let pos =
+    match tag with
+    | 0 -> Pmem.Op.write_store text pos ~addr:a ~size:b ~nt:(c = 1)
+    | 1 ->
+        Pmem.Op.write_flush text pos (flush_kind_of_code a) ~line:b ~dirty:(c land 1 = 1)
+          ~volatile:(c land 2 = 2)
+    | 2 -> Pmem.Op.write_fence text pos (fence_kind_of_code a) ~pending_flushes:b ~pending_nt:c
+    | _ -> Pmem.Op.write_load text pos ~addr:a ~size:b
+  in
+  Bytes.set text pos '\n';
+  pos + 1
 
 (* A line's length without rendering it: the line of its shape (tag,
    kind and flags) with every integer field 0, rendered once here, plus
@@ -184,11 +198,8 @@ let render buf tag a b c =
    by [nt] (0-1), flush by kind and flags (2-13), fence by kind (14-16),
    load (17). *)
 let shape_lengths =
-  let buf = Buffer.create 64 in
-  let len tag a c =
-    render buf tag a 0 c;
-    Buffer.length buf
-  in
+  let scratch = Bytes.create (Pmem.Op.max_length + 1) in
+  let len tag a c = write_line scratch 0 tag a 0 c in
   Array.init 18 (fun k ->
       if k < 2 then len 0 0 k
       else if k < 14 then len 1 ((k - 2) / 4) ((k - 2) mod 4)
@@ -203,8 +214,8 @@ let line_length tag a b c =
   | 2 -> shape_lengths.(14 + a) + more b + more c
   | _ -> shape_lengths.(17) + more a + more b
 
-(* The text is sized first, then rendered line by line into one small
-   buffer and blitted into the one [bytes] that is hashed. *)
+(* The text is sized first, then each line is written straight into the
+   one [bytes] that is hashed. *)
 let digest t =
   let d = t.data in
   let size = ref 0 in
@@ -212,16 +223,30 @@ let digest t =
     let base = i * slots in
     size := !size + line_length d.{base + 1} d.{base + 2} d.{base + 3} d.{base + 4}
   done;
-  let text = Bytes.create !size and buf = Buffer.create 64 in
+  let text = Bytes.create !size in
   let pos = ref 0 in
   for i = 0 to t.len - 1 do
     let base = i * slots in
-    render buf d.{base + 1} d.{base + 2} d.{base + 3} d.{base + 4};
-    Buffer.blit buf 0 text !pos (Buffer.length buf);
-    pos := !pos + Buffer.length buf
+    pos := write_line text !pos d.{base + 1} d.{base + 2} d.{base + 3} d.{base + 4}
   done;
   assert (!pos = !size);
   Digest.to_hex (Digest.bytes text)
+
+(* Single fields of the [i]-th packed slot, read without decoding the
+   event. *)
+type kind = Store | Flush | Fence | Load
+
+let slot t i =
+  if i < 0 || i >= t.len then invalid_arg "Arena: event index out of bounds";
+  i * slots
+
+let seq t i = t.data.{slot t i}
+
+let kind t i =
+  match t.data.{slot t i + 1} with 0 -> Store | 1 -> Flush | 2 -> Fence | _ -> Load
+
+let addr t i = t.data.{slot t i + 2}
+let size t i = t.data.{slot t i + 3}
 
 let clear t = t.len <- 0
 let path_count t = t.npaths
@@ -232,27 +257,56 @@ module Slab = struct
   type slab = {
     mutable buf : Bytes.t;
     mutable used : int;
-    index : (int, int * int) Hashtbl.t; (* key -> (offset, length) *)
+    mutable offsets : int array;
+        (* event position -> offset of its payload in [buf]; -1 for none *)
   }
 
   let create ?(capacity = 4096) () =
-    { buf = Bytes.create (max 64 capacity); used = 0; index = Hashtbl.create 64 }
+    { buf = Bytes.create (max 64 capacity); used = 0; offsets = [||] }
 
-  let set t ~key b =
-    let n = Bytes.length b in
+  let offset t pos = if pos >= 0 && pos < Array.length t.offsets then t.offsets.(pos) else -1
+
+  (* Room for [n] more bytes, bound to position [pos]: the offset they
+     start at. *)
+  let claim t ~pos n =
     if t.used + n > Bytes.length t.buf then begin
       let bigger = Bytes.create (max (2 * Bytes.length t.buf) (t.used + n)) in
       Bytes.blit t.buf 0 bigger 0 t.used;
       t.buf <- bigger
     end;
-    Bytes.blit b 0 t.buf t.used n;
-    Hashtbl.replace t.index key (t.used, n);
-    t.used <- t.used + n
+    let cap = Array.length t.offsets in
+    if pos >= cap then begin
+      let bigger = Array.make (max 64 (max (2 * cap) (pos + 1))) (-1) in
+      Array.blit t.offsets 0 bigger 0 cap;
+      t.offsets <- bigger
+    end;
+    let off = t.used in
+    t.offsets.(pos) <- off;
+    t.used <- off + n;
+    off
 
-  let find t key =
-    Option.map (fun (off, len) -> Bytes.sub t.buf off len) (Hashtbl.find_opt t.index key)
+  (* [claim] may replace the buffer: it runs before the buffer is read. *)
+  let snoop t ~pos device ~addr ~size =
+    let off = claim t ~pos size in
+    Pmem.Device.peek_into device ~addr ~size t.buf ~off
 
-  let iter t f = Hashtbl.iter (fun key (off, len) -> f key (Bytes.sub t.buf off len)) t.index
-  let length t = Hashtbl.length t.index
+  let copy t ~pos ~size ~into ~at =
+    let off = offset t pos in
+    if off >= 0 then begin
+      let dst = claim into ~pos:at size in
+      Bytes.blit t.buf off into.buf dst size
+    end
+
+  let mem t pos = offset t pos >= 0
+
+  let read t ~pos ~size =
+    let off = offset t pos in
+    if off < 0 then Bytes.make size '\000' else Bytes.sub t.buf off size
+
+  let blit_to_image t ~pos ~size img ~addr =
+    let off = offset t pos in
+    if off < 0 then Pmem.Image.write img ~addr (Bytes.make size '\000')
+    else Pmem.Image.blit_to img ~dst_addr:addr ~src:t.buf ~src_off:off ~len:size
+
   let bytes_used t = t.used
 end

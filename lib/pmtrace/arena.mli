@@ -6,10 +6,13 @@
     retained for the lifetime of the trace. The arena packs each event into
     seven integers and interns call paths, so equal paths are stored once
     and every event references them by index; events are decoded back into
-    ordinary {!Event.t} values on access (short-lived, minor-heap cheap).
-    Replay recordings keep store payloads in a {!Slab}: one growing byte
-    buffer plus a seq-indexed offset table, instead of one heap [bytes] per
-    store. *)
+    ordinary {!Event.t} values on access (short-lived, minor-heap cheap),
+    and single fields of a slot ({!kind}, {!seq}, {!addr}, {!size}) are read
+    without decoding. The recorder ({!Replay.record}) is the only writer of
+    a recording's arena: it appends each event's fields straight from the
+    device's op and the live call stack ({!add_op}). Replay recordings keep
+    store payloads in a {!Slab}: one growing byte buffer plus one offset
+    per event position, instead of one heap [bytes] per store. *)
 
 type t
 
@@ -25,6 +28,11 @@ val add : t -> Event.t -> unit
     interned: structurally equal paths share one stored copy. A path
     physically equal to the previous event's (consecutive events of one
     frame activation) reuses its id without hashing the list. *)
+
+val add_op : t -> seq:int -> Pmem.Op.t -> path:string list -> op_index:int -> unit
+(** [add_op t ~seq op ~path ~op_index] is [add] of the event
+    [{seq; op; stack = Some {path; op_index}}], building neither the event
+    nor its capture. *)
 
 val get : t -> int -> Event.t
 (** [get t i] decodes the [i]-th event (0-based, insertion order). Decoded
@@ -45,6 +53,23 @@ val digest : t -> string
     ['\n'], in insertion order — written straight from the packed slots,
     decoding no event, into one [bytes] of the text's exact length. *)
 
+(** The kind of op an event packs. *)
+type kind = Store | Flush | Fence | Load
+
+val kind : t -> int -> kind
+(** [kind t i] is the [i]-th event's op kind, read from its packed slot.
+    This and the three readers below decode nothing and allocate nothing.
+    @raise Invalid_argument when [i] is out of bounds (as do the others). *)
+
+val seq : t -> int -> int
+(** The [i]-th event's seq. *)
+
+val addr : t -> int -> int
+(** The [i]-th event's address, when it is a store or a load. *)
+
+val size : t -> int -> int
+(** The [i]-th event's size, when it is a store or a load. *)
+
 val clear : t -> unit
 (** Drop all events (interned paths are kept: ids remain stable across
     [clear], and a stale entry costs only its one stored copy). *)
@@ -61,23 +86,35 @@ val words : t -> int
     storage — the arena analogue of the old 13-words-per-event estimate. *)
 
 (** Payload slab: store payload bytes appended to one growing buffer,
-    indexed by event seq. *)
+    indexed by event position (0-based, the arena's order). A payload's
+    length is its store's size, which the caller passes back in. *)
 module Slab : sig
   type slab
 
   val create : ?capacity:int -> unit -> slab
-  val set : slab -> key:int -> bytes -> unit
-  (** Bind [key] to a copy of the payload. Rebinding a key abandons the old
-      bytes in the buffer (the recorder binds each store seq once). *)
 
-  val find : slab -> int -> bytes option
-  (** A fresh copy of the payload bound to [key], if any. *)
+  val snoop : slab -> pos:int -> Pmem.Device.t -> addr:int -> size:int -> unit
+  (** Bind position [pos] to the [size] bytes the device's program view
+      holds at [addr] ({!Pmem.Device.peek_into}), read straight into the
+      buffer. Rebinding a position abandons its old bytes in the buffer
+      (the recorder binds each store once). *)
 
-  val iter : slab -> (int -> bytes -> unit) -> unit
-  (** Visit every binding (unspecified order); payloads are fresh copies. *)
+  val copy : slab -> pos:int -> size:int -> into:slab -> at:int -> unit
+  (** [copy t ~pos ~size ~into ~at] binds position [at] of [into] to the
+      [size] bytes bound to [pos] in [t], blitted buffer to buffer; nothing
+      when [pos] is unbound. *)
 
-  val length : slab -> int
-  (** Number of bindings. *)
+  val mem : slab -> int -> bool
+  (** Is the position bound? Any position out of range, negative ones
+      included, is not. *)
+
+  val read : slab -> pos:int -> size:int -> bytes
+  (** A fresh copy of the payload bound to [pos]; [size] zero bytes when it
+      is unbound. *)
+
+  val blit_to_image : slab -> pos:int -> size:int -> Pmem.Image.t -> addr:int -> unit
+  (** Write the payload bound to [pos] into the image at [addr], straight
+      from the buffer; [size] zero bytes when it is unbound. *)
 
   val bytes_used : slab -> int
   (** Bytes appended to the buffer (including abandoned rebinding slack). *)

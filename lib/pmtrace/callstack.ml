@@ -74,14 +74,14 @@ let rec path_of = function
       (match f.path with [] -> f.path <- path_of enclosing @ [ f.label ] | _ -> ());
       f.path
 
-let capture t =
-  let path = path_of t.frames in
-  let op_index =
-    match t.frames with
-    | [] -> 0
-    | f :: _ -> if t.at_load then f.op_index else f.persist_index
-  in
-  { path; op_index }
+let path t = path_of t.frames
+
+let op_index t =
+  match t.frames with
+  | [] -> 0
+  | f :: _ -> if t.at_load then f.op_index else f.persist_index
+
+let capture t = { path = path t; op_index = op_index t }
 
 let capture_to_string { path; op_index } =
   String.concat " > " path ^ Printf.sprintf " @%d" op_index

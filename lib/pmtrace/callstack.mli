@@ -45,6 +45,12 @@ val capture : t -> capture
     built once per activation, on its first capture, and shared by every
     later capture in it. *)
 
+val path : t -> string list
+(** {!capture}'s path, without building the capture. *)
+
+val op_index : t -> int
+(** {!capture}'s [op_index], without building the capture. *)
+
 val capture_to_string : capture -> string
 val capture_equal : capture -> capture -> bool
 val capture_compare : capture -> capture -> int

@@ -8,19 +8,21 @@
     ({!Pmem.Device.poison}) is deliberately invisible to instrumentation.
     {!record} therefore captures two side-channels alongside the trace:
 
-    - {e payloads}: the recorder snoops every store's bytes with
-      {!Pmem.Device.peek} at the next instrumentation hook — the hook runs
-      before its own instruction takes effect, so by then the previous
-      store (and nothing later) has been applied;
+    - {e payloads}: the recorder copies every store's bytes from the device
+      straight into its payload slab ({!Arena.Slab.snoop}) at the next
+      instrumentation hook — the hook runs before its own instruction takes
+      effect, so by then the previous store (and nothing later) has been
+      applied;
     - {e poison}: the device logs each poison call with the number of
       events emitted before it, letting the recorder weave poison back
       between the right events.
 
-    Storage is compact: the events stay in the tracer's packed {!Arena}
-    (the recording takes ownership of it, zero-copy) and payloads live in
-    an {!Arena.Slab} — one growing byte buffer — instead of one heap
-    [bytes] per store. A recording is immutable once built, so concurrent
-    replays from several domains may share it.
+    The recorder is the arena's only writer: its one device hook ticks the
+    call stack and appends the event's packed fields to the {!Arena}, and
+    the pending store is three integers. Payloads live in an {!Arena.Slab}
+    (one growing byte buffer, indexed by event position) instead of one
+    heap [bytes] per store. A recording is immutable once built, so
+    concurrent replays from several domains may share it.
 
     One known approximation: a poison overlapping a store that is still
     pending payload resolution snoops the poisoned bytes. For cached
@@ -34,7 +36,7 @@ type t = {
   trace : Arena.t;  (** recorded events, packed, execution order *)
   poison : (int * int * int) list;
       (** (events emitted before the poison, addr, size), oldest first *)
-  payloads : Arena.Slab.slab;  (** store event seq -> bytes written *)
+  payloads : Arena.Slab.slab;  (** store event position -> bytes written *)
   pool_size : int;
   eadr : bool;
   loads : bool;  (** the recording traced PM loads *)
@@ -50,6 +52,13 @@ let event t i = Arena.get t.trace i
 let digest t = Arena.digest t.trace
 let stats t = t.stats
 let pool_size t = t.pool_size
+let poison_log t = t.poison
+
+let payload t i =
+  match Arena.kind t.trace i with
+  | Arena.Store when Arena.Slab.mem t.payloads i ->
+      Some (Arena.Slab.read t.payloads ~pos:i ~size:(Arena.size t.trace i))
+  | _ -> None
 
 (* Stream the recording in execution order with the poison entries woven
    back between events: a poison logged after [c] events precedes the
@@ -91,28 +100,39 @@ let record ?(loads = false) ?(eadr = false) ~pool_size run =
   Telemetry.Collector.span ~cat:"replay" "record" @@ fun () ->
   let device = Pmem.Device.create ~eadr ~size:pool_size () in
   Pmem.Device.trace_loads device loads;
-  let tracer = Tracer.create ~collect:true ~with_stacks:true device in
-  let payloads = Arena.Slab.create () in
-  let unresolved = ref None in
+  let stack = Callstack.create () in
+  let trace = Arena.create () and payloads = Arena.Slab.create () in
+  (* the store whose bytes are not in the slab yet: its position (-1 for
+     none), address and size *)
+  let pending = ref (-1) and pending_addr = ref 0 and pending_size = ref 0 in
   let resolve () =
-    match !unresolved with
-    | None -> ()
-    | Some (seq, addr, size) ->
-        Arena.Slab.set payloads ~key:seq (Pmem.Device.peek device ~addr ~size);
-        unresolved := None
+    if !pending >= 0 then begin
+      Arena.Slab.snoop payloads ~pos:!pending device ~addr:!pending_addr ~size:!pending_size;
+      pending := -1
+    end
   in
-  Tracer.add_listener tracer (fun e _stack ->
-      (* the hook runs before [e] takes effect: the previous store has been
-         applied, the current one has not *)
-      resolve ();
-      match e.Event.op with
-      | Pmem.Op.Store { addr; size; _ } -> unresolved := Some (e.Event.seq, addr, size)
-      | _ -> ());
-  run ~device ~framer:(Framer.of_callstack (Tracer.stack tracer));
+  Pmem.Device.set_hook device
+    (Some
+       (fun op ->
+         (* the hook runs before [op] takes effect: the previous store has
+            been applied, the current one has not *)
+         resolve ();
+         Callstack.tick stack ~load:(match op with Pmem.Op.Load _ -> true | _ -> false);
+         let pos = Arena.length trace in
+         Arena.add_op trace ~seq:(pos + 1) op ~path:(Callstack.path stack)
+           ~op_index:(Callstack.op_index stack);
+         match op with
+         | Pmem.Op.Store { addr; size; _ } ->
+             pending := pos;
+             pending_addr := addr;
+             pending_size := size
+         | _ -> ()));
+  run ~device ~framer:(Framer.of_callstack stack);
   resolve ();
-  Tracer.detach tracer;
+  Pmem.Device.set_hook device None;
+  Telemetry.Collector.count "trace.events" (Arena.length trace);
   {
-    trace = Trace.arena (Tracer.trace tracer);
+    trace;
     poison = Pmem.Device.poison_log device;
     payloads;
     pool_size;
@@ -127,14 +147,11 @@ let record ?(loads = false) ?(eadr = false) ~pool_size run =
 
 exception Stop
 
-let apply t device (e : Event.t) =
+let apply t device ~pos (e : Event.t) =
   match e.Event.op with
   | Pmem.Op.Store { addr; size; nt } ->
-      let b =
-        match Arena.Slab.find t.payloads e.Event.seq with
-        | Some b -> b
-        | None -> Bytes.make size '\000' (* no payload recorded: zero fill *)
-      in
+      (* no payload recorded: zero fill *)
+      let b = Arena.Slab.read t.payloads ~pos ~size in
       if nt then Pmem.Device.store_nt device ~addr b
       else Pmem.Device.store device ~addr b
   | Pmem.Op.Flush { kind; line; volatile; _ } ->
@@ -158,7 +175,7 @@ let run ?hook ?on_event ?after_event ?fingerprint t =
   let device = Pmem.Device.create ~eadr:t.eadr ?fingerprint ~size:t.pool_size () in
   Pmem.Device.trace_loads device t.loads;
   (match hook with Some h -> Pmem.Device.set_hook device (Some h) | None -> ());
-  let pseq = ref 0 in
+  let pseq = ref 0 and pos = ref 0 in
   (try
      iter_items t (fun item ->
          match item with
@@ -166,7 +183,8 @@ let run ?hook ?on_event ?after_event ?fingerprint t =
          | Ev e ->
              (match e.Event.op with Pmem.Op.Load _ -> () | _ -> incr pseq);
              (match on_event with Some f -> f device ~pseq:!pseq e | None -> ());
-             apply t device e;
+             apply t device ~pos:!pos e;
+             incr pos;
              (match after_event with Some f -> f e | None -> ()))
    with Stop -> ());
   device
@@ -185,48 +203,68 @@ let replay ?on_event t =
    [Program_prefix] — every store issued before the failure point
    persists — so the image at any point is exactly the recorded store
    payloads (and allocator poison) applied in order, and flushes, fences
-   and loads cannot move bytes the view doesn't already show. That
-   reduces per-event work to a payload blit, and per-point work to a
-   zero-copy {!Pmem.Image.cow} view of the rolling prefix: the oracle's
-   recovery run pays for the pages it touches instead of two full-pool
-   copies. Each view reads through the shared prefix, so it is valid only
-   until [f] returns. *)
+   and loads cannot move bytes the view doesn't already show. The pass
+   reads the packed slots (kind, seq, address, size) and decodes no
+   event; a store's payload is blitted from the slab into the prefix.
+   Per point, a zero-copy {!Pmem.Image.cow} view of the rolling prefix:
+   the oracle's recovery run pays for the pages it touches instead of two
+   full-pool copies. Each view reads through the shared prefix, so it is
+   valid only until [f] returns.
+
+   The points are visited in pseq order, through a sorted array and a
+   cursor. A point is checked at every event, loads included, once the
+   event's pseq is counted: one whose pseq the pass has gone past is never
+   reached. *)
 let materialize t ~points ~f =
   Telemetry.Collector.span ~cat:"replay" ~hist:"replay_ns" "materialize" @@ fun () ->
-  let remaining = Hashtbl.create (max 16 (List.length points)) in
-  List.iter (fun (key, pseq) -> Hashtbl.replace remaining pseq key) points;
-  if Hashtbl.length remaining > 0 then begin
+  let wanted = Array.of_list points in
+  Array.stable_sort (fun (_, p) (_, q) -> Int.compare p q) wanted;
+  let n = Array.length wanted and next = ref 0 and unreached = ref [] in
+  if n > 0 then begin
+    let trace = t.trace in
     let prefix = Pmem.Image.create ~size:t.pool_size in
-    let pseq = ref 0 in
-    try
-      iter_items t (fun item ->
-          match item with
-          | Poison { addr; size } -> Pmem.Image.write prefix ~addr (Bytes.make size '\xdd')
-          | Ev e ->
-              (match e.Event.op with Pmem.Op.Load _ -> () | _ -> incr pseq);
-              (match Hashtbl.find_opt remaining !pseq with
-              | Some key ->
-                  Hashtbl.remove remaining !pseq;
-                  let image =
-                    Telemetry.Collector.span ~cat:"replay" ~hist:"crash_image_ns"
-                      ~args:[ ("key", Telemetry.Json.Int key) ]
-                      "crash_image" (fun () -> Pmem.Image.cow prefix)
-                  in
-                  f ~key image;
-                  if Hashtbl.length remaining = 0 then raise Stop
-              | None -> ());
-              (match e.Event.op with
-              | Pmem.Op.Store { addr; size; _ } ->
-                  let b =
-                    match Arena.Slab.find t.payloads e.Event.seq with
-                    | Some b -> b
-                    | None -> Bytes.make size '\000' (* no payload recorded: zero fill *)
-                  in
-                  Pmem.Image.write prefix ~addr b
-              | Pmem.Op.Flush _ | Pmem.Op.Fence _ | Pmem.Op.Load _ -> ()))
-    with Stop -> ()
+    (* a poison logged after [c] events precedes the event with seq [c + 1] *)
+    let poisons = ref t.poison in
+    let rec poison_before seq =
+      match !poisons with
+      | (c, addr, size) :: rest when c < seq ->
+          poisons := rest;
+          Pmem.Image.write prefix ~addr (Bytes.make size '\xdd');
+          poison_before seq
+      | _ -> ()
+    in
+    let len = Arena.length trace and pseq = ref 0 and i = ref 0 in
+    while !next < n && !i < len do
+      let pos = !i in
+      poison_before (Arena.seq trace pos);
+      let kind = Arena.kind trace pos in
+      (match kind with Arena.Load -> () | Arena.Store | Arena.Flush | Arena.Fence -> incr pseq);
+      while !next < n && snd wanted.(!next) < !pseq do
+        unreached := fst wanted.(!next) :: !unreached;
+        incr next
+      done;
+      while !next < n && snd wanted.(!next) = !pseq do
+        let key = fst wanted.(!next) in
+        incr next;
+        let image =
+          Telemetry.Collector.span ~cat:"replay" ~hist:"crash_image_ns"
+            ~args:[ ("key", Telemetry.Json.Int key) ]
+            "crash_image" (fun () -> Pmem.Image.cow prefix)
+        in
+        f ~key image
+      done;
+      (match kind with
+      | Arena.Store ->
+          Arena.Slab.blit_to_image t.payloads ~pos ~size:(Arena.size trace pos) prefix
+            ~addr:(Arena.addr trace pos)
+      | Arena.Flush | Arena.Fence | Arena.Load -> ());
+      incr i
+    done
   end;
-  Hashtbl.fold (fun _pseq key acc -> key :: acc) remaining []
+  for j = !next to n - 1 do
+    unreached := fst wanted.(j) :: !unreached
+  done;
+  List.rev !unreached
 
 (* Field-wise statistics comparison. [loads] only when the recording traced
    loads: an untraced recording still counts the program's loads (including
@@ -438,11 +476,11 @@ let repack t edited =
       | Poison { addr; size } -> poison := (!n, addr, size) :: !poison
       | Ev e ->
           incr n;
+          (* a recorded event's position is its seq - 1 *)
           (match e.Event.op with
-          | Pmem.Op.Store _ -> (
-              match Arena.Slab.find t.payloads e.Event.seq with
-              | Some b -> Arena.Slab.set payloads ~key:!n b
-              | None -> ())
+          | Pmem.Op.Store { size; _ } ->
+              Arena.Slab.copy t.payloads ~pos:(e.Event.seq - 1) ~size ~into:payloads
+                ~at:(!n - 1)
           | _ -> ());
           Arena.add trace { e with Event.seq = !n })
     edited;

@@ -5,11 +5,14 @@
     Events alone are not self-contained — they carry no store payloads, and
     allocator poison is invisible to instrumentation — so a {!t} couples the
     event stream with two recorder-captured side-channels: per-store
-    payloads (snooped with {!Pmem.Device.peek} at the next hook, when the
-    store has just applied) and the poison log woven back between events.
+    payloads (read from the device straight into a byte slab at the next
+    hook, when the store has just applied) and the poison log woven back
+    between events.
 
-    Storage is compact ({!Arena}): the recording takes ownership of the
-    tracer's packed event arena and keeps payloads in a byte slab. A
+    Storage is compact ({!Arena}): {!record} is the arena's only writer —
+    its one device hook appends each event's packed fields — and payloads
+    are kept by event position in a byte slab. {!materialize} walks the
+    packed slots and blits payloads from the slab, decoding no event. A
     recording is immutable once built, so several domains may replay or
     materialize from the same recording concurrently. *)
 
@@ -52,6 +55,16 @@ val digest : t -> string
 val stats : t -> Pmem.Stats.t
 (** Device counters at the end of the recorded run. *)
 
+val payload : t -> int -> bytes option
+(** [payload t i] is a copy of the bytes the [i]-th event stored, when it
+    is a store with a recorded payload ({!of_events} records none).
+    @raise Invalid_argument when [i] is out of range. *)
+
+val poison_log : t -> (int * int * int) list
+(** The allocator poison the recording replays, as
+    [(events emitted before it, addr, size)], oldest first
+    ({!Pmem.Device.poison_log}). *)
+
 val load_free : t -> t
 (** The load-free view of a recording: its loads dropped, seqs renumbered
     from 1, payload keys and poison positions remapped along. On a
@@ -88,7 +101,8 @@ val materialize :
     event at that index applies, exactly where live injection crashes — and
     is not retained here, so callers can stream oracle checks in constant
     image memory. Stops as soon as the last wanted image is out. Returns
-    the keys of points never reached (empty for any in-range pseq set). *)
+    the keys of points never reached (empty for any in-range pseq set), in
+    pseq order. *)
 
 val stats_match : t -> Pmem.Stats.t -> bool
 (** Do the replayed device counters equal the recorded run's?  [loads] is

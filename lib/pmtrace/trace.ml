@@ -16,7 +16,6 @@ let iter t f = Arena.iter t f
 let fold t init f = Arena.fold t init f
 
 let to_list t = Arena.to_list t
-let arena t = t
 
 (* ------------------------------------------------------------------ *)
 (* Serialization: the analogue of the trace file the original Mumak    *)

@@ -21,9 +21,6 @@ val fold : t -> 'a -> ('a -> Event.t -> 'a) -> 'a
 val to_list : t -> Event.t list
 (** Events in execution order. *)
 
-val arena : t -> Arena.t
-(** The packed backing store (a zero-copy view, shared with the trace). *)
-
 val serialize : t -> string
 (** [serialize t] renders the trace, one event per line, in execution
     order — the analogue of the trace file the original Mumak writes

@@ -1,47 +1,29 @@
-(** Glue between a {!Pmem.Device} and trace collection: the Pin-tool
-    analogue. A tracer owns the call stack the application pushes frames
-    onto, assigns instruction counters, and appends events to a trace
-    (arena-backed — see {!Trace} and {!Arena} — so a retained recording
-    costs packed integer records, not one heap object per event).
-
-    Extra listeners can be attached (the fault injector attaches one to
-    watch for failure points without paying for trace storage). *)
+(** Glue between a {!Pmem.Device} and the listeners that watch an
+    instrumented run: the Pin-tool analogue. A tracer owns the call stack
+    the application pushes frames onto, assigns instruction counters, and
+    hands every event to its listeners (the fault injector attaches one to
+    watch for failure points). A recording's trace is written by
+    {!Replay.record}, not by a tracer. *)
 
 type t = {
   device : Pmem.Device.t;
   stack : Callstack.t;
-  trace : Trace.t;
   mutable seq : int;
-  mutable collect : bool;  (** append events to the trace buffer *)
-  mutable with_stacks : bool;  (** capture a backtrace on every event *)
   mutable listeners : (Event.t -> Callstack.t -> unit) list;
 }
 
-let create ?(collect = true) ?(with_stacks = false) device =
-  let t =
-    {
-      device;
-      stack = Callstack.create ();
-      trace = Trace.create ();
-      seq = 0;
-      collect;
-      with_stacks;
-      listeners = [];
-    }
-  in
+let create device =
+  let t = { device; stack = Callstack.create (); seq = 0; listeners = [] } in
   Pmem.Device.set_hook device
     (Some
        (fun op ->
          t.seq <- t.seq + 1;
          Callstack.tick t.stack ~load:(match op with Pmem.Op.Load _ -> true | _ -> false);
-         let stack = if t.with_stacks then Some (Callstack.capture t.stack) else None in
-         let event = { Event.seq = t.seq; op; stack } in
-         List.iter (fun l -> l event t.stack) t.listeners;
-         if t.collect then Trace.add t.trace event));
+         let event = { Event.seq = t.seq; op; stack = None } in
+         List.iter (fun l -> l event t.stack) t.listeners));
   t
 
 let device t = t.device
-let trace t = t.trace
 let stack t = t.stack
 let seq t = t.seq
 
@@ -67,9 +49,7 @@ let resolve_stacks t ~wanted ~run =
   let want = Hashtbl.create (List.length wanted) in
   List.iter (fun s -> Hashtbl.replace want s ()) wanted;
   let resolved = Hashtbl.create (List.length wanted) in
-  let saved_collect = t.collect and saved_stacks = t.with_stacks and saved_seq = t.seq in
-  t.collect <- false;
-  t.with_stacks <- false;
+  let saved_seq = t.seq in
   t.seq <- 0;
   let listener event stack =
     if Hashtbl.mem want event.Event.seq then
@@ -81,8 +61,6 @@ let resolve_stacks t ~wanted ~run =
       (* the re-run's events count as seen, as [detach] counts the rest *)
       Telemetry.Collector.count "trace.events" t.seq;
       t.listeners <- List.filter (fun l -> l != listener) t.listeners;
-      t.collect <- saved_collect;
-      t.with_stacks <- saved_stacks;
       t.seq <- saved_seq)
     run;
   resolved

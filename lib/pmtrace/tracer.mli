@@ -1,19 +1,18 @@
-(** Glue between a {!Pmem.Device} and trace collection: the Pin-tool
-    analogue. A tracer owns the call stack the application pushes frames
-    onto, assigns instruction counters, and appends events to a trace.
-    Extra listeners can be attached (the fault injector attaches one to
-    watch for failure points without paying for trace storage). *)
+(** Glue between a {!Pmem.Device} and the listeners that watch an
+    instrumented run: the Pin-tool analogue. A tracer owns the call stack
+    the application pushes frames onto, assigns instruction counters, and
+    hands every event, stackless, to its listeners together with the live
+    call stack; a listener that wants a stack captures it
+    ({!Callstack.capture}). The fault injector, stack resolution and the
+    baselines attach listeners. A tracer keeps no trace: recordings are
+    written by {!Replay.record}. *)
 
 type t
 
-val create : ?collect:bool -> ?with_stacks:bool -> Pmem.Device.t -> t
-(** Install the instrumentation hook on the device. [collect] (default
-    true) appends events to the trace buffer; [with_stacks] (default
-    false) captures a backtrace on every event — expensive, which is why
-    the engine resolves stacks lazily instead (paper section 5). *)
+val create : Pmem.Device.t -> t
+(** Install the instrumentation hook on the device. *)
 
 val device : t -> Pmem.Device.t
-val trace : t -> Trace.t
 val stack : t -> Callstack.t
 val seq : t -> int
 

@@ -118,12 +118,9 @@ let transfer_tests =
 (* --- (2) automaton merge laws --- *)
 
 let record (target : Mumak.Target.t) =
-  let device = Pmem.Device.create ~size:target.Mumak.Target.pool_size () in
-  let tracer = Pmtrace.Tracer.create ~collect:true ~with_stacks:true device in
-  target.Mumak.Target.run ~device
-    ~framer:(Pmtrace.Framer.of_callstack (Pmtrace.Tracer.stack tracer));
-  Pmtrace.Tracer.detach tracer;
-  Pmtrace.Trace.to_list (Pmtrace.Tracer.trace tracer)
+  Pmtrace.Replay.events
+    (Pmtrace.Replay.record ~pool_size:target.Mumak.Target.pool_size (fun ~device ~framer ->
+         target.Mumak.Target.run ~device ~framer))
 
 let app name =
   match Pmapps.Registry.find name with

@@ -21,13 +21,13 @@ let target_for ?version ?tx_mode name =
 (* One fully instrumented recording, as the engine's recorder makes it:
    stacks on every event, optional load tracing. *)
 let record ?(loads = false) (target : Mumak.Target.t) =
-  let device = Pmem.Device.create ~size:target.Mumak.Target.pool_size () in
-  if loads then Pmem.Device.trace_loads device true;
-  let tracer = Pmtrace.Tracer.create ~collect:true ~with_stacks:true device in
-  target.Mumak.Target.run ~device
-    ~framer:(Pmtrace.Framer.of_callstack (Pmtrace.Tracer.stack tracer));
-  Pmtrace.Tracer.detach tracer;
-  Pmtrace.Tracer.trace tracer
+  let recording =
+    Pmtrace.Replay.record ~loads ~pool_size:target.Mumak.Target.pool_size
+      (fun ~device ~framer -> target.Mumak.Target.run ~device ~framer)
+  in
+  let trace = Pmtrace.Trace.create () in
+  Pmtrace.Replay.iter recording (Pmtrace.Trace.add trace);
+  trace
 
 (* --- dependency-graph structural properties --- *)
 

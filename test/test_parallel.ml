@@ -198,7 +198,7 @@ let test_more_jobs_than_leaves () =
 let observe_stacks (target : Mumak.Target.t) =
   let observed = Hashtbl.create 256 in
   let device = Pmem.Device.create ~size:target.Mumak.Target.pool_size () in
-  let tracer = Pmtrace.Tracer.create ~collect:false device in
+  let tracer = Pmtrace.Tracer.create device in
   Pmtrace.Tracer.add_listener tracer (fun event stack ->
       Hashtbl.replace observed event.Pmtrace.Event.seq (Pmtrace.Callstack.capture stack));
   target.Mumak.Target.run ~device

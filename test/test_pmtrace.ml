@@ -3,31 +3,28 @@
 
 open Pmtrace
 
-let run_scenario tracer =
-  let d = Tracer.device tracer in
-  Tracer.with_frame tracer "main" (fun () ->
-      Tracer.with_frame tracer "insert" (fun () ->
+let scenario ~device:d ~(framer : Framer.t) =
+  framer.Framer.frame "main" (fun () ->
+      framer.Framer.frame "insert" (fun () ->
           Pmem.Device.store_i64 d ~addr:0 1L;
           Pmem.Device.clwb d ~addr:0;
           Pmem.Device.sfence d);
-      Tracer.with_frame tracer "insert" (fun () ->
+      framer.Framer.frame "insert" (fun () ->
           Pmem.Device.store_i64 d ~addr:64 2L;
           Pmem.Device.clwb d ~addr:64;
           Pmem.Device.sfence d))
 
+let run_scenario tracer =
+  scenario ~device:(Tracer.device tracer) ~framer:(Framer.of_callstack (Tracer.stack tracer))
+
 let test_trace_collection () =
-  let d = Pmem.Device.create ~size:4096 () in
-  let tracer = Tracer.create d in
-  run_scenario tracer;
-  Alcotest.(check int) "6 events" 6 (Trace.length (Tracer.trace tracer));
-  let seqs = List.map (fun e -> e.Event.seq) (Trace.to_list (Tracer.trace tracer)) in
+  let recording = Replay.record ~pool_size:4096 scenario in
+  Alcotest.(check int) "6 events" 6 (Replay.length recording);
+  let seqs = List.map (fun e -> e.Event.seq) (Replay.events recording) in
   Alcotest.(check (list int)) "monotonic seq" [ 1; 2; 3; 4; 5; 6 ] seqs
 
 let test_stack_capture () =
-  let d = Pmem.Device.create ~size:4096 () in
-  let tracer = Tracer.create ~with_stacks:true d in
-  run_scenario tracer;
-  let events = Trace.to_list (Tracer.trace tracer) in
+  let events = Replay.events (Replay.record ~pool_size:4096 scenario) in
   let stack_of n =
     match (List.nth events n).Event.stack with
     | Some c -> c
@@ -44,16 +41,16 @@ let test_stack_capture () =
   (* with loads traced, every store, flush and fence keeps the index it has
      without them, and each load is numbered among all the activation's
      instructions *)
-  let loaded = Pmem.Device.create ~size:4096 () in
-  Pmem.Device.trace_loads loaded true;
-  let tracer = Tracer.create ~with_stacks:true loaded in
-  Tracer.with_frame tracer "main" (fun () ->
-      Tracer.with_frame tracer "insert" (fun () ->
-          ignore (Pmem.Device.load_i64 loaded ~addr:0);
-          Pmem.Device.store_i64 loaded ~addr:0 1L;
-          ignore (Pmem.Device.load_i64 loaded ~addr:64);
-          Pmem.Device.clwb loaded ~addr:0;
-          Pmem.Device.sfence loaded));
+  let loaded =
+    Replay.record ~loads:true ~pool_size:4096 (fun ~device:loaded ~(framer : Framer.t) ->
+        framer.Framer.frame "main" (fun () ->
+            framer.Framer.frame "insert" (fun () ->
+                ignore (Pmem.Device.load_i64 loaded ~addr:0);
+                Pmem.Device.store_i64 loaded ~addr:0 1L;
+                ignore (Pmem.Device.load_i64 loaded ~addr:64);
+                Pmem.Device.clwb loaded ~addr:0;
+                Pmem.Device.sfence loaded)))
+  in
   let indices =
     List.map
       (fun (e : Event.t) ->
@@ -61,7 +58,7 @@ let test_stack_capture () =
         match e.Event.stack with
         | Some c -> Printf.sprintf "%s@%d" kind c.Callstack.op_index
         | None -> Alcotest.fail "missing stack")
-      (Trace.to_list (Tracer.trace tracer))
+      (Replay.events loaded)
   in
   Alcotest.(check (list string)) "load-traced indices"
     [ "load@1"; "other@1"; "load@3"; "other@2"; "other@3" ]
@@ -74,12 +71,11 @@ let test_frames_pop_on_exception () =
 
 let test_listener_and_collect_flag () =
   let d = Pmem.Device.create ~size:4096 () in
-  let tracer = Tracer.create ~collect:false d in
+  let tracer = Tracer.create d in
   let n = ref 0 in
   Tracer.add_listener tracer (fun _ _ -> incr n);
   run_scenario tracer;
-  Alcotest.(check int) "listener saw all" 6 !n;
-  Alcotest.(check int) "no collection" 0 (Trace.length (Tracer.trace tracer))
+  Alcotest.(check int) "listener saw all" 6 !n
 
 let test_resolve_stacks () =
   let d = Pmem.Device.create ~size:4096 () in

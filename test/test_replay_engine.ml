@@ -27,7 +27,13 @@
    shared), serialization of arena-backed traces equal to the list-backed
    round-trip, rewrite on arena-backed recordings agreeing with the
    list-based rewriter, and the store-only prefix materializer producing
-   byte-identical images to a full device replay.
+   byte-identical images to a full device replay. On random device
+   programs, the recorder holds the events, stacks, payloads, poison and
+   statistics of a listener-and-peek reference recorder, and the
+   materializer, given points in any order and some past the end, hands
+   out each point's program-order prefix image and returns exactly the
+   unreached keys. Two exact allocation tests pin the per-store cost of
+   recording and materializing.
 
    Layer 4 — the load-free view: on the 15 clean targets and the 33 seeded
    bugs, the load-free view of a load-traced recording equals a load-free
@@ -227,8 +233,6 @@ let test_static_seeded () =
 
 (* --- layer 3: arena properties --- *)
 
-let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
-
 (* A small pool of well-formed call paths: repetition exercises interning,
    and the labels avoid the serialization metacharacters. *)
 let path_pool =
@@ -408,6 +412,244 @@ let arena_tests =
              (List.init np (fun i -> i + 1)));
   ]
 
+(* --- the recorder against a reference, on random device programs --- *)
+
+(* Device programs with stores of 1 B to 3 KB at any alignment (so they
+   straddle lines), NT stores, allocator poison, the three flushes (a few
+   of volatile addresses), both fences, RMWs and loads, nested in frames
+   so events carry distinct stacks. *)
+let prog_pool = 16384
+
+type step =
+  | Store of { addr : int; len : int; nt : bool; fill : int }
+  | Poison of { addr : int; size : int }
+  | Flush of { kind : Pmem.Op.flush_kind; addr : int }
+  | Fence of Pmem.Op.fence_kind
+  | Rmw of { addr : int; cas : bool }
+  | Load of { addr : int; size : int }
+  | Frame of string * step list
+
+let step_gen =
+  QCheck.Gen.(
+    let flat =
+      frequency
+        [
+          ( 6,
+            let* len = frequency [ (3, 1 -- 16); (2, 17 -- 256); (1, 257 -- 3072) ] in
+            let* addr = 0 -- (prog_pool - len) in
+            let* nt = frequency [ (3, return false); (1, return true) ] in
+            let* fill = 0 -- 255 in
+            return (Store { addr; len; nt; fill }) );
+          ( 1,
+            let* size = 1 -- 200 in
+            let* addr = 0 -- (prog_pool - size) in
+            return (Poison { addr; size }) );
+          ( 4,
+            let* kind = oneofl [ Pmem.Op.Clflush; Pmem.Op.Clflushopt; Pmem.Op.Clwb ] in
+            let* addr = frequency [ (9, 0 -- (prog_pool - 1)); (1, prog_pool -- (prog_pool + 4096)) ] in
+            return (Flush { kind; addr }) );
+          (2, map (fun k -> Fence k) (oneofl [ Pmem.Op.Sfence; Pmem.Op.Mfence ]));
+          ( 1,
+            let* addr = 0 -- (prog_pool - 8) in
+            let* cas = bool in
+            return (Rmw { addr; cas }) );
+          ( 2,
+            let* size = 1 -- 64 in
+            let* addr = 0 -- (prog_pool - size) in
+            return (Load { addr; size }) );
+        ]
+    in
+    let* n = 1 -- 6 in
+    list_size (return n)
+      (frequency
+         [
+           (2, flat);
+           ( 1,
+             let* label = oneofl [ "put"; "split"; "del" ] in
+             let* body = list_size (1 -- 8) flat in
+             return (Frame (label, body)) );
+         ]))
+
+let prog_gen = QCheck.Gen.(map List.concat (list_size (1 -- 6) step_gen))
+
+let rec print_step = function
+  | Store { addr; len; nt; fill } ->
+      Printf.sprintf "store%s %d+%d #%d" (if nt then ".nt" else "") addr len fill
+  | Poison { addr; size } -> Printf.sprintf "poison %d+%d" addr size
+  | Flush { kind; addr } -> Printf.sprintf "%s %d" (Pmem.Op.flush_kind_to_string kind) addr
+  | Fence k -> Pmem.Op.fence_kind_to_string k
+  | Rmw { addr; cas } -> Printf.sprintf "%s %d" (if cas then "cas" else "fetch_add") addr
+  | Load { addr; size } -> Printf.sprintf "load %d+%d" addr size
+  | Frame (label, body) ->
+      Printf.sprintf "%s { %s }" label (String.concat "; " (List.map print_step body))
+
+let prog_arb =
+  QCheck.make prog_gen ~print:(fun prog -> String.concat "; " (List.map print_step prog))
+
+let rec exec device (framer : Pmtrace.Framer.t) = function
+  | Store { addr; len; nt; fill } ->
+      (* distinct bytes, so a payload read at a shifted offset differs *)
+      let b = Bytes.init len (fun i -> Char.unsafe_chr ((fill + (i * 7)) land 255)) in
+      if nt then Pmem.Device.store_nt device ~addr b else Pmem.Device.store device ~addr b
+  | Poison { addr; size } -> Pmem.Device.poison device ~addr ~size
+  | Flush { kind = Pmem.Op.Clflush; addr } -> Pmem.Device.clflush device ~addr
+  | Flush { kind = Pmem.Op.Clflushopt; addr } -> Pmem.Device.clflushopt device ~addr
+  | Flush { kind = Pmem.Op.Clwb; addr } -> Pmem.Device.clwb device ~addr
+  | Fence Pmem.Op.Mfence -> Pmem.Device.mfence device
+  | Fence _ -> Pmem.Device.sfence device
+  | Rmw { addr; cas = true } ->
+      ignore (Pmem.Device.cas device ~addr ~expected:0L ~desired:(Int64.of_int (addr + 1)))
+  | Rmw { addr; cas = false } -> ignore (Pmem.Device.fetch_add device ~addr 3L)
+  | Load { addr; size } -> ignore (Pmem.Device.load device ~addr ~size)
+  | Frame (label, body) ->
+      framer.Pmtrace.Framer.frame label (fun () -> List.iter (exec device framer) body)
+
+let run_prog prog ~device ~framer = List.iter (exec device framer) prog
+
+(* The recorder built the listener way: a tracer whose listener captures
+   every event's stack and reads the previous store's bytes with
+   [Device.peek] at the next hook (and after the run, for the last). *)
+let reference_record ~loads run =
+  let device = Pmem.Device.create ~size:prog_pool () in
+  Pmem.Device.trace_loads device loads;
+  let tracer = Pmtrace.Tracer.create device in
+  let events = ref [] and payloads = Hashtbl.create 64 and pending = ref None in
+  let resolve () =
+    match !pending with
+    | Some (seq, addr, size) ->
+        Hashtbl.replace payloads seq (Pmem.Device.peek device ~addr ~size);
+        pending := None
+    | None -> ()
+  in
+  Pmtrace.Tracer.add_listener tracer (fun e stack ->
+      resolve ();
+      events := { e with Pmtrace.Event.stack = Some (Pmtrace.Callstack.capture stack) } :: !events;
+      match e.Pmtrace.Event.op with
+      | Pmem.Op.Store { addr; size; _ } -> pending := Some (e.Pmtrace.Event.seq, addr, size)
+      | _ -> ());
+  run ~device ~framer:(Pmtrace.Framer.of_callstack (Pmtrace.Tracer.stack tracer));
+  resolve ();
+  Pmtrace.Tracer.detach tracer;
+  (List.rev !events, payloads, Pmem.Device.poison_log device, Pmem.Stats.copy (Pmem.Device.stats device))
+
+(* The crash image at every persistency index, from a reference
+   recording: a fresh device takes the recorded stores, with their
+   payloads, and the poison in their recorded interleaving, and crashes
+   under [Program_prefix] before each non-load event. Flushes and fences
+   are not replayed: under [Program_prefix] they move no bytes (DESIGN
+   decision 2). A device that replays them too disagrees with the
+   program-order prefix on a few random programs, because a fence can
+   change what the device's program view reads (ROADMAP item 1). *)
+let prefix_images (events, payloads, poison, _) =
+  let device = Pmem.Device.create ~size:prog_pool () in
+  let images = Hashtbl.create 64 and pseq = ref 0 and poison = ref poison in
+  let rec poison_before seq =
+    match !poison with
+    | (c, addr, size) :: rest when c < seq ->
+        poison := rest;
+        Pmem.Device.poison device ~addr ~size;
+        poison_before seq
+    | _ -> ()
+  in
+  List.iter
+    (fun (e : Pmtrace.Event.t) ->
+      poison_before e.Pmtrace.Event.seq;
+      match e.Pmtrace.Event.op with
+      | Pmem.Op.Load _ -> ()
+      | op -> (
+          incr pseq;
+          Hashtbl.replace images !pseq
+            (Pmem.Device.crash device ~policy:Pmem.Device.Program_prefix);
+          match op with
+          | Pmem.Op.Store { addr; nt; _ } ->
+              let b = Hashtbl.find payloads e.Pmtrace.Event.seq in
+              if nt then Pmem.Device.store_nt device ~addr b else Pmem.Device.store device ~addr b
+          | _ -> ()))
+    events;
+  images
+
+let shuffle seed l =
+  let st = Random.State.make [| seed |] in
+  List.map snd (List.sort compare (List.map (fun x -> (Random.State.bits st, x)) l))
+
+let recorder_tests =
+  [
+    QCheck.Test.make ~name:"recorder = listener-and-peek reference" ~count:200
+      (QCheck.pair prog_arb QCheck.bool) (fun (prog, loads) ->
+        let r = Pmtrace.Replay.record ~loads ~pool_size:prog_pool (run_prog prog) in
+        let events, payloads, poison, stats = reference_record ~loads (run_prog prog) in
+        if Pmtrace.Replay.events r <> events then QCheck.Test.fail_report "events differ";
+        List.iteri
+          (fun i (e : Pmtrace.Event.t) ->
+            let expected = Hashtbl.find_opt payloads e.Pmtrace.Event.seq in
+            if Pmtrace.Replay.payload r i <> expected then
+              QCheck.Test.fail_reportf "payload of event %d (%s) differs" i
+                (Pmem.Op.to_string e.Pmtrace.Event.op))
+          events;
+        Pmtrace.Replay.poison_log r = poison && Pmtrace.Replay.stats r = stats);
+    QCheck.Test.make ~name:"materialize: points in any order, some past the end" ~count:200
+      (QCheck.triple prog_arb QCheck.bool QCheck.int) (fun (prog, loads, seed) ->
+        let r = Pmtrace.Replay.record ~loads ~pool_size:prog_pool (run_prog prog) in
+        let reference = prefix_images (reference_record ~loads (run_prog prog)) in
+        let np = Hashtbl.length reference in
+        let past = [ np + 1; np + 2; np + 9 ] in
+        let key pseq = 1000 + pseq in
+        let points =
+          shuffle seed (List.map (fun p -> (key p, p)) (List.init np (fun i -> i + 1) @ past))
+        in
+        let got = Hashtbl.create 64 in
+        let unreached =
+          Pmtrace.Replay.materialize r ~points ~f:(fun ~key image ->
+              if Hashtbl.mem got key then QCheck.Test.fail_reportf "key %d handed twice" key;
+              Hashtbl.replace got key (Pmem.Image.snapshot image))
+        in
+        List.sort compare unreached = List.map key past
+        && Hashtbl.length got = np
+        && List.for_all
+             (fun p -> Pmem.Image.equal (Hashtbl.find got (key p)) (Hashtbl.find reference p))
+             (List.init np (fun i -> i + 1)));
+  ]
+
+(* Exact allocation, read around the call ({!Mumak.Metrics.allocated_bytes}). *)
+let allocated f =
+  let before = Mumak.Metrics.allocated_bytes () in
+  let result = f () in
+  (result, Mumak.Metrics.allocated_bytes () -. before)
+
+(* [n] stores of the same [len] bytes at address 0, then a fence. *)
+let stores_then_fence ~len n ~device ~framer:_ =
+  let b = Bytes.make len 'x' in
+  for _ = 1 to n do
+    Pmem.Device.store device ~addr:0 b
+  done;
+  Pmem.Device.sfence device
+
+(* The pass blits each payload from the slab into the prefix image and
+   reads packed slots: with one point at the end, its allocation does not
+   grow with the number of stores. *)
+let test_materialize_allocation () =
+  let cost n =
+    let r = Pmtrace.Replay.record ~pool_size:8192 (stores_then_fence ~len:64 n) in
+    snd
+      (allocated (fun () ->
+           Pmtrace.Replay.materialize r ~points:[ (0, n + 1) ] ~f:(fun ~key:_ _ -> ())))
+  in
+  ignore (cost 10);
+  Alcotest.(check (float 0.)) "bytes allocated: 1,000 stores vs 4,000" (cost 1000) (cost 4000)
+
+(* The recorder copies a store's bytes once, from the device into the slab.
+   The slab's buffer doubles, so going from [n] to [2 n] stores of 4 KiB
+   ([n] a power of two) it allocates one buffer of [2 n * 4096] bytes, 8 KiB
+   per added store; a copy per store would add 4 KiB more. The rest — the
+   device's op for the hook and the slab's offset array — stays under 256
+   bytes per store. *)
+let test_record_allocation () =
+  let cost n = snd (allocated (fun () -> Pmtrace.Replay.record ~pool_size:8192 (stores_then_fence ~len:4096 n))) in
+  ignore (cost 64);
+  let per_store = (cost 256 -. cost 128) /. 128. in
+  if per_store > 8192. +. 256. then
+    Alcotest.failf "%.0f bytes allocated per added 4 KiB store (budget 8,448)" per_store
+
 (* --- layer 4: the load-free view --- *)
 
 let clean_names =
@@ -501,5 +743,12 @@ let () =
           Alcotest.test_case "clean targets" `Slow test_load_free_view_clean;
           Alcotest.test_case "seeded bugs" `Slow test_load_free_view_seeded;
         ] );
-      qsuite "arena" arena_tests;
+      ( "arena",
+        List.map (QCheck_alcotest.to_alcotest ~long:false) (arena_tests @ recorder_tests)
+        @ [
+            Alcotest.test_case "materialize allocates per point, not per store" `Quick
+              test_materialize_allocation;
+            Alcotest.test_case "recording copies each payload once" `Quick
+              test_record_allocation;
+          ] );
     ]
