@@ -88,32 +88,32 @@ let line_equal a a_off b b_off =
 
 (** Cache-line-granular diff of a recovered copy-on-write view against the
     crash image it was made from: only the pages recovery copied up can
-    differ, so only those are compared, in ascending order. Every
-    differing whole line is counted; the first {!diff_line_cap} are kept
-    with both sides' bytes rendered as hex. *)
+    differ, so only those are compared, each against the crash image's
+    page it shadows, in ascending order. Every differing whole line is
+    counted; the first {!diff_line_cap} are kept with both sides' bytes
+    rendered as hex. *)
 let image_diff view =
-  let base, pages = Pmem.Image.cow_pages view in
   let lines = Pmem.Image.size view / cache_line in
   let differing = ref 0 in
   let kept = ref [] in
   List.iter
-    (fun (addr, page) ->
+    (fun (addr, base, page) ->
       let first = addr / cache_line in
       for line = first to min lines (first + (Bytes.length page / cache_line)) - 1 do
         let off = (line - first) * cache_line in
-        if not (line_equal base (line * cache_line) page off) then begin
+        if not (line_equal base off page off) then begin
           incr differing;
           if !differing <= diff_line_cap then
             kept :=
               {
                 dl_line = line;
-                dl_crash = hex_of_sub base (line * cache_line) cache_line;
+                dl_crash = hex_of_sub base off cache_line;
                 dl_recovered = hex_of_sub page off cache_line;
               }
               :: !kept
         end
       done)
-    pages;
+    (Pmem.Image.cow_pages view);
   {
     id_lines = List.rev !kept;
     id_differing = !differing;

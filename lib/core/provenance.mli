@@ -56,7 +56,8 @@ val id_of_signature : string -> string
 val image_diff : Pmem.Image.t -> image_diff
 (** [image_diff view] diffs a recovered {!Pmem.Image.cow} view against the
     crash image it reads through, at cache-line granularity: only the
-    pages recovery copied up are compared, in ascending order, and lines
+    pages recovery copied up are compared, each against the crash image's
+    page it shadows ({!Pmem.Image.cow_pages}), in ascending order, and lines
     at or past [size / 64] are ignored. Every differing line is counted,
     the first {!diff_line_cap} kept with both sides rendered as hex. Takes
     no snapshot.

@@ -31,12 +31,14 @@ exception Out_of_bounds of { addr : int; size : int; device_size : int }
 
 val create : ?eadr:bool -> ?fingerprint:bool -> size:int -> unit -> t
 (** [create ~size ()] is a device with a zeroed persistent image of [size]
-    bytes and an empty cache. [eadr] extends the persistence domain to the
-    CPU caches (Enhanced Asynchronous DRAM Refresh, paper section 2): every
-    globally visible store then survives a crash, flushes become
-    performance-only, but fences still order non-temporal stores. With
-    [fingerprint] the device keeps {!fingerprint} up to date; without it
-    (the default) it tracks nothing and allocates nothing for one. *)
+    bytes and an empty cache; the image's pages are all the shared zero
+    page until written ({!Image.create}). [eadr] extends the persistence
+    domain to the CPU caches (Enhanced Asynchronous DRAM Refresh, paper
+    section 2): every globally visible store then survives a crash,
+    flushes become performance-only, but fences still order non-temporal
+    stores. With [fingerprint] the device keeps {!fingerprint} up to
+    date; without it (the default) it tracks nothing and allocates
+    nothing for one. *)
 
 val of_image : ?eadr:bool -> Image.t -> t
 (** [of_image img] is a device whose persistent image is a snapshot of [img]

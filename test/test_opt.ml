@@ -433,7 +433,7 @@ let test_verifier_differential () =
    [Verify_fix.baseline] uses it. Each rewrite must get the reference's
    fresh keys per view and its final-image verdict (compared by
    fingerprint), the oracle must never see an image it has already judged
-   (told apart by a digest of the flattened view, not by the fingerprint
+   (told apart by a digest of the view's bytes, not by the fingerprint
    under test), and the memo must answer some views. *)
 let test_verifier_memo_differential () =
   let judged = ref 0 in
@@ -452,7 +452,7 @@ let test_verifier_memo_differential () =
           let calls = ref 0 and views_judged = ref 0 in
           let seen = Hashtbl.create 64 and repeats = ref 0 in
           let adopted img =
-            let id = Digest.bytes (Pmem.Image.unsafe_bytes (Pmem.Image.snapshot img)) in
+            let id = Digest.bytes (Pmem.Image.read img ~addr:0 ~size:(Pmem.Image.size img)) in
             if Hashtbl.mem seen id then incr repeats else Hashtbl.add seen id ();
             content_oracle ~open_:(Pmem.Device.adopt ~eadr) ~span calls img
           in

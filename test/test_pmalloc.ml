@@ -26,7 +26,7 @@ let test_create_attach () =
 let test_header_corruption_detected () =
   let dev, _pool = fresh () in
   let img = Pmem.Device.crash dev ~policy:Pmem.Device.Program_prefix in
-  Bytes.set (Pmem.Image.unsafe_bytes img) 20 '\xff';
+  Pmem.Image.write img ~addr:20 (Bytes.make 1 '\xff');
   Alcotest.check_raises "corrupt header"
     (Pool.Corrupted "header checksum mismatch")
     (fun () -> ignore (Pool.attach (Pmem.Device.of_image img)))

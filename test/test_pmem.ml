@@ -267,6 +267,8 @@ let test_image_snapshot_independent () =
   Alcotest.check i64 "snapshot unchanged" 1L (Image.read_i64 snap ~addr:0);
   Alcotest.(check bool) "images differ" false (Image.equal img snap)
 
+let offsets pages = List.map (fun (off, _, _) -> off) pages
+
 (* A copy-on-write view copies a page up only when a write changes it. *)
 let test_clean_crash_view_shares_pages () =
   let d = Device.create ~size:(3 * 4096) () in
@@ -275,12 +277,10 @@ let test_clean_crash_view_shares_pages () =
   Device.sfence d;
   (* every cached line now equals its persisted bytes *)
   let view = Device.crash_view d ~policy:Device.Program_prefix in
-  Alcotest.(check int) "no private pages" 0 (List.length (snd (Image.cow_pages view)));
+  Alcotest.(check int) "no private pages" 0 (List.length (Image.cow_pages view));
   Device.store_i64 d ~addr:4100 7L;
   let view = Device.crash_view d ~policy:Device.Program_prefix in
-  Alcotest.(check (list int))
-    "only the changed page" [ 4096 ]
-    (List.map fst (snd (Image.cow_pages view)))
+  Alcotest.(check (list int)) "only the changed page" [ 4096 ] (offsets (Image.cow_pages view))
 
 let test_identical_write_shares_page () =
   let img = Image.create ~size:5000 in
@@ -288,11 +288,11 @@ let test_identical_write_shares_page () =
   let view = Image.cow img in
   Image.write view ~addr:4090 (Bytes.make 10 'x');
   Image.write view ~addr:0 (Bytes.make 64 '\000');
-  Alcotest.(check int) "no private pages" 0 (List.length (snd (Image.cow_pages view)));
+  Alcotest.(check int) "no private pages" 0 (List.length (Image.cow_pages view));
   Image.write view ~addr:4095 (Bytes.of_string "xy");
   Alcotest.(check (list int))
     "the write that changes a byte copies that page only" [ 4096 ]
-    (List.map fst (snd (Image.cow_pages view)));
+    (offsets (Image.cow_pages view));
   Alcotest.(check string) "view reads the write" "xyx"
     (Bytes.to_string (Image.read view ~addr:4095 ~size:3))
 
@@ -303,9 +303,46 @@ let test_equal_keeps_view () =
   let other = Image.snapshot view in
   Alcotest.(check bool) "equal to its snapshot" true (Image.equal view other);
   Alcotest.(check bool) "differs from its base" false (Image.equal img view);
-  let base, pages = Image.cow_pages view in
-  Alcotest.(check bool) "still reads through its base" true (base == Image.unsafe_bytes img);
-  Alcotest.(check (list int)) "still lists its private page" [ 4096 ] (List.map fst pages)
+  Alcotest.(check (list int))
+    "still lists its private page" [ 4096 ]
+    (offsets (Image.cow_pages view));
+  (* a page the view never wrote is its base's: a write to the base shows
+     through (which [Image.cow]'s callers must not do while it lives) *)
+  Image.write_i64 img ~addr:0 5L;
+  Alcotest.check i64 "still reads through its base" 5L (Image.read_i64 view ~addr:0)
+
+(* A pool costs its page table and the pages written to it, read with
+   the exact allocation counter: a 4 MiB device is a 1,024-entry table,
+   and zeros written into untouched pages copy none of them up. *)
+let test_pool_costs_what_it_touches () =
+  let allocated f =
+    let before = Mumak.Metrics.allocated_bytes () in
+    let r = f () in
+    (Mumak.Metrics.allocated_bytes () -. before, r)
+  in
+  let at_most what budget bytes =
+    if bytes > budget then Alcotest.failf "%s allocated %.0f bytes (budget %.0f)" what bytes budget
+  in
+  let size = 4 lsl 20 in
+  let bytes, d = allocated (fun () -> Device.create ~size ()) in
+  at_most "Device.create ~size:(4 lsl 20)" 16_384. bytes;
+  let zeros = Bytes.make 10_000 '\000' in
+  Device.store d ~addr:4000 zeros;
+  Device.flush_range d ~kind:Op.Clwb ~addr:4000 ~size:10_000;
+  Device.sfence d;
+  let bytes, _ = allocated (fun () -> Device.persisted_image d) in
+  at_most "a snapshot after persisting zeros" 16_384. bytes;
+  let img = Image.create ~size in
+  let bytes, () = allocated (fun () -> Image.write img ~addr:4000 zeros) in
+  at_most "an all-zero write" 1024. bytes;
+  let view = Image.cow img in
+  Image.write view ~addr:4000 zeros;
+  Alcotest.(check int) "an all-zero write through a view" 0 (List.length (Image.cow_pages view));
+  let bytes, () = allocated (fun () -> Image.write_i64 img ~addr:8190 0x0101010101010101L) in
+  if bytes < 8192. then Alcotest.failf "a page-straddling write allocated %.0f bytes" bytes;
+  at_most "a page-straddling write" (8192. +. 1024.) bytes;
+  let bytes, _ = allocated (fun () -> Image.snapshot img) in
+  at_most "a snapshot of two written pages" (16_384. +. 8192.) bytes
 
 (* --- stats --- *)
 
@@ -360,7 +397,7 @@ let prop_store_load_roundtrip =
           Bytes.blit payload 0 model addr size)
         writes;
       let view = Device.volatile_view d in
-      Bytes.equal (Image.unsafe_bytes view) model)
+      Bytes.equal (Image.read view ~addr:0 ~size:4096) model)
 
 let prop_flush_fence_durability =
   QCheck.Test.make ~name:"flushed+fenced stores always survive an ADR crash" ~count:200
@@ -852,6 +889,139 @@ let prop_fingerprint_incremental =
           (false, fun i -> i mod 3 = 2 || i = List.length ops - 1);
         ])
 
+(* Paged images, their snapshots and their views (views of views
+   included) against byte-array models, on pool sizes that are no
+   multiple of the 4 KiB page: writes, blits both ways and words at
+   page-straddling addresses, every third write all zeros and every third
+   a rewrite of the bytes already there, and [equal] between any two.
+   A view's base is never written while the view lives, as [Image.cow]
+   requires, so taking a view of a plain image freezes it. Afterwards
+   every image reads its model, and a fresh image reads all zero: the
+   shared zero page was never written. *)
+type paged = { img : Image.t; model : bytes; view : bool; mutable frozen : bool }
+
+let gen_paged_case =
+  QCheck.Gen.(
+    let op = pair (int_range 0 8) (triple nat nat nat) in
+    pair (int_range 9 13_000) (list_size (int_range 1 80) op) >>= fun (size, ops) ->
+    return ((if size mod 4096 = 0 then size + 1 else size), ops))
+
+let arb_paged_case =
+  QCheck.make
+    ~print:(fun (size, ops) ->
+      Printf.sprintf "size=%d ops=[%s]" size
+        (String.concat "; "
+           (List.map (fun (k, (a, b, c)) -> Printf.sprintf "%d:%d,%d,%d" k a b c) ops)))
+    gen_paged_case
+
+(* [len] bytes at an address that straddles a page boundary for most
+   [a] when the pool has one, clipped to the pool. *)
+let paged_span size a len =
+  let len = min len size and pages = size / 4096 in
+  let addr =
+    if a mod 3 <> 0 && pages > 0 then (4096 * (1 + (a / 3 mod pages))) - 1 - (a / 5 mod len)
+    else a mod (size - len + 1)
+  in
+  (max 0 (min addr (size - len)), len)
+
+let prop_paged_image_model =
+  QCheck.Test.make ~name:"paged images, snapshots and views read like a byte model" ~count:300
+    arb_paged_case (fun (size, ops) ->
+      let objs =
+        ref [| { img = Image.create ~size; model = Bytes.make size '\000'; view = false;
+                 frozen = false } |]
+      in
+      let mismatch = ref None in
+      let fail fmt =
+        Printf.ksprintf (fun msg -> if !mismatch = None then mismatch := Some msg) fmt
+      in
+      let pick a = !objs.(a mod Array.length !objs) in
+      (* the first writable image from [a] on: the newest one always is *)
+      let writable a =
+        let n = Array.length !objs in
+        let rec from k =
+          let o = !objs.((a + k) mod n) in
+          if o.frozen then from (k + 1) else o
+        in
+        from 0
+      in
+      let payload o ~addr len c =
+        match c mod 3 with
+        | 0 -> Bytes.make len '\000'
+        | 1 -> Bytes.sub o.model addr len
+        | _ -> Bytes.init len (fun j -> Char.chr ((c + (j * 13)) land 255))
+      in
+      let add o = if Array.length !objs < 8 then objs := Array.append !objs [| o |] in
+      List.iteri
+        (fun i (kind, (a, b, c)) ->
+          match kind with
+          | 0 ->
+              let o = writable a in
+              let addr, len = paged_span size b (1 + (c mod 5000)) in
+              let p = payload o ~addr len c in
+              Image.write o.img ~addr p;
+              Bytes.blit p 0 o.model addr len
+          | 1 ->
+              let o = writable a in
+              let addr, len = paged_span size b (1 + (c mod 300)) in
+              let src_off = c mod 17 in
+              let p = payload o ~addr len c in
+              let src = Bytes.cat (Bytes.make src_off '\x5a') p in
+              Image.blit_to o.img ~dst_addr:addr ~src ~src_off ~len;
+              Bytes.blit p 0 o.model addr len
+          | 2 ->
+              let o = pick a in
+              let addr, len = paged_span size b (1 + (c mod 6000)) in
+              let dst_off = c mod 13 in
+              let dst = Bytes.make (dst_off + len + 3) '\x11' in
+              Image.blit_from o.img ~src_addr:addr ~dst ~dst_off ~len;
+              if not (Bytes.equal (Bytes.sub dst dst_off len) (Bytes.sub o.model addr len)) then
+                fail "blit_from at %d, %d bytes, op %d" addr len i
+          | 3 ->
+              let o = pick a in
+              let addr, _ = paged_span size b 8 in
+              if Image.read_i64 o.img ~addr <> Bytes.get_int64_le o.model addr then
+                fail "read_i64 at %d, op %d" addr i
+          | 4 ->
+              let o = writable a in
+              let addr, _ = paged_span size b 8 in
+              let v = if c mod 3 = 0 then 0L else Int64.of_int ((c * 7919) + i) in
+              Image.write_i64 o.img ~addr v;
+              Bytes.set_int64_le o.model addr v
+          | 5 ->
+              let o = pick a in
+              add { img = Image.snapshot o.img; model = Bytes.copy o.model; view = false;
+                    frozen = false }
+          | 6 ->
+              let o = pick a in
+              if Array.length !objs < 8 then begin
+                if not o.view then o.frozen <- true;
+                add { img = Image.cow o.img; model = Bytes.copy o.model; view = true;
+                      frozen = false }
+              end
+          | 7 ->
+              let o = pick a and o' = pick b in
+              if Image.equal o.img o'.img <> Bytes.equal o.model o'.model then
+                fail "equal, op %d" i
+          | _ ->
+              let o = pick a in
+              let addr, len = paged_span size b (1 + (c mod 9000)) in
+              if not (Bytes.equal (Image.read o.img ~addr ~size:len) (Bytes.sub o.model addr len))
+              then fail "read at %d, %d bytes, op %d" addr len i)
+        ops;
+      Array.iteri
+        (fun k o ->
+          if not (Bytes.equal (Image.read o.img ~addr:0 ~size) o.model) then
+            fail "image %d (view %b) differs from its model" k o.view)
+        !objs;
+      List.iter
+        (fun size ->
+          let fresh = Image.read (Image.create ~size) ~addr:0 ~size in
+          if not (Bytes.equal fresh (Bytes.make size '\000')) then
+            fail "a fresh %d-byte image reads a nonzero byte" size)
+        [ size; 4096 ];
+      match !mismatch with None -> true | Some msg -> QCheck.Test.fail_reportf "%s" msg)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -913,6 +1083,8 @@ let () =
           Alcotest.test_case "identical write shares page" `Quick
             test_identical_write_shares_page;
           Alcotest.test_case "equal keeps a view a view" `Quick test_equal_keeps_view;
+          Alcotest.test_case "a pool costs what it touches" `Quick
+            test_pool_costs_what_it_touches;
         ] );
       ( "fingerprint",
         [ Alcotest.test_case "follows every write" `Quick test_fingerprint_follows_writes ] );
@@ -926,5 +1098,6 @@ let () =
           prop_crash_views_isolated;
           prop_datapath_model;
           prop_fingerprint_incremental;
+          prop_paged_image_model;
         ];
     ]

@@ -669,8 +669,7 @@ let clean_target name () =
   | name -> Targets.of_app (app name) ~version:(version_for name) ~workload ()
 
 (* The crash image at each failure point of a recording, as the digest of
-   the view's bytes (a materialized view reads through the rolling
-   prefix, so this copies nothing). *)
+   the view's bytes. *)
 let point_images recording =
   let points =
     Mumak.Fault_injection.offline_points Mumak.Config.default
@@ -681,7 +680,8 @@ let point_images recording =
     Pmtrace.Replay.materialize recording
       ~points:(List.map (fun (ordinal, pseq, _) -> (ordinal, pseq)) points)
       ~f:(fun ~key image ->
-        images := (key, Digest.to_hex (Digest.bytes (fst (Pmem.Image.cow_pages image)))) :: !images)
+        let bytes = Pmem.Image.read image ~addr:0 ~size:(Pmem.Image.size image) in
+        images := (key, Digest.to_hex (Digest.bytes bytes)) :: !images)
   in
   (List.length points, unreached, List.sort compare !images)
 
