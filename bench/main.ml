@@ -1024,9 +1024,8 @@ let optimize_bench () =
   let any_proven_reducing = ref false in
   Fmt.pr "%-16s %6s %6s %6s %5s %5s %9s %9s %9s %8s@." "target" "plans" "verif"
     "provn" "ineff" "harmf" "ev.proj" "ev.meas" "cyc.meas" "t.opt(s)";
-  let case ?(fit_cost = false) target =
-    let config = { Mumak.Config.optimizing with Mumak.Config.fit_cost } in
-    let r = Mumak.Engine.analyze ~config target in
+  let case target =
+    let r = Mumak.Engine.analyze ~config:Mumak.Config.optimizing target in
     let o = Option.get r.Mumak.Engine.opt in
     let shipped = Analysis.Opt.shipped o in
     let sum f = List.fold_left (fun a b -> a + f b) 0 shipped in
@@ -1035,9 +1034,7 @@ let optimize_bench () =
     let proj_cyc = sum (fun b -> b.Analysis.Opt.b_plan.Analysis.Opt.p_projected_cycles) in
     let meas_cyc = sum (fun b -> b.Analysis.Opt.b_measured_cycles) in
     let t_opt = (phase_metric r Mumak.Report.Optimize).Mumak.Metrics.wall_seconds in
-    let name =
-      target.Mumak.Target.name ^ if fit_cost then " (fitted)" else ""
-    in
+    let name = target.Mumak.Target.name in
     (* the phase must ride the shared recording: no extra executions *)
     if r.Mumak.Engine.executions <> 1 then
       regress "%s: optimize run cost %d executions (expected 1)" name
@@ -1065,8 +1062,7 @@ let optimize_bench () =
     rows :=
       Telemetry.Json.Assoc
         [
-          ("target", Telemetry.Json.String target.Mumak.Target.name);
-          ("fit_cost", Telemetry.Json.Bool fit_cost);
+          ("target", Telemetry.Json.String name);
           ("synthesized", Telemetry.Json.Int o.Analysis.Opt.synthesized);
           ("verified", Telemetry.Json.Int o.Analysis.Opt.verified);
           ("proven", Telemetry.Json.Int o.Analysis.Opt.proven);
@@ -1088,9 +1084,6 @@ let optimize_bench () =
       :: !rows
   in
   List.iter case targets;
-  (* one fitted-weights row: the cost model priced from a timed replay of
-     the same recording instead of the static table *)
-  case ~fit_cost:true (Targets.of_redis ~workload:wl ());
   if not !any_proven_reducing then
     regress "no target shipped a proven bundle that reduces persist events";
   write_bench ~experiment:"optimize" ~target:"kvstore-matrix"

@@ -273,9 +273,8 @@ let analyze_cmd =
 (* optimize: the cost-model-driven transformation pipeline             *)
 (* ------------------------------------------------------------------ *)
 
-let optimize name ops key_range seed version_str grouped bugs fit_cost jobs progress
-    store_dir =
-  let config = { Mumak.Config.optimizing with fit_cost; jobs = max 1 jobs } in
+let optimize name ops key_range seed version_str grouped bugs jobs progress store_dir =
+  let config = { Mumak.Config.optimizing with jobs = max 1 jobs } in
   let print result =
     Fmt.pr "%a@." Mumak.Engine.pp_result result;
     match result.Mumak.Engine.opt with
@@ -302,15 +301,6 @@ let optimize name ops key_range seed version_str grouped bugs fit_cost jobs prog
        ~print);
   exit 0
 
-let fit_cost_arg =
-  Arg.(
-    value & flag
-    & info [ "fit-cost" ]
-        ~doc:
-          "Fit the cost model's cycle weights from a timed replay of the \
-           recording instead of the deterministic static table (only plan \
-           rankings change, never verdicts).")
-
 let optimize_cmd =
   let doc =
     "Synthesize persist transformations (fence batching, flush coalescing \
@@ -322,7 +312,7 @@ let optimize_cmd =
   Cmd.v (Cmd.info "optimize" ~doc)
     Term.(
       const optimize $ name_arg $ ops_arg $ key_range_arg $ seed_arg $ version_arg
-      $ grouped_arg $ bugs_arg $ fit_cost_arg $ jobs_arg $ progress_arg $ store_arg)
+      $ grouped_arg $ bugs_arg $ jobs_arg $ progress_arg $ store_arg)
 
 let list_cmd =
   let doc = "List available targets and seeded bugs." in

@@ -396,8 +396,3 @@ let check t =
   in
   Array.iter (fun (n : node) -> visit n.id) t.nodes;
   List.rev !problems
-
-let pp ppf t =
-  Fmt.pf ppf "dep graph: %d persists over %d epochs, %d edges, %d chases, %d dangling"
-    (Array.length t.nodes) t.epochs (List.length t.edges) (List.length t.chases)
-    (List.length t.dangling)

@@ -87,5 +87,3 @@ val check : t -> string list
     coordinate systems), creation-ordered ids, strictly epoch-forward edges
     with their witness load inside (src fence, dst fence), and explicit
     DFS acyclicity. The qcheck suite drives this over generated workloads. *)
-
-val pp : t Fmt.t

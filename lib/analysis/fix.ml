@@ -77,8 +77,6 @@ let to_string t =
   Printf.sprintf "%s at %s (%s)" (action_to_string t.action) (anchor_to_string t)
     t.rationale
 
-let pp ppf t = Fmt.string ppf (to_string t)
-
 let action_rank = function
   | Insert_flush _ -> 0
   | Insert_fence -> 1

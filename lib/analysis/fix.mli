@@ -49,7 +49,6 @@ val anchor_to_string : t -> string
     instruction index when no stack was recorded. *)
 
 val to_string : t -> string
-val pp : t Fmt.t
 
 val key : t -> string
 (** Identity of the edit itself (action + both anchors + index, rationale

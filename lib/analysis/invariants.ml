@@ -253,7 +253,3 @@ let mine ~support ~confidence graphs =
            compare (y.a_co, x.a_loc1, x.a_loc2) (x.a_co, y.a_loc1, y.a_loc2))
   in
   { orderings; deps; atomic_pairs }
-
-let pp ppf t =
-  Fmt.pf ppf "invariants: %d chase orderings, %d edge dependences, %d atomic pairs"
-    (List.length t.orderings) (List.length t.deps) (List.length t.atomic_pairs)

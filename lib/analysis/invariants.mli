@@ -55,5 +55,3 @@ val mine :
     [confidence] additionally gates the atomicity family (ordering
     candidates keep their measured confidence, since a deterministic bug
     violates its invariant in every instance). *)
-
-val pp : t Fmt.t

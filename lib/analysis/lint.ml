@@ -268,21 +268,6 @@ let analyze ?(eadr = false) (events : Pmtrace.Event.t list) =
     events_saved;
   }
 
-let pp_finding ppf f =
-  Fmt.pf ppf "[lint] %s: %s%s%s" (kind_to_string f.l_kind) f.l_detail
-    (match f.l_stack with
-    | Some c -> "\n    at " ^ Pmtrace.Callstack.capture_to_string c
-    | None -> Printf.sprintf "\n    at instruction #%d" f.l_pseq)
-    (match f.l_fix with None -> "" | Some fx -> "\n    fix: " ^ Fix.to_string fx)
-
-let pp ppf t =
-  Fmt.pf ppf
-    "lint over %d event(s), %d epoch(s): %d redundant flush(es), %d redundant fence(s), %d \
-     missing-flush spot(s); est. %d cycle(s)/%d event(s) saved"
-    t.events t.epochs t.redundant_flushes t.redundant_fences t.missing_flush_spots
-    t.cycles_saved t.events_saved;
-  List.iter (fun f -> Fmt.pf ppf "@.%a" pp_finding f) t.findings
-
 (** Ledger encoding of one anti-pattern site. *)
 let finding_to_json (f : finding) =
   let open Telemetry.Json in

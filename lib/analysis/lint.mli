@@ -61,9 +61,6 @@ val analyze : ?eadr:bool -> Pmtrace.Event.t list -> t
     stores are durable without flushes); the redundancy detectors still
     apply — flushes are pure overhead there. *)
 
-val pp_finding : finding Fmt.t
-val pp : t Fmt.t
-
 val finding_to_json : finding -> Telemetry.Json.t
 val to_json : t -> Telemetry.Json.t
 (** Ledger encodings: tallies plus every finding site. *)

@@ -665,14 +665,6 @@ let pp_bundle ppf b =
     (Fix.anchor_to_string b.b_plan.p_fix)
     b.b_measured_events b.b_measured_cycles b.b_plan.p_projected_cycles b.b_detail
 
-let pp ppf t =
-  Fmt.pf ppf
-    "optimizer: %d plan(s) synthesized, %d verified: proven=%d ineffective=%d harmful=%d (%d \
-     replay(s); baseline %d event(s) / %d cycle(s), %s weights)"
-    t.synthesized t.verified t.proven t.ineffective t.harmful t.replays t.baseline_events
-    t.baseline_cycles t.weights.Cost.w_source;
-  List.iter (fun b -> Fmt.pf ppf "@.  %a" pp_bundle b) t.bundles
-
 let plan_to_json p =
   let open Telemetry.Json in
   Assoc

@@ -77,7 +77,6 @@ val optimize :
     phase's) are reused rather than re-mined. *)
 
 val pp_bundle : bundle Fmt.t
-val pp : t Fmt.t
 
 val plan_to_json : plan -> Telemetry.Json.t
 val bundle_to_json : bundle -> Telemetry.Json.t

@@ -320,8 +320,3 @@ let analyze ?invariants ?(runs = 1) ~support ~confidence ~eadr (events : Pmtrace
 let pp_finding ppf f =
   Fmt.pf ppf "[SA] %s: %s%s" (kind_to_string f.kind) f.detail
     (match f.fix with None -> "" | Some fx -> "\n    fix: " ^ Fix.to_string fx)
-
-let pp ppf t =
-  Fmt.pf ppf "static analysis over %d run(s): %a; %a; %d finding(s)" t.runs Dep_graph.pp
-    t.graph Invariants.pp t.invariants (List.length t.findings);
-  List.iter (fun f -> Fmt.pf ppf "@.%a" pp_finding f) t.findings

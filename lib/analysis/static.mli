@@ -61,4 +61,3 @@ val analyze :
     rewritten trace under the baseline invariants. *)
 
 val pp_finding : finding Fmt.t
-val pp : t Fmt.t

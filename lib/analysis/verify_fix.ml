@@ -447,17 +447,6 @@ let verify ?invariants ~support ~confidence ~eadr
   Telemetry.Collector.count "fix.harmful" harmful;
   { outcomes; proven; ineffective; harmful; replays = base.passes () }
 
-let pp_outcome ppf o =
-  Fmt.pf ppf "[%s] %s -> %s (%s)"
-    (source_to_string o.o_candidate.c_source)
-    (Fix.to_string o.o_candidate.c_fix)
-    (verdict_to_string o.o_verdict) o.o_detail
-
-let pp ppf t =
-  Fmt.pf ppf "fix verdicts: proven=%d ineffective=%d harmful=%d (%d replay(s))" t.proven
-    t.ineffective t.harmful t.replays;
-  List.iter (fun o -> Fmt.pf ppf "@.  %a" pp_outcome o) t.outcomes
-
 (** Ledger encoding of one replay-backed verdict. *)
 let outcome_to_json (o : outcome) =
   let open Telemetry.Json in

@@ -212,9 +212,6 @@ val verify :
     baseline static analysis's) are reused for every recheck rather than
     re-mined, and mined once from the recording when absent. *)
 
-val pp_outcome : outcome Fmt.t
-val pp : t Fmt.t
-
 val outcome_to_json : outcome -> Telemetry.Json.t
 val to_json : t -> Telemetry.Json.t
 (** Ledger encodings: the verdict tally plus every outcome. *)

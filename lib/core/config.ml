@@ -81,10 +81,6 @@ type t = {
           under both crash views; only proven plans ship as the ranked
           patch bundle. Costs replays over the shared recording, never
           extra target executions. *)
-  fit_cost : bool;
-      (** fit the optimizer's cost weights from a timed replay of the
-          recording instead of the deterministic static table; only plan
-          rankings change, never verdicts *)
 }
 
 let default =
@@ -103,7 +99,6 @@ let default =
     verify_fixes = false;
     absint = false;
     optimize = false;
-    fit_cost = false;
   }
 
 let granularity_name = function
@@ -135,7 +130,6 @@ let to_json t =
       ("verify_fixes", Bool t.verify_fixes);
       ("absint", Bool t.absint);
       ("optimize", Bool t.optimize);
-      ("fit_cost", Bool t.fit_cost);
     ]
 
 (** [default] plus the full static pipeline: dependency-graph analysis,

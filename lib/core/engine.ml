@@ -224,14 +224,8 @@ let analyze ?(config = Config.default) (target : Target.t) =
   let opt_result =
     optional config.Config.optimize Report.Optimize (fun () ->
         let noload = Lazy.force view in
-        let weights =
-          if config.Config.fit_cost then
-            Analysis.Cost.fit
-              (Analysis.Cost.measure ~pool_size:target.Target.pool_size
-                 (Pmtrace.Replay.events noload))
-          else Analysis.Cost.static_weights
-        in
-        Analysis.Opt.optimize ?invariants ?absint:absint_result ~weights
+        Analysis.Opt.optimize ?invariants ?absint:absint_result
+          ~weights:Analysis.Cost.static_weights
           ~support:config.Config.invariant_support
           ~confidence:config.Config.invariant_confidence ~eadr:config.Config.eadr
           ~oracle:(image_oracle config target)
@@ -577,11 +571,10 @@ let pp_result ppf r =
   | Some o ->
       Fmt.pf ppf
         "optimizer: %d plan(s) synthesized, %d verified: proven=%d ineffective=%d harmful=%d \
-         (%d replays; baseline %d events / %d cycles, %s weights)@."
+         (%d replays; baseline %d events / %d cycles)@."
         o.Analysis.Opt.synthesized o.Analysis.Opt.verified o.Analysis.Opt.proven
         o.Analysis.Opt.ineffective o.Analysis.Opt.harmful o.Analysis.Opt.replays
-        o.Analysis.Opt.baseline_events o.Analysis.Opt.baseline_cycles
-        o.Analysis.Opt.weights.Analysis.Cost.w_source;
+        o.Analysis.Opt.baseline_events o.Analysis.Opt.baseline_cycles;
       List.iter
         (fun b -> Fmt.pf ppf "  %a@." Analysis.Opt.pp_bundle b)
         o.Analysis.Opt.bundles

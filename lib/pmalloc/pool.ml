@@ -26,15 +26,12 @@ let write_i64 t ~off v = Pmem.Device.store_i64 t.dev ~addr:off v
 let read_bytes t ~off ~len = Pmem.Device.load t.dev ~addr:off ~size:len
 let read_into t ~off ~len dst = Pmem.Device.load_into t.dev ~addr:off ~size:len dst
 let write_bytes t ~off b = Pmem.Device.store t.dev ~addr:off b
-let write_bytes_nt t ~off b = Pmem.Device.store_nt t.dev ~addr:off b
 let read_u8 t ~off = Char.code (Bytes.get (read_bytes t ~off ~len:1) 0)
 let write_u8 t ~off v = write_bytes t ~off (Bytes.make 1 (Char.chr (v land 0xff)))
 
 (** {1 Persistency primitives} *)
 
 let flush t ~off ~size = Pmem.Device.flush_range t.dev ~kind:Pmem.Op.Clwb ~addr:off ~size
-let flush_invalidating t ~off ~size =
-  Pmem.Device.flush_range t.dev ~kind:Pmem.Op.Clflushopt ~addr:off ~size
 let drain t = Pmem.Device.sfence t.dev
 
 (** [persist t ~off ~size] = flush + drain: the everyday "make this range
@@ -48,9 +45,6 @@ let persist t ~off ~size =
 let persist_i64 t ~off v =
   write_i64 t ~off v;
   persist t ~off ~size:8
-
-let cas t ~off ~expected ~desired = Pmem.Device.cas t.dev ~addr:off ~expected ~desired
-let fetch_add t ~off delta = Pmem.Device.fetch_add t.dev ~addr:off delta
 
 (** An address guaranteed to lie outside the pool: flushing it reproduces the
     "flush acts on a volatile address" performance bug. *)

@@ -45,7 +45,6 @@ val read_i64 : t -> off:int -> int64
 val write_i64 : t -> off:int -> int64 -> unit
 val read_bytes : t -> off:int -> len:int -> bytes
 val write_bytes : t -> off:int -> bytes -> unit
-val write_bytes_nt : t -> off:int -> bytes -> unit
 val read_u8 : t -> off:int -> int
 val write_u8 : t -> off:int -> int -> unit
 
@@ -58,9 +57,6 @@ val read_into : t -> off:int -> len:int -> bytes -> unit
 val flush : t -> off:int -> size:int -> unit
 (** Write back ([clwb]) every line of the range, without draining. *)
 
-val flush_invalidating : t -> off:int -> size:int -> unit
-(** [clflushopt] variant of {!flush}. *)
-
 val drain : t -> unit
 (** [sfence]: make every pending flush durable. *)
 
@@ -70,9 +66,6 @@ val persist : t -> off:int -> size:int -> unit
 
 val persist_i64 : t -> off:int -> int64 -> unit
 (** Store then persist one word. *)
-
-val cas : t -> off:int -> expected:int64 -> desired:int64 -> bool
-val fetch_add : t -> off:int -> int64 -> int64
 
 val volatile_scratch_addr : t -> int
 (** An address guaranteed to lie outside the pool: flushing it reproduces

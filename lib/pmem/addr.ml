@@ -3,7 +3,6 @@ let atomic_size = 8
 let line_of addr = addr / line_size
 let line_base line = line * line_size
 let slot_of addr = addr / atomic_size
-let slot_base slot = slot * atomic_size
 
 let spanned ~unit_size ~addr ~size =
   assert (size > 0);

@@ -20,9 +20,6 @@ val line_base : int -> int
 val slot_of : int -> int
 (** [slot_of addr] is the index of the 8-byte atomic slot containing [addr]. *)
 
-val slot_base : int -> int
-(** [slot_base slot] is the first byte address of atomic slot [slot]. *)
-
 val lines_spanned : addr:int -> size:int -> int list
 (** [lines_spanned ~addr ~size] lists the cache-line indices touched by a
     [size]-byte access at [addr], in increasing order. [size] must be

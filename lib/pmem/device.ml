@@ -206,7 +206,6 @@ let size t = Image.size t.image
 let eadr t = t.eadr
 let stats t = t.stats
 let set_hook t hook = t.hook <- hook
-let hook_installed t = t.hook <> None
 let trace_loads t flag = t.trace_loads <- flag
 
 (* [op_count] advances on every emission point whether or not a hook is
@@ -703,5 +702,3 @@ let line_versions t =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let unpersisted_line_count t = List.length (line_versions t)
-let pending_flush_count t = t.n_pending
-let pending_nt_count t = List.length t.pending_nt

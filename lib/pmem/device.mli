@@ -60,8 +60,6 @@ val stats : t -> Stats.t
 val set_hook : t -> (Op.t -> unit) option -> unit
 (** Install (or remove) the instrumentation hook. *)
 
-val hook_installed : t -> bool
-
 val trace_loads : t -> bool -> unit
 (** Enable or disable emission of {!Op.Load} events (off by default; only
     the XFDetector baseline needs them). *)
@@ -206,5 +204,3 @@ val line_versions : t -> (int * bytes list) list
     crash-state enumerator. *)
 
 val unpersisted_line_count : t -> int
-val pending_flush_count : t -> int
-val pending_nt_count : t -> int

@@ -20,7 +20,6 @@ type t = {
   ids : (string list, int) Hashtbl.t; (* call path -> interning index *)
   mutable paths : string list array; (* interning index -> call path *)
   mutable npaths : int;
-  mutable path_words : int; (* resident size of the interned paths *)
   mutable last_path : string list; (* the path interned last ... *)
   mutable last_id : int; (* ... and its id, -1 before the first *)
 }
@@ -34,7 +33,6 @@ let create ?(capacity = 256) () =
     ids = Hashtbl.create 64;
     paths = Array.make 16 [];
     npaths = 0;
-    path_words = 0;
     last_path = [];
     last_id = -1;
   }
@@ -67,10 +65,6 @@ let lookup t path =
       t.paths.(id) <- path;
       t.npaths <- id + 1;
       Hashtbl.replace t.ids path id;
-      (* 3 words per list cell + header/content words per string *)
-      t.path_words <-
-        t.path_words
-        + List.fold_left (fun acc s -> acc + 3 + 2 + ((String.length s + 7) / 8)) 0 path;
       id
 
 (* Consecutive events of one frame activation carry the same physical path
@@ -251,7 +245,6 @@ let size t i = t.data.{slot t i + 3}
 let clear t = t.len <- 0
 let path_count t = t.npaths
 let path_id t path = Hashtbl.find_opt t.ids path
-let words t = (t.len * slots) + t.path_words
 
 module Slab = struct
   type slab = {

@@ -81,10 +81,6 @@ val path_id : t -> string list -> int option
 (** The interning index of a path, if it has been seen. Stable: once
     assigned, a path's id never changes. *)
 
-val words : t -> int
-(** Approximate resident size in words: packed storage plus interned path
-    storage — the arena analogue of the old 13-words-per-event estimate. *)
-
 (** Payload slab: store payload bytes appended to one growing buffer,
     indexed by event position (0-based, the arena's order). A payload's
     length is its store's size, which the caller passes back in. *)

@@ -35,10 +35,6 @@ let detach t =
 
 let add_listener t l = t.listeners <- t.listeners @ [ l ]
 
-(** [with_frame t label f] runs [f] with [label] pushed on the traced call
-    stack; applications under test use this at function entry. *)
-let with_frame t label f = Callstack.with_frame t.stack label f
-
 (** Re-attach call stacks to a stack-less trace by re-running the same
     deterministic execution with minimal instrumentation: [run] must repeat
     the exact original execution against [t.device]. Events whose [seq]

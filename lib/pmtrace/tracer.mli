@@ -21,9 +21,6 @@ val detach : t -> unit
 
 val add_listener : t -> (Event.t -> Callstack.t -> unit) -> unit
 
-val with_frame : t -> string -> (unit -> 'a) -> 'a
-(** Run the callback with a frame pushed on the traced call stack. *)
-
 val resolve_stacks :
   t ->
   wanted:int list ->

@@ -56,19 +56,6 @@ let of_app (module A : Pmapps.Kv_intf.S) ?(version = Pmalloc.Version.V1_12)
       ^ " v" ^ Pmalloc.Version.to_string version)
     ~pool_size ~loc ~run ~recover:A.recover ()
 
-(** Approximate codebase sizes (application + its PM dependencies), the
-    x-axis metadata of Figure 5. *)
-let loc_of_app = function
-  | "btree" -> 18_000
-  | "rbtree" -> 18_500
-  | "hashmap_atomic" -> 17_500
-  | "hashmap_tx" -> 17_600
-  | "wort" -> 2_500
-  | "level_hash" -> 3_000
-  | "cceh" -> 2_800
-  | "fast_fair" -> 3_200
-  | _ -> 0
-
 let standard_workload ?(ops = 600) ?(key_range = 200) ?(seed = 42L) () =
   Workload.standard ~ops ~key_range ~seed
 

@@ -23,10 +23,6 @@ val of_app :
     a pool, creates the structure and drives the whole workload.
     [pool_size] defaults to the application's minimum. *)
 
-val loc_of_app : string -> int
-(** Approximate codebase sizes (application + its PM dependencies), the
-    x-axis metadata of Figure 5; [0] for unknown names. *)
-
 val standard_workload : ?ops:int -> ?key_range:int -> ?seed:int64 -> unit -> Workload.op list
 (** The evaluation mix with the defaults used throughout the test suite
     and benchmarks (600 ops over 200 keys, seed 42). *)

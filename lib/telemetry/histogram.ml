@@ -99,28 +99,3 @@ let to_json t =
       ("p99_ns", Json.Int (quantile t 0.99));
       ("buckets", Json.List non_empty);
     ]
-
-(** Inverse of {!to_json}, for consumers that fit models from exported
-    histograms (the optimizer's cost fitting reads "cost.*" histograms
-    back out of a telemetry JSONL). Extrema and the bucket array
-    round-trip exactly; a malformed document yields [None]. *)
-let of_json j =
-  match (Json.member "count" j, Json.member "sum_ns" j, Json.member "buckets" j) with
-  | Some (Json.Int count), Some (Json.Int sum), Some (Json.List cells) ->
-      let t = create () in
-      t.count <- count;
-      t.sum <- sum;
-      (match Json.member "min_ns" j with Some (Json.Int v) -> t.min <- v | _ -> ());
-      (match Json.member "max_ns" j with Some (Json.Int v) -> t.max <- v | _ -> ());
-      let ok =
-        List.for_all
-          (function
-            | Json.List [ Json.Int i; Json.Int c ] when i >= 0 && i < buckets && c >= 0 ->
-                t.counts.(i) <- c;
-                true
-            | _ -> false)
-          cells
-      in
-      if ok && count >= 0 && Array.fold_left ( + ) 0 t.counts = count then Some t
-      else None
-  | _ -> None

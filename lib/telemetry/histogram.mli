@@ -35,7 +35,6 @@ val merge : t -> t -> t
 
 val copy : t -> t
 val equal : t -> t -> bool
-val mean : t -> float
 
 val quantile : t -> float -> int
 (** Approximate quantile: walks the cumulative bucket counts and reports
@@ -45,7 +44,3 @@ val to_json : t -> Json.t
 (** Summary encoding used by the JSONL export and the bench result files:
     count, sum, extrema, mean, approximate p50/p90/p99, and the non-empty
     buckets as [[index, count]] pairs. *)
-
-val of_json : Json.t -> t option
-(** Inverse of {!to_json} (counts, sum, extrema and buckets round-trip
-    exactly); [None] on a malformed or inconsistent document. *)

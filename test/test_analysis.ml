@@ -1,7 +1,7 @@
 (* Tests for the offline static analyzer (lib/analysis): dependency-graph
-   structural properties over generated and recorded traces, trace
-   serialization round-trips, the static-findings-vs-ground-truth
-   differential and the analyzer's eADR contract. *)
+   structural properties over generated and recorded traces, the
+   static-findings-vs-ground-truth differential and the analyzer's eADR
+   contract. *)
 
 let wl ?(ops = 250) ?(key_range = 60) () = Targets.standard_workload ~ops ~key_range ()
 
@@ -21,13 +21,9 @@ let target_for ?version ?tx_mode name =
 (* One fully instrumented recording, as the engine's recorder makes it:
    stacks on every event, optional load tracing. *)
 let record ?(loads = false) (target : Mumak.Target.t) =
-  let recording =
-    Pmtrace.Replay.record ~loads ~pool_size:target.Mumak.Target.pool_size
-      (fun ~device ~framer -> target.Mumak.Target.run ~device ~framer)
-  in
-  let trace = Pmtrace.Trace.create () in
-  Pmtrace.Replay.iter recording (Pmtrace.Trace.add trace);
-  trace
+  Pmtrace.Replay.events
+    (Pmtrace.Replay.record ~loads ~pool_size:target.Mumak.Target.pool_size
+       (fun ~device ~framer -> target.Mumak.Target.run ~device ~framer))
 
 (* --- dependency-graph structural properties --- *)
 
@@ -62,8 +58,7 @@ let prop_graph_check_synthetic =
 let test_graph_check_recorded () =
   List.iter
     (fun name ->
-      let trace = record ~loads:true (target_for name) in
-      let g = Analysis.Dep_graph.build (Pmtrace.Trace.to_list trace) in
+      let g = Analysis.Dep_graph.build (record ~loads:true (target_for name)) in
       Alcotest.(check (list string))
         (name ^ " recorded-trace graph passes structural checks")
         []
@@ -71,39 +66,11 @@ let test_graph_check_recorded () =
     [ "btree"; "hashmap_atomic" ]
 
 let test_graph_epochs_monotone () =
-  let trace = record ~loads:true (target_for "btree") in
-  let g = Analysis.Dep_graph.build (Pmtrace.Trace.to_list trace) in
+  let g = Analysis.Dep_graph.build (record ~loads:true (target_for "btree")) in
   let groups = Analysis.Dep_graph.epoch_groups g in
   let epochs = List.map fst groups in
   Alcotest.(check (list int)) "epoch groups ascend" (List.sort compare epochs) epochs;
   Alcotest.(check bool) "a real workload persists something" true (Array.length g.Analysis.Dep_graph.nodes > 0)
-
-(* --- trace serialization --- *)
-
-let test_trace_roundtrip_recorded () =
-  List.iter
-    (fun loads ->
-      let trace = record ~loads (target_for "btree") in
-      let trace' = Pmtrace.Trace.deserialize (Pmtrace.Trace.serialize trace) in
-      Alcotest.(check int)
-        (Printf.sprintf "length preserved (loads=%b)" loads)
-        (Pmtrace.Trace.length trace) (Pmtrace.Trace.length trace');
-      Alcotest.(check bool)
-        (Printf.sprintf "events round-trip (loads=%b)" loads)
-        true
-        (List.for_all2
-           (fun (a : Pmtrace.Event.t) b -> a = b)
-           (Pmtrace.Trace.to_list trace) (Pmtrace.Trace.to_list trace')))
-    [ false; true ]
-
-let prop_trace_roundtrip_synthetic =
-  QCheck.Test.make ~name:"synthetic event streams round-trip through serialization" ~count:200
-    QCheck.(list_of_size (Gen.int_range 0 40) (pair (int_range 0 20) (int_range 0 50)))
-    (fun blocks ->
-      let t = Pmtrace.Trace.create () in
-      List.iter (Pmtrace.Trace.add t) (events_of_ops (List.concat_map block_ops blocks));
-      Pmtrace.Trace.to_list (Pmtrace.Trace.deserialize (Pmtrace.Trace.serialize t))
-      = Pmtrace.Trace.to_list t)
 
 (* --- trace-analysis raw findings are unique per (kind, seq) --- *)
 
@@ -193,7 +160,7 @@ let test_static_same_correctness_bugs () =
 (* --- redundancy findings: one per code site --- *)
 
 let test_static_redundancy_per_site () =
-  let events = Pmtrace.Trace.to_list (record ~loads:true (target_for "btree")) in
+  let events = record ~loads:true (target_for "btree") in
   (* the earliest dynamic instance of every redundant flush and fence site,
      read straight off the recorded events *)
   let earliest = Hashtbl.create 64 and pseq = ref 0 in
@@ -244,7 +211,7 @@ let test_static_eadr_drops_durability () =
      have something to check; the same recording feeds both analyses *)
   Bugreg.with_enabled [ "hm_atomic_count_never_flushed"; "hm_atomic_link_before_persist" ]
     (fun () ->
-      let events = Pmtrace.Trace.to_list (record ~loads:true (target_for "hashmap_atomic")) in
+      let events = record ~loads:true (target_for "hashmap_atomic") in
       let findings eadr =
         (Analysis.Static.analyze ~runs:static_config.Mumak.Config.invariant_runs
            ~support:static_config.Mumak.Config.invariant_support
@@ -274,11 +241,6 @@ let () =
           Alcotest.test_case "recorded traces pass structural checks" `Quick
             test_graph_check_recorded;
           Alcotest.test_case "epoch groups are monotone" `Quick test_graph_epochs_monotone;
-        ] );
-      ( "trace_serialization",
-        [
-          Alcotest.test_case "recorded traces round-trip" `Quick test_trace_roundtrip_recorded;
-          qt prop_trace_roundtrip_synthetic;
         ] );
       ("trace_analysis", [ qt prop_ta_findings_unique ]);
       ( "static_differential",

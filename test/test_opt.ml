@@ -1,7 +1,7 @@
 (* Tests for the optimizer pipeline (cost model + plan synthesis + replay
    verification):
-   - cost model: static weights, fit anchoring on the clwb mean, unsampled
-     classes keeping their static weight, JSON round-trip;
+   - cost model: the static table's per-op weights, summed over a trace,
+     price the optimizer's baseline and every plan's measured savings;
    - synthesis on synthetic traces with one planted opportunity per rule
      (batch_fences, coalesce_flushes, move_flush, convert_to_nt,
      convert_to_clwb — the last never fires on the kvstore matrix, so only
@@ -17,11 +17,12 @@
      oracle memo shared by every pass, which must judge no image twice;
    - qcheck: Replay.rewrite edit composition — renumbering stays
      consecutive under overlapping move+delete sets, edit-list order is
-     irrelevant, and rewritten traces survive arena serialization
-     byte-for-byte;
+     irrelevant, and rewriting an arena-backed recording equals rewriting
+     its event list;
    - the engine differential on a kvstore: >=1 proven bundle, zero harmful
-     shipped, executions stay 1, and the report signature is byte-identical
-     to the same run with the optimizer off. *)
+     shipped, executions stay 1, the report signature is byte-identical
+     to the same run with the optimizer off, and a second analysis of the
+     same workload gives byte-identical optimizer JSON. *)
 
 module Replay = Pmtrace.Replay
 module Opt = Analysis.Opt
@@ -72,50 +73,9 @@ let test_static_weights () =
     (cycles (Pmem.Op.Fence { kind = Pmem.Op.Sfence; pending_flushes = 0; pending_nt = 0 }));
   Alcotest.(check int) "loads are free" 0
     (cycles (Pmem.Op.Load { addr = 0; size = 8 }));
-  Alcotest.(check string) "source" "static" w.Cost.w_source;
   (* the lint anchors: optimizer projections and lint estimates share a scale *)
   Alcotest.(check int) "clwb matches lint's flush estimate" 250 w.Cost.w_clwb;
   Alcotest.(check int) "sfence matches lint's fence estimate" 30 w.Cost.w_sfence
-
-let test_fit () =
-  Alcotest.(check bool) "empty fit is the static table" true
-    (Cost.fit [] = Cost.static_weights);
-  let hist samples =
-    let h = Telemetry.Histogram.create () in
-    List.iter (Telemetry.Histogram.observe h) samples;
-    h
-  in
-  (* clwb sampled at mean 500ns anchors the scale at 250/500; a clflush
-     mean of 1000ns then lands on 500 cycles *)
-  let w =
-    Cost.fit [ ("cost.clwb_ns", hist [ 400; 600 ]); ("cost.clflush_ns", hist [ 1000 ]) ]
-  in
-  Alcotest.(check string) "source" "fitted" w.Cost.w_source;
-  Alcotest.(check int) "anchor class keeps its static weight" 250 w.Cost.w_clwb;
-  Alcotest.(check int) "sampled class rescales off the anchor" 500 w.Cost.w_clflush;
-  Alcotest.(check int) "unsampled class keeps its static weight"
-    Cost.static_weights.Cost.w_sfence w.Cost.w_sfence
-
-let test_measure_and_trace_cycles () =
-  let evs =
-    normalized
-      [ store 0 8; flush 0; fence (); store 64 8; flush ~kind:Pmem.Op.Clflush 1; fence () ]
-  in
-  let w = Cost.static_weights in
-  Alcotest.(check int) "trace_cycles sums the per-op weights"
-    ((2 * w.Cost.w_store) + w.Cost.w_clwb + w.Cost.w_clflush + (2 * w.Cost.w_sfence))
-    (Cost.trace_cycles w evs);
-  let hists = Cost.measure ~pool_size evs in
-  List.iter
-    (fun cls ->
-      match List.assoc_opt cls hists with
-      | Some h -> Alcotest.(check bool) (cls ^ " sampled") true (h.Telemetry.Histogram.count > 0)
-      | None -> Alcotest.failf "measure recorded no %s histogram" cls)
-    [ "cost.store_ns"; "cost.clwb_ns"; "cost.clflush_ns"; "cost.sfence_ns" ];
-  (* fitted weights from a measured pass still price every op positively *)
-  let fitted = Cost.fit hists in
-  Alcotest.(check bool) "fitted weights stay positive" true
-    (Cost.trace_cycles fitted evs > 0)
 
 (* --- synthesis rules ------------------------------------------------ *)
 
@@ -286,6 +246,36 @@ let test_optimize_batch_and_tally () =
   Alcotest.(check int) "one fence removed" 1 b.Opt.b_measured_events;
   Alcotest.(check bool) "pure deletion: measured equals projected" true
     (b.Opt.b_measured_cycles = b.Opt.b_plan.Opt.p_projected_cycles)
+
+(* The static table prices a trace op by op, and the optimizer measures
+   every plan with it: its baseline is the trace's cycles and a plan's
+   saving is the baseline minus the cycles of the rewritten trace. *)
+let test_measure_and_trace_cycles () =
+  let ops =
+    [
+      store 0 8; flush 0; fence ();
+      store 64 8; flush ~kind:Pmem.Op.Clflush ~stack:(cap [ "main"; "persist" ] 3) 1;
+      fence ~stack:(cap [ "main" ] 5) ();
+    ]
+  in
+  let evs = normalized ops in
+  let w = Cost.static_weights in
+  Alcotest.(check int) "trace_cycles sums the per-op weights"
+    ((2 * w.Cost.w_store) + w.Cost.w_clwb + w.Cost.w_clflush + (2 * w.Cost.w_sfence))
+    (Cost.trace_cycles w evs);
+  let o = optimize_events ops in
+  Alcotest.(check int) "baseline cycles are the trace's" (Cost.trace_cycles w evs)
+    o.Opt.baseline_cycles;
+  let shipped = Opt.shipped o in
+  Alcotest.(check bool) "a plan ships" true (shipped <> []);
+  List.iter
+    (fun b ->
+      Alcotest.(check int)
+        (b.Opt.b_plan.Opt.p_rule ^ ": measured cycles = baseline - rewritten")
+        (Cost.trace_cycles w evs
+        - Cost.trace_cycles w (Replay.rewrite_events evs b.Opt.b_plan.Opt.p_edits))
+        b.Opt.b_measured_cycles)
+    shipped
 
 (* --- the one-pass verifier against the copying reference ------------ *)
 
@@ -718,12 +708,7 @@ let qcheck_rewrite_arena_roundtrip =
   QCheck.Test.make ~name:"rewritten recordings survive arena serialization" ~count:100
     arb_trace_and_edits (fun (evs, edits) ->
       let noload = Replay.of_events ~pool_size evs in
-      let out = Replay.events (Replay.rewrite noload edits) in
-      out = Replay.rewrite_events evs edits
-      &&
-      let tr = Pmtrace.Trace.create () in
-      List.iter (Pmtrace.Trace.add tr) out;
-      Pmtrace.Trace.to_list (Pmtrace.Trace.deserialize (Pmtrace.Trace.serialize tr)) = out)
+      Replay.events (Replay.rewrite noload edits) = Replay.rewrite_events evs edits)
 
 let qcheck_rewrite_normalizes =
   QCheck.Test.make ~name:"rewritten traces normalize without error" ~count:100
@@ -752,7 +737,15 @@ let test_engine_kvstore () =
   in
   Alcotest.(check bool) "report signature untouched by the phase" true
     (Mumak.Report.signature base.Mumak.Engine.report
-    = Mumak.Report.signature r.Mumak.Engine.report)
+    = Mumak.Report.signature r.Mumak.Engine.report);
+  (* the optimizer is a function of the workload: a second analysis ranks,
+     verifies and prices the same plans, byte for byte *)
+  let again = Mumak.Engine.analyze ~config:Mumak.Config.optimizing (target ()) in
+  let opt_json r = Telemetry.Json.to_string (Opt.to_json (Option.get r.Mumak.Engine.opt)) in
+  Alcotest.(check string) "optimizer JSON repeats" (opt_json r) (opt_json again);
+  Alcotest.(check (list string)) "report signature repeats"
+    (Mumak.Report.signature r.Mumak.Engine.report)
+    (Mumak.Report.signature again.Mumak.Engine.report)
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -761,7 +754,6 @@ let () =
       ( "cost",
         [
           Alcotest.test_case "static weights" `Quick test_static_weights;
-          Alcotest.test_case "fit anchoring" `Quick test_fit;
           Alcotest.test_case "measure + trace cycles" `Quick test_measure_and_trace_cycles;
         ] );
       ( "synthesis",

@@ -91,11 +91,11 @@ let test_resolve_stacks () =
   Alcotest.(check int) "resolved index" 2 c2.Callstack.op_index
 
 let test_trace_fold_order () =
-  let t = Trace.create () in
+  let t = Arena.create () in
   List.iter
-    (fun seq -> Trace.add t { Event.seq; op = Pmem.Op.Store { addr = 0; size = 8; nt = false }; stack = None })
+    (fun seq -> Arena.add t { Event.seq; op = Pmem.Op.Store { addr = 0; size = 8; nt = false }; stack = None })
     [ 1; 2; 3 ];
-  let seqs = Trace.fold t [] (fun acc e -> e.Event.seq :: acc) in
+  let seqs = Arena.fold t [] (fun acc e -> e.Event.seq :: acc) in
   Alcotest.(check (list int)) "fold in execution order" [ 3; 2; 1 ] seqs
 
 let prop_capture_identity =

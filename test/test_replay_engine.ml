@@ -24,8 +24,7 @@
 
    Layer 3 — qcheck properties for the arena representation: pack/unpack
    round-trip, interning stability (decoded equal paths are physically
-   shared), serialization of arena-backed traces equal to the list-backed
-   round-trip, rewrite on arena-backed recordings agreeing with the
+   shared), rewrite on arena-backed recordings agreeing with the
    list-based rewriter, and the store-only prefix materializer producing
    byte-identical images to a full device replay. On random device
    programs, the recorder holds the events, stacks, payloads, poison and
@@ -233,8 +232,8 @@ let test_static_seeded () =
 
 (* --- layer 3: arena properties --- *)
 
-(* A small pool of well-formed call paths: repetition exercises interning,
-   and the labels avoid the serialization metacharacters. *)
+(* A small pool of well-formed call paths: repetition exercises
+   interning. *)
 let path_pool =
   [ [ "_start" ]; [ "_start"; "put" ]; [ "_start"; "put"; "split" ]; [ "_start"; "del" ] ]
 
@@ -286,7 +285,7 @@ let event_gen =
          (List.combine ops stacks)))
 
 let print_events evs =
-  String.concat "\n" (List.map Pmtrace.Trace.event_to_line evs)
+  String.concat "\n" (List.map (Fmt.to_to_string Pmtrace.Event.pp) evs)
 
 let events_arb = QCheck.make ~print:print_events event_gen
 
@@ -346,21 +345,6 @@ let arena_tests =
         Pmtrace.Arena.clear a;
         List.iter (Pmtrace.Arena.add a) evs;
         List.for_all (fun (path, id) -> Pmtrace.Arena.path_id a path = id) ids);
-    QCheck.Test.make ~name:"serialize/deserialize equals list-backed round-trip"
-      ~count:200 events_arb (fun evs ->
-        (* arena-backed: through Trace.t (an arena underneath) *)
-        let t = Pmtrace.Trace.create () in
-        List.iter (Pmtrace.Trace.add t) evs;
-        let arena_rt =
-          Pmtrace.Trace.to_list (Pmtrace.Trace.deserialize (Pmtrace.Trace.serialize t))
-        in
-        (* list-backed: line-by-line through the event codec *)
-        let list_rt =
-          List.map
-            (fun e -> Pmtrace.Trace.event_of_line (Pmtrace.Trace.event_to_line e))
-            evs
-        in
-        arena_rt = list_rt && arena_rt = evs);
     QCheck.Test.make ~name:"rewrite on arena recordings = rewrite on lists" ~count:200
       (QCheck.pair events_arb (QCheck.make QCheck.Gen.(0 -- 1000)))
       (fun (evs, salt) ->
@@ -697,7 +681,7 @@ let check_load_free_view name make_target =
     (name ^ ": the recording traced loads")
     true
     (Pmtrace.Replay.length loaded > Pmtrace.Replay.length plain);
-  let render r = List.map Pmtrace.Trace.event_to_line (Pmtrace.Replay.events r) in
+  let render r = List.map (Fmt.to_to_string Pmtrace.Event.pp) (Pmtrace.Replay.events r) in
   Alcotest.(check (list string)) (name ^ ": events and stacks") (render plain) (render view);
   Alcotest.(check string) (name ^ ": digest") (Pmtrace.Replay.digest plain)
     (Pmtrace.Replay.digest view);
