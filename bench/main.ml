@@ -34,10 +34,12 @@ let bench_telemetry_begin () =
   bench_clock := Unix.gettimeofday ();
   bench_alloc := Mumak.Metrics.allocated_bytes ()
 
+(* The commit the envelope's code came from, marked [-dirty] when the
+   tree had uncommitted changes: such a tree is not the commit it names. *)
 let git_commit =
   lazy
     (try
-       let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
+       let ic = Unix.open_process_in "git describe --always --dirty 2>/dev/null" in
        let line = try input_line ic with End_of_file -> "" in
        ignore (Unix.close_process_in ic);
        if String.trim line = "" then "unknown" else String.trim line

@@ -5,7 +5,8 @@
    [residue], whose iteration order is the order trace analysis reports
    them in — fixed by the table's initial size and its insert/remove
    history, so both are part of the output. A fold made without the
-   residue keeps no slots at all. *)
+   residue keeps no slots at all. The line table's order reaches no
+   output, so it hashes inline ({!Pmem.Int_table}). *)
 
 module Tbl = Hashtbl.Make (Int)
 
@@ -29,7 +30,7 @@ type line = {
 type step = Load | Store | Volatile_flush | Clean_flush | Clean_nt_flush | Dirty_flush | Fence
 
 type t = {
-  lines : line Tbl.t;
+  lines : line Pmem.Int_table.t;
   tracks_residue : bool;
   residue : slot Tbl.t;
   mutable touched : line array;  (* lines stored to or captured in [touched_epoch] *)
@@ -49,17 +50,17 @@ let no_line =
     nt_epoch = -1; touch_epoch = -1; flushes = 0; last_flush = 0; slots = [||] }
 
 let create ?(residue = false) () =
-  { lines = Tbl.create 1024; tracks_residue = residue;
+  { lines = Pmem.Int_table.create 1024; tracks_residue = residue;
     residue = Tbl.create (if residue then 4096 else 1); touched = [||]; n_touched = 0;
     touched_epoch = 0; epoch = 0; pseq = 0; captured_stores = 0; overwritten = 0 }
 
 let line_of t line =
-  match Tbl.find t.lines line with
+  match Pmem.Int_table.find t.lines line with
   | l -> l
   | exception Not_found ->
       let slots = if t.tracks_residue then Array.make slots_per_line no_slot else [||] in
       let l = { no_line with line; slots } in
-      Tbl.add t.lines line l;
+      Pmem.Int_table.add t.lines line l;
       l
 
 (* The touched list of a closed epoch stays readable ({!stranded}) until
@@ -77,7 +78,7 @@ let touch t l =
     t.n_touched <- t.n_touched + 1
   end
 
-let store t ~seq ~addr ~size ~nt =
+let store_slots t ~seq ~addr ~size ~nt =
   let first_slot = Pmem.Addr.slot_of addr and last_slot = Pmem.Addr.slot_of (addr + size - 1) in
   for line = Pmem.Addr.line_of addr to Pmem.Addr.line_of (addr + size - 1) do
     let l = line_of t line in
@@ -100,7 +101,7 @@ let store t ~seq ~addr ~size ~nt =
     end
   done
 
-let flush t kind l ~dirty =
+let flush_line t kind l ~dirty =
   l.flushes <- l.flushes + 1;
   l.last_flush <- t.pseq;
   if not dirty then if l.nt_epoch = t.epoch then Clean_nt_flush else Clean_flush
@@ -119,7 +120,7 @@ let flush t kind l ~dirty =
   end
 
 (* Every captured slot was captured this epoch, in a touched line. *)
-let fence t =
+let drain t =
   if t.touched_epoch = t.epoch then
     for i = 0 to t.n_touched - 1 do
       let slots = t.touched.(i).slots in
@@ -134,25 +135,43 @@ let fence t =
   t.epoch <- t.epoch + 1;
   Fence
 
+(* The step, one function per kind of event, from the event's fields. *)
+let store t ~seq ~addr ~size ~nt =
+  t.pseq <- t.pseq + 1;
+  store_slots t ~seq ~addr ~size ~nt;
+  Store
+
+let flush t kind ~line ~dirty ~volatile =
+  t.pseq <- t.pseq + 1;
+  if volatile then Volatile_flush else flush_line t kind (line_of t line) ~dirty
+
+let fence t =
+  t.pseq <- t.pseq + 1;
+  drain t
+
 let feed t (e : Pmtrace.Event.t) =
-  (match e.Pmtrace.Event.op with Pmem.Op.Load _ -> () | _ -> t.pseq <- t.pseq + 1);
   match e.Pmtrace.Event.op with
   | Pmem.Op.Load _ -> Load
-  | Pmem.Op.Store { addr; size; nt } ->
-      store t ~seq:e.Pmtrace.Event.seq ~addr ~size ~nt;
-      Store
-  | Pmem.Op.Flush { volatile = true; _ } -> Volatile_flush
-  | Pmem.Op.Flush { kind; line; dirty; _ } -> flush t kind (line_of t line) ~dirty
+  | Pmem.Op.Store { addr; size; nt } -> store t ~seq:e.Pmtrace.Event.seq ~addr ~size ~nt
+  | Pmem.Op.Flush { kind; line; dirty; volatile } -> flush t kind ~line ~dirty ~volatile
   | Pmem.Op.Fence _ -> fence t
+
+let flush_redundancy step ~line =
+  match step with
+  | Volatile_flush -> Some (Printf.sprintf "flush of volatile address (line %d)" line)
+  | Clean_flush | Clean_nt_flush ->
+      Some (Printf.sprintf "line %d flushed with nothing written since its last flush" line)
+  | Load | Store | Dirty_flush | Fence -> None
+
+let fence_redundancy ~pending_flushes ~pending_nt =
+  if pending_flushes = 0 && pending_nt = 0 then Some "fence with no pending flushes or NT stores"
+  else None
 
 let redundancy step (op : Pmem.Op.t) =
   match (step, op) with
-  | Volatile_flush, Pmem.Op.Flush { line; _ } ->
-      Some (Printf.sprintf "flush of volatile address (line %d)" line)
-  | (Clean_flush | Clean_nt_flush), Pmem.Op.Flush { line; _ } ->
-      Some (Printf.sprintf "line %d flushed with nothing written since its last flush" line)
-  | Fence, Pmem.Op.Fence { pending_flushes = 0; pending_nt = 0; _ } ->
-      Some "fence with no pending flushes or NT stores"
+  | _, Pmem.Op.Flush { line; _ } -> flush_redundancy step ~line
+  | Fence, Pmem.Op.Fence { pending_flushes; pending_nt; _ } ->
+      fence_redundancy ~pending_flushes ~pending_nt
   | _ -> None
 
 let pseq t = t.pseq
@@ -167,7 +186,7 @@ let stranded t f =
     done
 
 let last_flush t line =
-  match Tbl.find t.lines line with l -> l.last_flush | exception Not_found -> 0
+  match Pmem.Int_table.find t.lines line with l -> l.last_flush | exception Not_found -> 0
 
 let iter_residue t f =
   if not t.tracks_residue then invalid_arg "Persist_fold.iter_residue: made without ~residue";
@@ -175,5 +194,5 @@ let iter_residue t f =
     (fun slot r ->
       let line = slot * Pmem.Addr.atomic_size / Pmem.Addr.line_size in
       f ~slot ~seq:r.seq ~captured:(r.state = Captured)
-        ~line_flushed:((Tbl.find t.lines line).flushes > 0))
+        ~line_flushed:((Pmem.Int_table.find t.lines line).flushes > 0))
     t.residue

@@ -25,12 +25,25 @@ val create : ?residue:bool -> unit -> t
     8-byte slot from store to durability, for {!iter_residue}; only trace
     analysis reads that, and a fold without it keeps no per-slot state. *)
 
+(** {1 The step}
+
+    One function per kind of event, taking the event's fields; a load
+    changes nothing and steps [Load]. {!feed} is the same step over a
+    decoded event. *)
+
+val store : t -> seq:int -> addr:int -> size:int -> nt:bool -> step
+val flush : t -> Pmem.Op.flush_kind -> line:int -> dirty:bool -> volatile:bool -> step
+val fence : t -> step
 val feed : t -> Pmtrace.Event.t -> step
 
 val redundancy : step -> Pmem.Op.t -> string option
 (** How every view describes a flush or fence that does no work — a
     volatile or clean flush, a fence with nothing pending; [None] for any
-    other event. *)
+    other event. {!flush_redundancy} and {!fence_redundancy} are the same
+    description from the event's fields. *)
+
+val flush_redundancy : step -> line:int -> string option
+val fence_redundancy : pending_flushes:int -> pending_nt:int -> string option
 
 val pseq : t -> int
 (** Persistency index of the last non-load event fed (1-based). *)

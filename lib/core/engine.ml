@@ -125,8 +125,6 @@ let analyze ?(config = Config.default) (target : Target.t) =
   let optional on p f = if on then Some (phase p f) else None in
   let target = Phase.counted table target in
   let report = Report.create ~target:target.Target.name in
-  let ta = Trace_analysis.create config in
-  let ta_feed event _stack = Trace_analysis.feed ta event in
   (* The one recording: under [Config.Replay] — and for every offline phase
      regardless of strategy — the target is recorded once and each consumer
      reads the recording instead of re-executing. It traces loads only when
@@ -232,37 +230,48 @@ let analyze ?(config = Config.default) (target : Target.t) =
           ~points:(Fault_injection.offline_points config)
           noload)
   in
-  (* Instrumented execution(s), failure-point tree, injection. Under
-     [Replay] the recording's failure points come out too. *)
-  let fi_result, pm_stats, replay_points =
+  (* Instrumented execution(s), failure-point tree, injection, and the
+     trace analysis the execution or the recording feeds. Under [Replay]
+     the recording's failure points come out too. *)
+  let fi_result, pm_stats, replay_points, ta =
     phase Report.Fault_injection
-      ~workers:(fun (fi, _, _) -> fi.Fault_injection.worker_metrics)
+      ~workers:(fun (fi, _, _, _) -> fi.Fault_injection.worker_metrics)
       (fun () ->
         match config.Config.strategy with
         | Config.Reexecute ->
+            let ta = Trace_analysis.create config in
             let tree, stats =
               Telemetry.Collector.span ~cat:"step" "build_tree" (fun () ->
-                  Fault_injection.build_tree ~extra_listener:ta_feed config target)
+                  Fault_injection.build_tree
+                    ~extra_listener:(fun event _stack -> Trace_analysis.feed ta event)
+                    config target)
             in
             ( Telemetry.Collector.span ~cat:"step" "injection" (fun () ->
                   Fault_injection.inject_reexecute config target tree),
               stats,
-              None )
+              None,
+              ta )
         | Config.Replay ->
             (* Replay-first: the shared recording stands in for every live
-               execution. One walk over it feeds the trace analysis (the
-               same stream the live strategy feeds it) and the failure-point
-               enumeration, whose tree is injected on; crash images stream
-               out of one batched materialization pass per worker. *)
+               execution. One walk over its packed events, read by
+               position, feeds the trace analysis (the same stream the
+               live strategy feeds it) and the failure-point enumeration,
+               whose tree is injected on; both handle each code path once,
+               by its stack code. Crash images stream out of one batched
+               materialization pass per worker. *)
             let r = Lazy.force view in
+            let trace = Pmtrace.Replay.arena r in
+            let ta = Trace_analysis.create ~trace config in
             let en = Fault_injection.enumeration config in
-            Pmtrace.Replay.iter r (fun e ->
-                Trace_analysis.feed ta e;
-                Fault_injection.enumerate_step en e);
+            for i = 0 to Pmtrace.Arena.length trace - 1 do
+              Trace_analysis.step ta i;
+              Fault_injection.enumerate_slot en trace i
+            done;
             ( Telemetry.Collector.span ~cat:"step" "injection" (fun () ->
                   Fault_injection.inject_replay config target ~recording:r en),
               Pmtrace.Replay.stats r,
-              Some (Fault_injection.enumerated en) ))
+              Some (Fault_injection.enumerated en),
+              ta ))
   in
   (* Close the streaming trace analysis and attach stacks to its findings.
      Under [Replay] the recording already carries a stack on every event
@@ -279,18 +288,18 @@ let analyze ?(config = Config.default) (target : Target.t) =
                 let wanted = List.map (fun r -> r.Trace_analysis.seq) raw_findings in
                 match config.Config.strategy with
                 | Config.Replay ->
-                    let r = Lazy.force view in
+                    let trace = Pmtrace.Replay.arena (Lazy.force view) in
                     let resolved = Hashtbl.create (List.length wanted) in
                     List.iter
                       (fun seq ->
-                        if seq >= 1 && seq <= Pmtrace.Replay.length r then
-                          match (Pmtrace.Replay.event r (seq - 1)).Pmtrace.Event.stack with
-                          | Some c -> Hashtbl.replace resolved seq c
-                          | None -> ())
+                        if seq >= 1 && seq <= Pmtrace.Arena.length trace then
+                          Option.iter (Hashtbl.replace resolved seq)
+                            (Pmtrace.Arena.capture trace (seq - 1)))
                       wanted;
                     resolved
                 | Config.Reexecute -> resolve_stacks target ~wanted)
         in
+        Telemetry.Collector.count "ta.findings" (List.length raw_findings);
         (raw_findings, resolved))
   in
   let trace_signature, provenance =
@@ -434,8 +443,11 @@ let analyze ?(config = Config.default) (target : Target.t) =
           match (replay_points, read_view) with
           | Some points, _ -> points
           | None, Some r ->
+              let trace = Pmtrace.Replay.arena r in
               let en = Fault_injection.enumeration config in
-              Pmtrace.Replay.iter r (Fault_injection.enumerate_step en);
+              for i = 0 to Pmtrace.Arena.length trace - 1 do
+                Fault_injection.enumerate_slot en trace i
+              done;
               Fault_injection.enumerated en
           | None, None -> []
         in

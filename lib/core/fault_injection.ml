@@ -29,18 +29,19 @@ type result = {
 exception Crash_now
 
 (* The failure-point rule shared by the live and the offline detector:
-   does [op] fire a failure point? Honours granularity and the store-since
-   guard, so it is stateful: create one per event stream. *)
+   does an event of this kind fire a failure point? Honours granularity
+   and the store-since guard, so it is stateful: create one per event
+   stream. *)
 let fp_rule granularity =
   let stores_since = ref 0 in
-  fun (op : Pmem.Op.t) ->
-    match (op, granularity) with
-    | Pmem.Op.Load _, _ -> false
-    | Pmem.Op.Store _, _ ->
+  fun (kind : Pmtrace.Arena.kind) ->
+    match (kind, granularity) with
+    | Pmtrace.Arena.Load, _ -> false
+    | Pmtrace.Arena.Store, _ ->
         incr stores_since;
         granularity = Config.Store_level
-    | (Pmem.Op.Flush _ | Pmem.Op.Fence _), Config.Store_level -> false
-    | (Pmem.Op.Flush _ | Pmem.Op.Fence _), Config.Persistency_instruction ->
+    | (Pmtrace.Arena.Flush | Pmtrace.Arena.Fence), Config.Store_level -> false
+    | (Pmtrace.Arena.Flush | Pmtrace.Arena.Fence), Config.Persistency_instruction ->
         let fires = !stores_since > 0 in
         if fires then stores_since := 0;
         fires
@@ -50,7 +51,8 @@ let fp_rule granularity =
 let fp_listener ~granularity ~on_fp =
   let fires = fp_rule granularity in
   fun (event : Pmtrace.Event.t) (stack : Pmtrace.Callstack.t) ->
-    if fires event.Pmtrace.Event.op then on_fp (Pmtrace.Callstack.capture stack)
+    if fires (Pmtrace.Arena.kind_of_op event.Pmtrace.Event.op) then
+      on_fp (Pmtrace.Callstack.capture stack)
 
 (* The offline failure-point detector as a step function over recorded
    events (which must carry stacks). Mirroring [fp_listener] and
@@ -58,25 +60,42 @@ let fp_listener ~granularity ~on_fp =
    on a live execution of the same workload, and its tree is the one the
    replay strategy injects on. *)
 type enumeration = {
-  fires : Pmem.Op.t -> bool;
+  fires : Pmtrace.Arena.kind -> bool;
   tree : Fp_tree.t;
+  codes : unit Pmem.Int_table.t;  (** the stack codes already in [tree] *)
   mutable pseq : int;  (** persistency index: count of non-[Load] events *)
   mutable found : (int * Fp_tree.point) list;
       (** each new point with the pseq of its first occurrence, newest first *)
 }
 
 let enumeration config =
-  { fires = fp_rule config.Config.granularity; tree = Fp_tree.create (); pseq = 0; found = [] }
+  { fires = fp_rule config.Config.granularity; tree = Fp_tree.create ();
+    codes = Pmem.Int_table.create 64; pseq = 0; found = [] }
+
+(* The next event, by kind: does it fire? *)
+let advance en (kind : Pmtrace.Arena.kind) =
+  (match kind with Pmtrace.Arena.Load -> () | _ -> en.pseq <- en.pseq + 1);
+  en.fires kind
+
+let add_point en capture =
+  match Fp_tree.insert en.tree capture with
+  | `Added p -> en.found <- (en.pseq, p) :: en.found
+  | `Existing _ -> ()
 
 let enumerate_step en (e : Pmtrace.Event.t) =
-  (match e.Pmtrace.Event.op with Pmem.Op.Load _ -> () | _ -> en.pseq <- en.pseq + 1);
-  if en.fires e.Pmtrace.Event.op then
-    match e.Pmtrace.Event.stack with
-    | None -> ()
-    | Some capture -> (
-        match Fp_tree.insert en.tree capture with
-        | `Added p -> en.found <- (en.pseq, p) :: en.found
-        | `Existing _ -> ())
+  if advance en (Pmtrace.Arena.kind_of_op e.Pmtrace.Event.op) then
+    Option.iter (add_point en) e.Pmtrace.Event.stack
+
+(* A firing event's stack code names its code path, so the tree is walked
+   once per point, not once per dynamic instance. *)
+let enumerate_slot en trace i =
+  if advance en (Pmtrace.Arena.kind trace i) then begin
+    let code = Pmtrace.Arena.code trace i in
+    if code <> 0 && not (Pmem.Int_table.mem en.codes code) then begin
+      Pmem.Int_table.add en.codes code ();
+      Option.iter (add_point en) (Pmtrace.Arena.capture trace i)
+    end
+  end
 
 let enumerated en =
   List.rev_map (fun (pseq, p) -> (p.Fp_tree.ordinal, pseq, p.Fp_tree.capture)) en.found

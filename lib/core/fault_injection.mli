@@ -64,6 +64,13 @@ val enumeration : Config.t -> enumeration
 val enumerate_step : enumeration -> Pmtrace.Event.t -> unit
 (** Consume the next recorded event (events must carry stacks). *)
 
+val enumerate_slot : enumeration -> Pmtrace.Arena.t -> int -> unit
+(** [enumerate_slot en trace i] consumes the [i]-th event of a recording's
+    packed trace, read by position: the same step as {!enumerate_step} on
+    the decoded event, except that the failure-point tree is only touched
+    for a stack code ({!Pmtrace.Arena.code}) not seen before. Feed one
+    enumeration from one of the two, never both. *)
+
 val enumerated : enumeration -> (int * int * Pmtrace.Callstack.capture) list
 (** The failure points of the events fed so far, as [(ordinal, pseq,
     capture)] triples in discovery order: each unique failure point's

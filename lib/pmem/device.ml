@@ -19,8 +19,10 @@ type line_state = {
 }
 
 (* The cached lines by index. A lookup is [find] with [Not_found] for a
-   miss, so a hit boxes no option. *)
-module Lines = Hashtbl.Make (Int)
+   miss, so a hit boxes no option. Nothing depends on the table's
+   iteration order: [line_versions] sorts, and the other walks write
+   disjoint lines or sum over them. *)
+module Lines = Int_table
 
 (* The line table's initial bucket count: an adopted crash view starts
    small, and walking the table costs at least this many buckets. *)

@@ -15,8 +15,9 @@ let page_size = 1 lsl page_bits
 let zero_page = Bytes.make page_size '\000'
 
 (* A view's private pages by page index. Every lookup is [find] with
-   [Not_found] for a miss, so a hit boxes no option. *)
-module Pages = Hashtbl.Make (Int)
+   [Not_found] for a miss, so a hit boxes no option; [cow_pages] sorts
+   what it lists, so the table's order reaches no output. *)
+module Pages = Int_table
 
 type t = {
   size : int;

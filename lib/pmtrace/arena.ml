@@ -128,6 +128,12 @@ let add t (e : Event.t) =
 
 let add_op t ~seq op ~path ~op_index = put t ~seq op ~stack:(intern t path + 1) ~op_index
 
+(* The stack of the event at [base], from its stack and op_index slots. *)
+let stack_at t base =
+  match t.data.{base + 5} with
+  | 0 -> None
+  | id -> Some { Callstack.path = t.paths.(id - 1); op_index = t.data.{base + 6} }
+
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Arena.get";
   let d = t.data in
@@ -152,12 +158,7 @@ let get t i =
           }
     | _ -> Pmem.Op.Load { addr = d.{base + 2}; size = d.{base + 3} }
   in
-  let stack =
-    match d.{base + 5} with
-    | 0 -> None
-    | id -> Some { Callstack.path = t.paths.(id - 1); op_index = d.{base + 6} }
-  in
-  { Event.seq = d.{base}; op; stack }
+  { Event.seq = d.{base}; op; stack = stack_at t base }
 
 let iter t f =
   for i = 0 to t.len - 1 do
@@ -236,11 +237,32 @@ let slot t i =
 
 let seq t i = t.data.{slot t i}
 
+let kind_of_op = function
+  | Pmem.Op.Store _ -> Store
+  | Pmem.Op.Flush _ -> Flush
+  | Pmem.Op.Fence _ -> Fence
+  | Pmem.Op.Load _ -> Load
+
 let kind t i =
   match t.data.{slot t i + 1} with 0 -> Store | 1 -> Flush | 2 -> Fence | _ -> Load
 
 let addr t i = t.data.{slot t i + 2}
 let size t i = t.data.{slot t i + 3}
+let nt t i = t.data.{slot t i + 4} = 1
+let flush_kind t i = flush_kind_of_code t.data.{slot t i + 2}
+let line t i = t.data.{slot t i + 3}
+let dirty t i = t.data.{slot t i + 4} land 1 = 1
+let volatile t i = t.data.{slot t i + 4} land 2 = 2
+let pending_flushes t i = t.data.{slot t i + 3}
+let pending_nt t i = t.data.{slot t i + 4}
+
+(* The stack slot (0, or path id + 1) above bit 32 and the op_index below:
+   an activation would need 2^32 instructions to carry into the path id. *)
+let code t i =
+  let base = slot t i in
+  (t.data.{base + 5} lsl 32) lor t.data.{base + 6}
+
+let capture t i = stack_at t (slot t i)
 
 let clear t = t.len <- 0
 let path_count t = t.npaths

@@ -7,12 +7,13 @@
     seven integers and interns call paths, so equal paths are stored once
     and every event references them by index; events are decoded back into
     ordinary {!Event.t} values on access (short-lived, minor-heap cheap),
-    and single fields of a slot ({!kind}, {!seq}, {!addr}, {!size}) are read
-    without decoding. The recorder ({!Replay.record}) is the only writer of
-    a recording's arena: it appends each event's fields straight from the
-    device's op and the live call stack ({!add_op}). Replay recordings keep
-    store payloads in a {!Slab}: one growing byte buffer plus one offset
-    per event position, instead of one heap [bytes] per store. *)
+    and single fields of a slot ({!kind}, {!seq}, the op's fields and the
+    stack's {!code}) are read without decoding. The recorder
+    ({!Replay.record}) is the only writer of a recording's arena: it
+    appends each event's fields straight from the device's op and the
+    live call stack ({!add_op}). Replay recordings keep store payloads in
+    a {!Slab}: one growing byte buffer plus one offset per event position,
+    instead of one heap [bytes] per store. *)
 
 type t
 
@@ -56,9 +57,13 @@ val digest : t -> string
 (** The kind of op an event packs. *)
 type kind = Store | Flush | Fence | Load
 
+val kind_of_op : Pmem.Op.t -> kind
+(** The kind an op packs as. *)
+
 val kind : t -> int -> kind
 (** [kind t i] is the [i]-th event's op kind, read from its packed slot.
-    This and the three readers below decode nothing and allocate nothing.
+    This and the readers below, up to {!code}, decode nothing and allocate
+    nothing.
     @raise Invalid_argument when [i] is out of bounds (as do the others). *)
 
 val seq : t -> int -> int
@@ -69,6 +74,33 @@ val addr : t -> int -> int
 
 val size : t -> int -> int
 (** The [i]-th event's size, when it is a store or a load. *)
+
+val nt : t -> int -> bool
+(** Whether the [i]-th event, a store, is non-temporal. *)
+
+val flush_kind : t -> int -> Pmem.Op.flush_kind
+(** The [i]-th event's instruction, when it is a flush; {!line},
+    {!dirty} and {!volatile} read its other fields. *)
+
+val line : t -> int -> int
+val dirty : t -> int -> bool
+val volatile : t -> int -> bool
+
+val pending_flushes : t -> int -> int
+(** The [i]-th event's drained flushes, when it is a fence; {!pending_nt}
+    its drained non-temporal stores. *)
+
+val pending_nt : t -> int -> int
+
+val code : t -> int -> int
+(** The [i]-th event's code path as one int: its interned path id and its
+    op_index. Two events of one arena have equal codes exactly when their
+    stacks are equal; an event without a stack has code 0 and every other
+    code is positive. *)
+
+val capture : t -> int -> Callstack.capture option
+(** The [i]-th event's stack, read from its packed slot without decoding
+    the op; physically the path {!get} returns. *)
 
 val clear : t -> unit
 (** Drop all events (interned paths are kept: ids remain stable across

@@ -46,9 +46,9 @@ type t = {
 type item = Ev of Event.t | Poison of { addr : int; size : int }
 
 let events t = Arena.to_list t.trace
-let iter t f = Arena.iter t.trace f
 let length t = Arena.length t.trace
 let event t i = Arena.get t.trace i
+let arena t = t.trace
 let digest t = Arena.digest t.trace
 let stats t = t.stats
 let pool_size t = t.pool_size

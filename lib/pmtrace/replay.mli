@@ -36,10 +36,6 @@ val of_events : ?loads:bool -> ?eadr:bool -> pool_size:int -> Event.t list -> t
 val events : t -> Event.t list
 (** The recorded events in execution order, poison entries dropped. *)
 
-val iter : t -> (Event.t -> unit) -> unit
-(** Decode the recorded events one at a time, in execution order (poison
-    entries dropped), building no list. *)
-
 val length : t -> int
 (** Number of recorded events. *)
 
@@ -47,6 +43,11 @@ val event : t -> int -> Event.t
 (** [event t i] decodes the [i]-th recorded event (0-based). On a
     recording made by {!record} or {!rewrite} its seq is [i + 1].
     @raise Invalid_argument when [i] is out of range. *)
+
+val arena : t -> Arena.t
+(** The recorded events, packed, to read by position without decoding
+    ({!Arena.kind}, {!Arena.code}, ...). The recording owns the arena:
+    never write to it. *)
 
 val digest : t -> string
 (** The trace digest: hex MD5 of every recorded event's

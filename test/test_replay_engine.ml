@@ -32,7 +32,11 @@
    materializer, given points in any order and some past the end, hands
    out each point's program-order prefix image and returns exactly the
    unreached keys. Two exact allocation tests pin the per-store cost of
-   recording and materializing.
+   recording and materializing. The replay walk's source dedupe holds on
+   the same programs: trace analysis reporting each (kind, code path)
+   once leaves a report equal to every instance's, and the slot-level
+   failure-point enumeration equals [offline_points] over the decoded
+   events.
 
    Layer 4 — the load-free view: on the 15 clean targets and the 33 seeded
    bugs, the load-free view of a load-traced recording equals a load-free
@@ -594,6 +598,63 @@ let recorder_tests =
              (List.init np (fun i -> i + 1)));
   ]
 
+(* --- code-path identity at the source, on random device programs --- *)
+
+(* Trace analysis's findings, added to a report the way the engine adds
+   them: each one's stack read off the recording at its seq. *)
+let ta_findings r ta =
+  let trace = Pmtrace.Replay.arena r in
+  let report = Mumak.Report.create ~target:"prog" in
+  List.iter
+    (fun (raw : Mumak.Trace_analysis.raw) ->
+      ignore
+        (Mumak.Report.add report
+           {
+             Mumak.Report.kind = raw.Mumak.Trace_analysis.kind;
+             phase = Mumak.Report.Trace_analysis;
+             stack = Pmtrace.Arena.capture trace (raw.Mumak.Trace_analysis.seq - 1);
+             seq = Some raw.Mumak.Trace_analysis.seq;
+             detail = raw.Mumak.Trace_analysis.detail;
+             fix = None;
+           }))
+    (Mumak.Trace_analysis.finish ta);
+  Mumak.Report.findings report
+
+let source_dedupe_tests =
+  [
+    QCheck.Test.make ~name:"deduped trace analysis = every instance, through the report"
+      ~count:200 (QCheck.triple prog_arb QCheck.bool QCheck.bool) (fun (prog, loads, eadr) ->
+        let r = Pmtrace.Replay.record ~loads ~pool_size:prog_pool (run_prog prog) in
+        let config = { Mumak.Config.default with Mumak.Config.eadr } in
+        let every = Mumak.Trace_analysis.create config in
+        List.iter (Mumak.Trace_analysis.feed every) (Pmtrace.Replay.events r);
+        let trace = Pmtrace.Replay.arena r in
+        let deduped = Mumak.Trace_analysis.create ~trace config in
+        for i = 0 to Pmtrace.Arena.length trace - 1 do
+          Mumak.Trace_analysis.step deduped i
+        done;
+        ta_findings r deduped = ta_findings r every
+        && Mumak.Trace_analysis.event_count deduped = Mumak.Trace_analysis.event_count every);
+    QCheck.Test.make ~name:"slot enumeration = offline_points" ~count:200
+      (QCheck.triple prog_arb QCheck.bool QCheck.bool) (fun (prog, loads, store_level) ->
+        let r = Pmtrace.Replay.record ~loads ~pool_size:prog_pool (run_prog prog) in
+        let config =
+          {
+            Mumak.Config.default with
+            Mumak.Config.granularity =
+              (if store_level then Mumak.Config.Store_level
+               else Mumak.Config.Persistency_instruction);
+          }
+        in
+        let trace = Pmtrace.Replay.arena r in
+        let en = Mumak.Fault_injection.enumeration config in
+        for i = 0 to Pmtrace.Arena.length trace - 1 do
+          Mumak.Fault_injection.enumerate_slot en trace i
+        done;
+        Mumak.Fault_injection.enumerated en
+        = Mumak.Fault_injection.offline_points config (Pmtrace.Replay.events r));
+  ]
+
 (* Exact allocation, read around the call ({!Mumak.Metrics.allocated_bytes}). *)
 let allocated f =
   let before = Mumak.Metrics.allocated_bytes () in
@@ -735,4 +796,5 @@ let () =
             Alcotest.test_case "recording copies each payload once" `Quick
               test_record_allocation;
           ] );
+      ("source-dedupe", List.map (QCheck_alcotest.to_alcotest ~long:false) source_dedupe_tests);
     ]
