@@ -720,8 +720,35 @@ let micro () =
       (Staged.stage (fun () ->
            ignore (Pmem.Device.crash dev ~policy:Pmem.Device.Program_prefix)))
   in
+  (* The recovery oracle's device: one adopting a copy-on-write crash
+     view. Most of its reads miss both the line table and the view's page
+     overlay; its first write to a page copies the page up. *)
+  let base = Pmem.Device.create ~size:(1 lsl 20) () in
+  for i = 0 to 63 do
+    Pmem.Device.store_i64 base ~addr:(i * 4096) (Int64.of_int (i + 1))
+  done;
+  let crashed = Pmem.Device.crash base ~policy:Pmem.Device.Program_prefix in
+  let oracle = Pmem.Device.adopt (Pmem.Image.cow crashed) in
+  Pmem.Device.store_i64 oracle ~addr:8192 7L;
+  let load_uncached =
+    Test.make ~name:"adopted view load_i64 (uncached line)"
+      (Staged.stage (fun () -> ignore (Pmem.Device.load_i64 oracle ~addr:4096)))
+  in
+  let load_cached =
+    Test.make ~name:"adopted view load_i64 (cached line)"
+      (Staged.stage (fun () -> ignore (Pmem.Device.load_i64 oracle ~addr:8192)))
+  in
+  let first_write =
+    Test.make ~name:"adopt view + store_i64 + clflush"
+      (Staged.stage (fun () ->
+           let d = Pmem.Device.adopt (Pmem.Image.cow crashed) in
+           Pmem.Device.store_i64 d ~addr:4096 9L;
+           Pmem.Device.clflush d ~addr:4096))
+  in
   let tests =
-    Test.make_grouped ~name:"substrate" [ store_flush_fence; ta_feed; fp_find; crash_image ]
+    Test.make_grouped ~name:"substrate"
+      [ store_flush_fence; ta_feed; fp_find; crash_image; load_uncached; load_cached;
+        first_write ]
   in
   let benchmark () =
     let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in

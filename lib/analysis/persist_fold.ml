@@ -45,6 +45,8 @@ type t = {
 let slots_per_line = Pmem.Addr.line_size / Pmem.Addr.atomic_size
 let no_slot = { slot = -1; state = Persisted; seq = 0 }
 
+(* A line-table miss, and the filler of [touched]'s unused slots: never
+   written, so a miss reads as never flushed. *)
 let no_line =
   { line = -1; stores = 0; last_store = 0; store_epoch = -1; capture = 0; capture_epoch = -1;
     nt_epoch = -1; touch_epoch = -1; flushes = 0; last_flush = 0; slots = [||] }
@@ -55,13 +57,14 @@ let create ?(residue = false) () =
     touched_epoch = 0; epoch = 0; pseq = 0; captured_stores = 0; overwritten = 0 }
 
 let line_of t line =
-  match Pmem.Int_table.find t.lines line with
-  | l -> l
-  | exception Not_found ->
-      let slots = if t.tracks_residue then Array.make slots_per_line no_slot else [||] in
-      let l = { no_line with line; slots } in
-      Pmem.Int_table.add t.lines line l;
-      l
+  let l = Pmem.Int_table.find_or t.lines line no_line in
+  if l != no_line then l
+  else begin
+    let slots = if t.tracks_residue then Array.make slots_per_line no_slot else [||] in
+    let l = { no_line with line; slots } in
+    Pmem.Int_table.add t.lines line l;
+    l
+  end
 
 (* The touched list of a closed epoch stays readable ({!stranded}) until
    the next epoch touches its first line. *)
@@ -185,8 +188,7 @@ let stranded t f =
       if l.store_epoch = t.touched_epoch && l.stores > 0 then f l.line l.last_store
     done
 
-let last_flush t line =
-  match Pmem.Int_table.find t.lines line with l -> l.last_flush | exception Not_found -> 0
+let last_flush t line = (Pmem.Int_table.find_or t.lines line no_line).last_flush
 
 let iter_residue t f =
   if not t.tracks_residue then invalid_arg "Persist_fold.iter_residue: made without ~residue";
@@ -194,5 +196,5 @@ let iter_residue t f =
     (fun slot r ->
       let line = slot * Pmem.Addr.atomic_size / Pmem.Addr.line_size in
       f ~slot ~seq:r.seq ~captured:(r.state = Captured)
-        ~line_flushed:((Pmem.Int_table.find t.lines line).flushes > 0))
+        ~line_flushed:((Pmem.Int_table.find_or t.lines line no_line).flushes > 0))
     t.residue

@@ -18,10 +18,10 @@ type line_state = {
   mutable invalidate_queued : bool;
 }
 
-(* The cached lines by index. A lookup is [find] with [Not_found] for a
-   miss, so a hit boxes no option. Nothing depends on the table's
-   iteration order: [line_versions] sorts, and the other walks write
-   disjoint lines or sum over them. *)
+(* The cached lines by index. A probe answers a miss with [no_line] (or
+   [no_fp_line]), so it neither boxes an option nor raises. Nothing
+   depends on the table's iteration order: [line_versions] sorts, and the
+   other walks write disjoint lines or sum over them. *)
 module Lines = Int_table
 
 (* The line table's initial bucket count: an adopted crash view starts
@@ -75,7 +75,9 @@ type t = {
   stats : Stats.t;
 }
 
-(* Fills the unused slots of [pending]; a faulted-in line starts as a copy. *)
+(* A line-table miss, and the filler of [pending]'s unused slots: never
+   written, so a miss reads clean and unpending. A faulted-in line starts
+   as a copy. *)
 let no_line =
   { line = -1; data = Bytes.empty; dirty = false; pending = false; capture = Bytes.empty;
     invalidate_queued = false }
@@ -159,12 +161,13 @@ let touch t line ~persisted =
   | None -> ()
   | Some fp ->
       let fl =
-        match Lines.find fp.hashes line with
-        | fl -> fl
-        | exception Not_found ->
-            let fl = { no_fp_line with fl_line = line } in
-            Lines.add fp.hashes line fl;
-            fl
+        let fl = Lines.find_or fp.hashes line no_fp_line in
+        if fl != no_fp_line then fl
+        else begin
+          let fl = { no_fp_line with fl_line = line } in
+          Lines.add fp.hashes line fl;
+          fl
+        end
       in
       if persisted then fl.persisted_stale <- true;
       if not fl.queued then begin
@@ -223,10 +226,7 @@ let emit_flush t kind ~line ~vol =
   match t.hook with
   | None -> ()
   | Some f ->
-      let dirty =
-        (not vol)
-        && match Lines.find t.lines line with ls -> ls.dirty | exception Not_found -> false
-      in
+      let dirty = (not vol) && (Lines.find_or t.lines line no_line).dirty in
       f (Op.Flush { kind; line; dirty; volatile = vol })
 
 let emit_fence t kind =
@@ -245,16 +245,17 @@ let check_bounds t addr size =
 (* Fetch the cache-line state for [line], faulting it in from the persistent
    image on first touch. *)
 let line_state t line =
-  match Lines.find t.lines line with
-  | ls -> ls
-  | exception Not_found ->
-      let data = Bytes.make Addr.line_size '\000' in
-      let base = Addr.line_base line in
-      let avail = Int.min Addr.line_size (Image.size t.image - base) in
-      if avail > 0 then Image.blit_from t.image ~src_addr:base ~dst:data ~dst_off:0 ~len:avail;
-      let ls = { no_line with line; data } in
-      Lines.add t.lines line ls;
-      ls
+  let ls = Lines.find_or t.lines line no_line in
+  if ls != no_line then ls
+  else begin
+    let data = Bytes.make Addr.line_size '\000' in
+    let base = Addr.line_base line in
+    let avail = Int.min Addr.line_size (Image.size t.image - base) in
+    if avail > 0 then Image.blit_from t.image ~src_addr:base ~dst:data ~dst_off:0 ~len:avail;
+    let ls = { no_line with line; data } in
+    Lines.add t.lines line ls;
+    ls
+  end
 
 (* In every line walk, [lo, hi) is the part of the access inside the line
    that starts at [base]. *)
@@ -361,10 +362,9 @@ let read_into t ~addr ~size out ~off =
     for line = first to last do
       let base = Addr.line_base line in
       let lo = Int.max addr base and hi = Int.min (addr + size) (base + Addr.line_size) in
-      match Lines.find t.lines line with
-      | ls -> Bytes.blit ls.data (lo - base) out (off + lo - addr) (hi - lo)
-      | exception Not_found ->
-          Image.blit_from t.image ~src_addr:lo ~dst:out ~dst_off:(off + lo - addr) ~len:(hi - lo)
+      let ls = Lines.find_or t.lines line no_line in
+      if ls != no_line then Bytes.blit ls.data (lo - base) out (off + lo - addr) (hi - lo)
+      else Image.blit_from t.image ~src_addr:lo ~dst:out ~dst_off:(off + lo - addr) ~len:(hi - lo)
     done
 
 let read t ~addr ~size =
@@ -394,10 +394,10 @@ let load_into t ~addr ~size dst =
 let load_i64 t ~addr =
   begin_load t ~addr ~size:8;
   let off = addr land (Addr.line_size - 1) in
-  if off <= Addr.line_size - 8 then
-    match Lines.find t.lines (Addr.line_of addr) with
-    | ls -> Bytes.get_int64_le ls.data off
-    | exception Not_found -> Image.read_i64 t.image ~addr
+  if off <= Addr.line_size - 8 then begin
+    let ls = Lines.find_or t.lines (Addr.line_of addr) no_line in
+    if ls != no_line then Bytes.get_int64_le ls.data off else Image.read_i64 t.image ~addr
+  end
   else Bytes.get_int64_le (read t ~addr ~size:8) 0
 
 (* Instrumentation-free read of the program's view of memory: no event, no
@@ -477,23 +477,23 @@ let flush_line_vol t kind ~line ~vol =
   | Op.Clflush -> st.clflush <- st.clflush + 1
   | Op.Clflushopt -> st.clflushopt <- st.clflushopt + 1
   | Op.Clwb -> st.clwb <- st.clwb + 1);
-  if not vol then
-    match Lines.find t.lines line with
-    | exception Not_found -> () (* line never cached: nothing unpersisted to write back *)
-    | ls -> (
-        match kind with
-        | Op.Clflush ->
-            (* clflush is strongly ordered: it persists immediately and
-               invalidates the line. *)
-            persist_line t line ls.data;
-            evict t line;
-            if ls.pending then unqueue_pending t ls
-        | Op.Clflushopt | Op.Clwb ->
-            if not ls.pending then queue_pending t ls;
-            if Bytes.length ls.capture = 0 then ls.capture <- Bytes.copy ls.data
-            else Bytes.blit ls.data 0 ls.capture 0 Addr.line_size;
-            ls.dirty <- false;
-            if kind = Op.Clflushopt then queue_invalidate t ls)
+  (* a volatile address, or a line never cached: nothing unpersisted to
+     write back *)
+  let ls = if vol then no_line else Lines.find_or t.lines line no_line in
+  if ls != no_line then
+    match kind with
+    | Op.Clflush ->
+        (* clflush is strongly ordered: it persists immediately and
+           invalidates the line. *)
+        persist_line t line ls.data;
+        evict t line;
+        if ls.pending then unqueue_pending t ls
+    | Op.Clflushopt | Op.Clwb ->
+        if not ls.pending then queue_pending t ls;
+        if Bytes.length ls.capture = 0 then ls.capture <- Bytes.copy ls.data
+        else Bytes.blit ls.data 0 ls.capture 0 Addr.line_size;
+        ls.dirty <- false;
+        if kind = Op.Clflushopt then queue_invalidate t ls
 
 let flush_one t kind ~addr =
   flush_line_vol t kind ~line:(Addr.line_of addr) ~vol:(volatile_addr t addr)
@@ -538,9 +538,8 @@ let drain t kind =
   t.pending_nt <- [];
   for i = 0 to t.n_invalidate - 1 do
     let line = t.invalidate_on_fence.(i) in
-    match Lines.find t.lines line with
-    | ls -> if ls.dirty then ls.invalidate_queued <- false else evict t line
-    | exception Not_found -> ()
+    let ls = Lines.find_or t.lines line no_line in
+    if ls != no_line then if ls.dirty then ls.invalidate_queued <- false else evict t line
   done;
   t.n_invalidate <- 0
 
@@ -642,18 +641,19 @@ let refresh t fp =
       replace_hash fp.persisted_sum ~was:fl.persisted_h ~now:h;
       fl.persisted_h <- h
     end;
+    let ls = Lines.find_or t.lines line no_line in
     let view_differs =
-      match Lines.find t.lines line with
-      | ls ->
-          content_line t.image line ls.data vbuf;
-          not (Bytes.equal vbuf pbuf)
-      | exception Not_found ->
-          nt_overlaps line t.pending_nt
-          && begin
-               Bytes.blit pbuf 0 vbuf 0 (Bytes.length pbuf);
-               nt_into vbuf line t.pending_nt;
-               not (Bytes.equal vbuf pbuf)
-             end
+      if ls != no_line then begin
+        content_line t.image line ls.data vbuf;
+        not (Bytes.equal vbuf pbuf)
+      end
+      else
+        nt_overlaps line t.pending_nt
+        && begin
+             Bytes.blit pbuf 0 vbuf 0 (Bytes.length pbuf);
+             nt_into vbuf line t.pending_nt;
+             not (Bytes.equal vbuf pbuf)
+           end
     in
     let h = if view_differs then line_hash vbuf else fl.persisted_h in
     replace_hash fp.prefix_sum ~was:fl.prefix_h ~now:h;
@@ -682,11 +682,7 @@ let fingerprint t ~policy =
       let sum = Bytes.copy fp.persisted_sum and buf = fp.view_buf in
       for i = 0 to t.n_pending - 1 do
         let ls = t.pending.(i) in
-        let was =
-          match Lines.find fp.hashes ls.line with
-          | fl -> fl.persisted_h
-          | exception Not_found -> zero_hash
-        in
+        let was = (Lines.find_or fp.hashes ls.line no_fp_line).persisted_h in
         content_line t.image ls.line ls.capture buf;
         replace_hash sum ~was ~now:(line_hash buf)
       done;

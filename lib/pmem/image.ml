@@ -14,9 +14,10 @@ let page_bits = 12
 let page_size = 1 lsl page_bits
 let zero_page = Bytes.make page_size '\000'
 
-(* A view's private pages by page index. Every lookup is [find] with
-   [Not_found] for a miss, so a hit boxes no option; [cow_pages] sorts
-   what it lists, so the table's order reaches no output. *)
+(* A view's private pages by page index. A probe answers a miss with the
+   base's page or [zero_page], so it neither boxes an option nor raises;
+   [cow_pages] sorts what it lists, so the table's order reaches no
+   output. *)
 module Pages = Int_table
 
 type t = {
@@ -35,18 +36,12 @@ let size t = t.size
 
 (* The page [t] reads at index [i]. *)
 let page t i =
-  match t.own with
-  | None -> t.pages.(i)
-  | Some own -> ( match Pages.find own i with p -> p | exception Not_found -> t.pages.(i))
+  match t.own with None -> t.pages.(i) | Some own -> Pages.find_or own i t.pages.(i)
 
-(* The page at index [i] that [t] may write in place.
-   @raise Not_found when that page is shared. *)
+(* The page at index [i] that [t] may write in place, or [zero_page]
+   when that page is shared. *)
 let private_page t i =
-  match t.own with
-  | None ->
-      let p = t.pages.(i) in
-      if p == zero_page then raise_notrace Not_found else p
-  | Some own -> Pages.find own i
+  match t.own with None -> t.pages.(i) | Some own -> Pages.find_or own i zero_page
 
 let snapshot t =
   let copy i =
@@ -101,15 +96,16 @@ let rec blit_pages_to t ~pos ~stop src ~at =
   if pos < stop then begin
     let i = pos lsr page_bits and off = pos land (page_size - 1) in
     let n = Int.min (page_size - off) (stop - pos) in
-    (match private_page t i with
-    | p -> Bytes.blit src at p off n
-    | exception Not_found ->
-        let shared = t.pages.(i) in
-        if not (sub_equal src at shared off n) then begin
-          let p = Bytes.copy shared in
-          Bytes.blit src at p off n;
-          match t.own with None -> t.pages.(i) <- p | Some own -> Pages.add own i p
-        end);
+    let p = private_page t i in
+    if p != zero_page then Bytes.blit src at p off n
+    else begin
+      let shared = t.pages.(i) in
+      if not (sub_equal src at shared off n) then begin
+        let p = Bytes.copy shared in
+        Bytes.blit src at p off n;
+        match t.own with None -> t.pages.(i) <- p | Some own -> Pages.add own i p
+      end
+    end;
     blit_pages_to t ~pos:(pos + n) ~stop src ~at:(at + n)
   end
 

@@ -177,6 +177,37 @@ let test_hook_raise_aborts_store () =
   Device.set_hook d None;
   Alcotest.check i64 "store aborted" 0L (Device.load_i64 d ~addr:128)
 
+(* A flush of a line the cache does not hold reports the line clean and
+   writes nothing back: a line never stored to, and a line [clflush] has
+   evicted. *)
+let test_hook_flush_of_uncached_line () =
+  let d = dev () in
+  let ops = ref [] in
+  Device.set_hook d (Some (fun op -> ops := op :: !ops));
+  let adr () = Device.crash d ~policy:Device.Adr in
+  let same what before =
+    Alcotest.(check bool) what true (Image.equal before (adr ()))
+  in
+  let fresh = adr () in
+  Device.clwb d ~addr:256;
+  same "a clwb of a never-stored line leaves the ADR image" fresh;
+  Device.store_i64 d ~addr:128 1L;
+  Device.clflush d ~addr:128;
+  let flushed = adr () in
+  Alcotest.check i64 "clflush persisted the store" 1L (Image.read_i64 flushed ~addr:128);
+  Device.clwb d ~addr:128;
+  same "a clwb of an evicted line leaves the ADR image" flushed;
+  Device.sfence d;
+  same "the fence after them leaves the ADR image" flushed;
+  match List.rev !ops with
+  | [ Op.Flush { kind = Op.Clwb; line = 4; dirty = false; volatile = false };
+      Op.Store { addr = 128; size = 8; nt = false };
+      Op.Flush { kind = Op.Clflush; line = 2; dirty = true; volatile = false };
+      Op.Flush { kind = Op.Clwb; line = 2; dirty = false; volatile = false };
+      Op.Fence { kind = Op.Sfence; pending_flushes = 0; pending_nt = 0 } ] ->
+      ()
+  | l -> Alcotest.failf "unexpected op sequence (%d ops)" (List.length l)
+
 let test_of_image_restart () =
   let d = dev () in
   Device.store_i64 d ~addr:128 42L;
@@ -1022,6 +1053,70 @@ let prop_paged_image_model =
         [ size; 4096 ];
       match !mismatch with None -> true | Some msg -> QCheck.Test.fail_reportf "%s" msg)
 
+(* --- the int table --- *)
+
+(* A key from a small universe, so that bindings share chains, hide one
+   another and get removed: a dense line or page index, or a key shaped
+   like [Pmtrace.Arena.code], with a path id above bit 32 and an op index
+   below. *)
+let table_key ~coded k = if coded then ((1 + (k mod 7)) lsl 32) lor (k / 7) else k
+
+(* Op kinds 0-2 add, 3-4 remove, 5 probes, 6 asks [mem], 7 compares
+   [length] and the walks. *)
+let arb_table_case =
+  QCheck.make
+    ~print:(fun (coded, ops) ->
+      Printf.sprintf "coded=%b ops=[%s]" coded
+        (String.concat "; " (List.map (fun (k, key) -> Printf.sprintf "%d:%d" k key) ops)))
+    QCheck.Gen.(pair bool (list_size (int_range 1 400) (pair (int_range 0 7) (int_range 0 150))))
+
+let prop_int_table_model =
+  QCheck.Test.make ~name:"agrees with a Hashtbl model" ~count:300 arb_table_case
+    (fun (coded, ops) ->
+      let t = Int_table.create 1 and model = Hashtbl.create 16 in
+      let by_key l = List.stable_sort (fun (a, _) (b, _) -> compare a b) l in
+      let check i what ok = if not ok then QCheck.Test.fail_reportf "op %d: %s" i what in
+      List.iteri
+        (fun i (kind, k) ->
+          let key = table_key ~coded k in
+          match kind with
+          | 0 | 1 | 2 ->
+              Int_table.add t key i;
+              Hashtbl.add model key i
+          | 3 | 4 ->
+              Int_table.remove t key;
+              Hashtbl.remove model key
+          | 5 ->
+              let want = Option.value (Hashtbl.find_opt model key) ~default:(-1) in
+              check i (Printf.sprintf "find_or %d" key) (Int_table.find_or t key (-1) = want)
+          | 6 -> check i (Printf.sprintf "mem %d" key) (Int_table.mem t key = Hashtbl.mem model key)
+          | _ ->
+              check i "length" (Int_table.length t = Hashtbl.length model);
+              let folded = Int_table.fold (fun k v acc -> (k, v) :: acc) t [] in
+              let iterated = ref [] in
+              Int_table.iter (fun k v -> iterated := (k, v) :: !iterated) t;
+              check i "iter and fold walk alike" (folded = !iterated);
+              check i "bindings"
+                (by_key folded = by_key (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model [])))
+        ops;
+      true)
+
+(* Probes box no option and raise nothing, hit or miss. *)
+let test_int_table_probes_allocate_nothing () =
+  let t = Int_table.create 16 in
+  for k = 0 to 99 do
+    Int_table.add t (2 * k) k
+  done;
+  let before = Mumak.Metrics.allocated_bytes () in
+  let hits = ref 0 in
+  for k = 0 to 199 do
+    if Int_table.find_or t k (-1) >= 0 then incr hits;
+    if Int_table.mem t k then incr hits
+  done;
+  let bytes = Mumak.Metrics.allocated_bytes () -. before in
+  Alcotest.(check int) "every even key found, twice" 200 !hits;
+  if bytes > 256. then Alcotest.failf "400 probes allocated %.0f bytes" bytes
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -1058,6 +1153,7 @@ let () =
           Alcotest.test_case "volatile flush" `Quick test_flush_outside_pool_is_volatile;
           Alcotest.test_case "hook order" `Quick test_hook_sees_ops_in_order;
           Alcotest.test_case "hook raise aborts" `Quick test_hook_raise_aborts_store;
+          Alcotest.test_case "flush of an uncached line" `Quick test_hook_flush_of_uncached_line;
           Alcotest.test_case "of_image restart" `Quick test_of_image_restart;
         ] );
       ( "enumerate",
@@ -1088,6 +1184,12 @@ let () =
         ] );
       ( "fingerprint",
         [ Alcotest.test_case "follows every write" `Quick test_fingerprint_follows_writes ] );
+      ( "int-table",
+        [
+          Alcotest.test_case "probes allocate nothing" `Quick
+            test_int_table_probes_allocate_nothing;
+          QCheck_alcotest.to_alcotest prop_int_table_model;
+        ] );
       qsuite "properties"
         [
           prop_lines_spanned_cover;
